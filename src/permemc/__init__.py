@@ -23,6 +23,7 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
+    cell_masks,
     compose,
     contains_cells,
     derangements,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -100,6 +101,21 @@ def sorted_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     return tuple(sorted(cells))
 
 
+def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
+    """Map each cell to the bitmask of the indices of the sets containing it.
+
+    Bit i of ``cell_masks(sets)[c]`` is set iff the i-th set contains c, so
+    the sets containing a whole cell set X are the AND of its cells' masks
+    and their number is that AND's popcount.  Cells in no set are absent.
+    """
+    masks: dict[Cell, int] = {}
+    for i, cells in enumerate(sets):
+        bit = 1 << i
+        for c in cells:
+            masks[c] = masks.get(c, 0) | bit
+    return masks
+
+
 @dataclass(frozen=True)
 class Family:
     """A finite set of permutations sharing one n.
@@ -130,7 +146,20 @@ class Family:
         return iter(self.members)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.members)
+        return tuple(p) in self._member_set
+
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
+
+    @cached_property
+    def cell_masks(self) -> dict[Cell, int]:
+        """``cell_masks`` of the member graphs, indexed like ``members``.
+
+        Built on first use and kept, since families are immutable; every
+        caller shares the one dict, so it must not be modified.
+        """
+        return cell_masks(enumerate(p, 1) for p in self.members)
 
     def graphs(self) -> list[PartialPerm]:
         return [graph(p) for p in self.members]
@@ -140,7 +169,7 @@ class Family:
         return Family(self.n, tuple(p for p in self.members if p in keep))
 
     def difference(self, other: "Family") -> "Family":
-        drop = set(other.members)
+        drop = other._member_set
         return Family(self.n, tuple(p for p in self.members if p not in drop))
 
     def union(self, other: "Family") -> "Family":
@@ -149,11 +178,24 @@ class Family:
         return Family(self.n, self.members + other.members)
 
     def issubset(self, other: "Family") -> bool:
-        return self.n == other.n and set(self.members) <= set(other.members)
+        return self.n == other.n and self._member_set <= other._member_set
 
 
 def family(n: int, members: Iterable[Sequence[int]], label: str | None = None) -> Family:
     return Family(n, tuple(tuple(m) for m in members), label)
+
+
+def _containing(fam: Family, cells: Iterable[Cell]) -> int:
+    """Bitmask of the members whose graphs contain every cell of X."""
+    hit = (1 << len(fam)) - 1
+    for c in cells:
+        hit &= fam.cell_masks.get(c, 0)
+    return hit
+
+
+def _selected(fam: Family, mask: int) -> tuple[Perm, ...]:
+    """The members whose index bits are set in ``mask``, in member order."""
+    return tuple(p for p, bit in zip(fam.members, bin(mask)[:1:-1]) if bit == "1")
 
 
 def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
@@ -164,23 +206,21 @@ def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
     contains X (in particular whenever X is not a partial permutation).
     """
     cs = frozenset(cells)
-    out = [graph(p) - cs for p in fam.members if contains_cells(p, cs)]
+    out = [graph(p) - cs for p in _selected(fam, _containing(fam, cs))]
     return tuple(sorted(out, key=sorted))
 
 
 def subfamily_containing(fam: Family, cells: Iterable[Cell]) -> Family:
     """F[X]: the members whose graphs contain every cell of X."""
-    cs = frozenset(cells)
-    return Family(fam.n, tuple(p for p in fam.members if contains_cells(p, cs)))
+    return Family(fam.n, _selected(fam, _containing(fam, cells)))
 
 
 def subfamily_containing_any(fam: Family, cell_sets: Iterable[Iterable[Cell]]) -> Family:
     """F[S] = union of F[A] over A in S."""
-    frozen = [frozenset(cs) for cs in cell_sets]
-    return Family(
-        fam.n,
-        tuple(p for p in fam.members if any(contains_cells(p, cs) for cs in frozen)),
-    )
+    hit = 0
+    for cs in cell_sets:
+        hit |= _containing(fam, cs)
+    return Family(fam.n, _selected(fam, hit))
 
 
 def _check_cap(n: int) -> None:

@@ -66,9 +66,19 @@ def parse_family(text: str, path: str = "<string>") -> Family:
     return Family(n, tuple(members))
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8 text (byte {exc.start})") from None
+
+
 def load_family(path) -> Family:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read(), str(path))
+    return parse_family(_read_text(path), str(path))
 
 
 def format_family(fam: Family) -> str:
@@ -113,8 +123,7 @@ def parse_matrix(text: str, path: str = "<string>") -> ZeroOneMatrix:
 
 
 def load_matrix(path) -> ZeroOneMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), str(path))
+    return parse_matrix(_read_text(path), str(path))
 
 
 def save_matrix(matrix: ZeroOneMatrix, path) -> None:

@@ -22,7 +22,6 @@ from .core import (
     Family,
     Perm,
     compose,
-    contains_cells,
     enumerate_family,
     graph,
     identity,
@@ -31,6 +30,7 @@ from .core import (
     is_derangement,
     set_matching_number,
     sorted_cells,
+    subfamily_containing_any,
 )
 from .counting import pointed_derangement_count
 from .spread import containment_probability
@@ -118,14 +118,8 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
     ms = fam.members
-    cells = sorted({c for p in ms for c in graph(p)})
-    cell_mask = {}
-    for ci, c in enumerate(cells):
-        mask = 0
-        for mi, p in enumerate(ms):
-            if p[c[0] - 1] == c[1]:
-                mask |= 1 << mi
-        cell_mask[c] = mask
+    cell_mask = fam.cell_masks
+    cells = sorted(cell_mask)
     full = (1 << len(ms)) - 1
 
     lower = 0
@@ -355,13 +349,11 @@ def classify_cross_free_families(
     if len(nonempty) == t and cross_matching(families) is not None:
         raise ValueError("the families contain a cross matching; nothing to classify")
 
-    union = set()
-    for f in families:
-        union |= set(f.members)
+    union = Family(n, tuple(p for f in families for p in f.members))
     witnesses = []
     for j in range(t):
-        others = [cells[i] for i in range(t) if i != j]
-        if all(any(contains_cells(p, [c]) for c in others) for p in union):
+        others = [[cells[i]] for i in range(t) if i != j]
+        if len(subfamily_containing_any(union, others)) == len(union):
             witnesses.append(j + 1)
     bound = (Fraction(100 * t - 101, 100)) * pointed_derangement_count(n)
     size_holds = Fraction(len(union)) <= bound
@@ -521,15 +513,9 @@ def support_union_bound_sides(
         if not maximal:
             break
 
-    members = ambient.members
-    lhs = sum(1 for p in members if any(contains_cells(p, a) for a in sets))
-    singleton_union = sum(
-        1 for p in members if any(contains_cells(p, a) for a in singles)
-    )
-    star_counts: dict[Cell, int] = {}
-    for p in members:
-        for c in graph(p):
-            star_counts[c] = star_counts.get(c, 0) + 1
+    lhs = len(subfamily_containing_any(ambient, sets))
+    singleton_union = len(subfamily_containing_any(ambient, singles))
+    star_counts = {c: m.bit_count() for c, m in ambient.cell_masks.items()}
     if star_counts:
         max_star = max(star_counts.values())
         max_cell = min(c for c, v in star_counts.items() if v == max_star)
@@ -598,20 +584,13 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     if s < 2:
         raise ValueError("s must be at least 2")
     n = ambient.n
-    members = ambient.members
-    cells = sorted({c for p in members for c in graph(p)})
+    masks = ambient.cell_masks
+    cells = sorted(masks)
     k = s - 1
     if k > len(cells):
         k = len(cells)
     if math.comb(len(cells), k) > _STAR_SEARCH_BUDGET:
         raise ValueError("cell-combination search too large; reduce s or the ambient family")
-    masks = {}
-    for ci, c in enumerate(cells):
-        m = 0
-        for mi, p in enumerate(members):
-            if p[c[0] - 1] == c[1]:
-                m |= 1 << mi
-        masks[c] = m
     best = -1
     best_cells: tuple[Cell, ...] = ()
     for combo in itertools.combinations(cells, k):
@@ -622,6 +601,6 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
         if size > best:
             best = size
             best_cells = combo
-    slack = Fraction(len(members), n**4)
+    slack = Fraction(len(ambient), n**4)
     rhs = best + slack
     return StarSlackSides(best, best_cells, slack, len(fam), rhs, Fraction(len(fam)) <= rhs)

@@ -22,11 +22,12 @@ from .core import (
     Cell,
     Family,
     PartialPerm,
-    contains_cells,
-    graph,
+    cell_masks,
     set_matching_number,
     sorted_cells,
     subfamily_containing,
+    subfamily_containing_any,
+    trace,
 )
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
@@ -177,31 +178,29 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         raise ValueError("rho must be positive")
     total = len(members)
 
-    def qualifies(count: int, size: int) -> bool:
-        return count * rho**size >= total
+    def qualifies(mask: int, size: int) -> bool:
+        return mask.bit_count() * rho**size >= total
 
+    masks = fam.cell_masks if isinstance(fam, Family) else cell_masks(members)
     chosen: set = set()
-    carriers = list(members)  # members containing the current X
+    carrier = (1 << total) - 1  # bitmask of the members containing the current X
     while True:
-        counts: dict[Cell, int] = {}
-        for m in carriers:
-            for c in m - chosen:
-                counts[c] = counts.get(c, 0) + 1
-        single = sorted(c for c, k in counts.items() if qualifies(k, len(chosen) + 1))
+        single = sorted(c for c, m in masks.items() if c not in chosen and qualifies(m & carrier, len(chosen) + 1))
         if single:
-            c = single[0]
-            chosen.add(c)
-            carriers = [m for m in carriers if c in m]
+            chosen.add(single[0])
+            carrier &= masks[single[0]]
             continue
         jump = None
-        max_extra = max((len(m - chosen) for m in carriers), default=0)
-        for t in range(2, max_extra + 1):
+        carriers = [m - chosen for m, bit in zip(members, bin(carrier)[:1:-1]) if bit == "1"]
+        for t in range(2, max(map(len, carriers), default=0) + 1):
             extensions = set()
             for m in carriers:
-                extensions.update(itertools.combinations(sorted(m - chosen), t))
+                extensions.update(itertools.combinations(sorted(m), t))
             for ext in sorted(extensions):
-                cnt = sum(1 for m in carriers if frozenset(ext) <= m)
-                if qualifies(cnt, len(chosen) + t):
+                hit = carrier
+                for c in ext:
+                    hit &= masks[c]
+                if qualifies(hit, len(chosen) + t):
                     jump = ext
                     break
             if jump:
@@ -209,7 +208,8 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         if jump is None:
             return frozenset(chosen)
         chosen.update(jump)
-        carriers = [m for m in carriers if frozenset(jump) <= m]
+        for c in jump:
+            carrier &= masks[c]
 
 
 @dataclass(frozen=True)
@@ -322,16 +322,12 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     """
     r = Fraction(r)
     removed = fam.difference(res.remainder)
-    covering_ok = all(
-        any(contains_cells(p, s) for s in res.supports) for p in removed.members
-    )
+    covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
 
     details = []
     branch_ok = True
     for support, branch in res.branches.items():
-        cs = frozenset(support)
-        residues = [graph(p) - cs for p in branch.members]
-        rep = is_r_spread(residues, r / 2)
+        rep = is_r_spread(trace(branch, support), r / 2)
         details.append((sorted_cells(support), rep.is_spread))
         branch_ok = branch_ok and rep.is_spread
 
@@ -403,10 +399,10 @@ def containment_probability(
     if not members:
         raise ValueError("containment probability needs a nonempty family")
     relevant = sorted(set().union(*members))
+    pf = Fraction(p)
+    if not (0 < pf < 1):
+        raise ValueError("p must lie strictly between 0 and 1")
     if mode == "exact":
-        pf = Fraction(p)
-        if not (0 < pf < 1):
-            raise ValueError("p must lie strictly between 0 and 1")
         if len(relevant) > EXACT_CELL_CAP:
             raise ValueError(f"exact mode capped at {EXACT_CELL_CAP} distinct cells")
         if len(members) <= _IE_MEMBER_CAP:
@@ -419,18 +415,12 @@ def containment_probability(
             raise ValueError("monte_carlo mode needs samples >= 1")
         if seed is None:
             raise ValueError("monte_carlo mode needs an explicit seed")
-        pv = float(Fraction(p))
         index = {c: i for i, c in enumerate(relevant)}
-        masks = np.array(
-            [sum(1 << index[c] for c in m) for m in members], dtype=np.int64
-        )
         rng = np.random.Generator(np.random.Philox(key=seed))
-        keep = rng.random((samples, len(relevant))) < pv
-        weights = 1 << np.arange(len(relevant), dtype=np.int64)
-        w = keep.astype(np.int64) @ weights  # per-sample kept-cell bitmask
+        keep = rng.random((samples, len(relevant))) < float(pf)
         hit = np.zeros(samples, dtype=bool)
-        for m in masks:
-            hit |= (w & m) == m
+        for m in members:
+            hit |= keep[:, [index[c] for c in m]].all(axis=1)
         k = int(np.count_nonzero(hit))
         est = k / samples
         se = (est * (1.0 - est) / samples) ** 0.5

@@ -86,14 +86,10 @@ def suite_counts(seed: int = 0) -> dict:
 
     ok = True
     for n in range(2, 8):
-        ders = core.derangements(n)
-        counts = {}
-        for p in ders.members:
-            for cell in core.graph(p):
-                counts[cell] = counts.get(cell, 0) + 1
+        masks = core.derangements(n).cell_masks
         expected = counting.pointed_derangement_count(n)
         cells = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
-        ok = ok and all(counts.get(c, 0) == expected for c in cells)
+        ok = ok and all(masks.get(c, 0).bit_count() == expected for c in cells)
     s.add("pointed-derangement-cells", "d_{n,1} = d_{n-1}+d_{n-2} = |D_n[(x,y)]| for every off-diagonal cell, n <= 7", ok)
 
     ok = True
@@ -285,7 +281,7 @@ def suite_spread(seed: int = 0) -> dict:
             if spread.is_r_spread(fam, r).is_spread:
                 continue  # X = empty set works: |F| > 1 members remain
             x = spread.max_ratio_set(fam, r)
-            residues = [core.graph(p) - x for p in fam.members if core.contains_cells(p, x)]
+            residues = core.trace(fam, x)
             ok = ok and len(residues) > 1 and spread.is_r_spread(residues, r).is_spread
     s.add("large-family-witness", "families larger than r^n admit an r-spread trace with >1 residues", ok)
 
@@ -437,29 +433,28 @@ def suite_approx(seed: int = 0) -> dict:
     return s.report()
 
 
+def brute_tau(fam: core.Family) -> int:
+    """Covering number by trying every cell combination, smallest first."""
+    cells = sorted({c for p in fam.members for c in core.graph(p)})
+    for t in range(1, fam.n + 1):
+        for combo in itertools.combinations(cells, t):
+            cs = set(combo)
+            if all(core.graph(p) & cs for p in fam.members):
+                return t
+    return fam.n
+
+
 def suite_solvers(seed: int = 0) -> dict:
     s = _Suite("solvers", seed)
     rng = random.Random(seed)
     sigma4 = core.symmetric_group(4)
-
-    def brute_nu(fam):
-        return core.set_matching_number(fam.graphs())
-
-    def brute_tau(fam):
-        cells = sorted({c for p in fam.members for c in core.graph(p)})
-        for t in range(1, fam.n + 1):
-            for combo in itertools.combinations(cells, t):
-                cs = set(combo)
-                if all(core.graph(p) & cs for p in fam.members):
-                    return t
-        return fam.n
 
     ok_nu = True
     ok_tau = True
     for _ in range(60):
         fam = random_subfamily(rng, sigma4, rng.randint(1, 24))
         nu, wit = solvers.matching_number(fam)
-        ok_nu = ok_nu and nu == brute_nu(fam) and len(wit) == nu
+        ok_nu = ok_nu and nu == core.set_matching_number(fam.graphs()) and len(wit) == nu
         ok_nu = ok_nu and all(not core.intersects(a, b) for a, b in itertools.combinations(wit, 2))
         tau, cover = solvers.covering_number(fam)
         ok_tau = ok_tau and tau == brute_tau(fam) and len(cover) == tau

@@ -8,7 +8,9 @@ import pytest
 
 from permemc import (
     DimensionMismatch,
+    cell_masks,
     compose,
+    contains_cells,
     derangements,
     double_derangements,
     double_derangement_count,
@@ -166,6 +168,42 @@ def test_trace_subfamily_adjunction_exhaustive():
                 assert len(subfamily_containing(f, restriction)) == len(trace(f, restriction))
                 if not is_partial_permutation(restriction):
                     assert len(trace(f, restriction)) == 0
+
+
+def test_cell_index_agrees_with_direct_scan():
+    # The cached cell -> member-bitmask index against contains_cells, on
+    # random subfamilies of the full families on [4] and [5].  Restrictions
+    # include the empty set, cells outside [n]^2 and row or column clashes.
+    rng = random.Random(41)
+    for n in (4, 5):
+        ambient = symmetric_group(n)
+        grid = [(x, y) for x in range(0, n + 2) for y in range(0, n + 2)]
+        for _ in range(30):
+            f = family(n, rng.sample(list(ambient.members), rng.randint(0, len(ambient))))
+            masks = f.cell_masks
+            assert masks is f.cell_masks  # built once, then cached
+            assert masks == cell_masks(f.graphs())
+            for c in grid:
+                direct = sum(1 << i for i, p in enumerate(f.members) if contains_cells(p, [c]))
+                assert masks.get(c, 0) == direct
+            restrictions = [[], [(1, 1), (1, 2)], [(1, 1), (2, 1)], [(0, 1)], [(n + 1, 1)]]
+            restrictions += [rng.sample(grid, rng.randint(1, 3)) for _ in range(10)]
+            for x in restrictions:
+                through = tuple(p for p in f.members if contains_cells(p, x))
+                assert subfamily_containing(f, x).members == through
+                assert trace(f, x) == tuple(sorted((graph(p) - set(x) for p in through), key=sorted))
+            for k in range(4):
+                sets = rng.sample(restrictions, k)
+                through = tuple(p for p in f.members if any(contains_cells(p, x) for x in sets))
+                assert subfamily_containing_any(f, sets).members == through
+
+
+def test_membership_rejects_non_members_and_wrong_lengths():
+    f = family(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
+    assert (2, 1, 4, 3) in f and [1, 2, 3, 4] in f
+    assert (1, 2, 4, 3) not in f
+    assert (1, 2, 3) not in f and (1, 2, 3, 4, 5) not in f and () not in f
+    assert (1, 2, 3) not in family(3, [])
 
 
 def test_enumerate_all_sizes():

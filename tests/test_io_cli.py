@@ -287,6 +287,43 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "bad.txt:2" in err
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    fam_path = tmp_path / "fam.txt"
+    fam_path.write_bytes(b"n=2\n1 2\n\xff\xfe\n")
+    mat_path = tmp_path / "m.txt"
+    mat_path.write_bytes(b"N=2\n1 0\n0 1 \xe9\n")
+    with pytest.raises(ParseError):
+        load_family(fam_path)
+    with pytest.raises(ParseError):
+        load_matrix(mat_path)
+    code, _, err = _run(["nu", "--family", str(fam_path)], capsys)
+    assert code == 3 and "fam.txt:3" in err and "Traceback" not in err
+    code, _, err = _run(["permanent", "--matrix", str(mat_path)], capsys)
+    assert code == 3 and "m.txt:3" in err and "Traceback" not in err
+
+
+def test_cli_mc_spread_wide_family(tmp_path, capsys):
+    # the 8 cyclic shifts of [8] cover all 64 cells of the grid
+    path = tmp_path / "shifts.txt"
+    save_family(family(8, [tuple((i + k) % 8 + 1 for i in range(8)) for k in range(8)]), path)
+    code, out, err = _run(
+        ["mc-spread", "--family", str(path), "--p", "1/2", "--samples", "1000", "--seed", "1"],
+        capsys,
+    )
+    assert code == 0 and "Traceback" not in err
+    assert 0 <= json.loads(out)["value"] <= 1
+
+
+def test_cli_mc_spread_rejects_p_outside_unit_interval(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    save_family(symmetric_group(2), path)
+    code, out, err = _run(
+        ["mc-spread", "--family", str(path), "--p", "3/2", "--samples", "100", "--seed", "0"],
+        capsys,
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_cli_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "permemc.cli", "counts", "--bogus"],
@@ -300,19 +337,3 @@ def test_cli_json_only_on_stdout(capsys):
     code, out, err = _run(["counts", "--n", "5"], capsys)
     json.loads(out)  # stdout parses as JSON on its own
     assert err.strip()  # the human summary goes to stderr
-
-
-def test_worker_count_env(monkeypatch):
-    from permemc.runtime import worker_count
-
-    monkeypatch.delenv("PERMEMC_THREADS", raising=False)
-    default = worker_count()
-    assert default >= 1
-    monkeypatch.setenv("PERMEMC_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("PERMEMC_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("PERMEMC_THREADS", "many")
-    with pytest.raises(ValueError):
-        worker_count()

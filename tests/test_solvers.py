@@ -31,20 +31,11 @@ from permemc import (
     symmetric_group,
 )
 from permemc.solvers import coset_representative
+from permemc.verify import brute_tau
 
 
 def _random_subfamily(rng, ambient, size):
     return family(ambient.n, rng.sample(list(ambient.members), size))
-
-
-def _brute_tau(fam):
-    cells = sorted({c for p in fam.members for c in graph(p)})
-    for t in range(1, fam.n + 1):
-        for combo in itertools.combinations(cells, t):
-            cs = set(combo)
-            if all(graph(p) & cs for p in fam.members):
-                return t
-    return fam.n
 
 
 def test_nu_star_is_one():
@@ -118,7 +109,7 @@ def test_tau_vs_exhaustive_500_and_tau_ge_nu():
     for _ in range(500):
         fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
         tau, cover = covering_number(fam)
-        assert tau == _brute_tau(fam)
+        assert tau == brute_tau(fam)
         assert all(graph(p) & set(cover) for p in fam.members)
         assert tau >= matching_number(fam)[0]
 

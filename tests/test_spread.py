@@ -349,13 +349,28 @@ def test_containment_probability_monte_carlo_deterministic():
     assert a.value == b.value
 
 
-def test_containment_probability_independent_of_worker_cap(monkeypatch):
-    fam = symmetric_group(3)
-    monkeypatch.setenv("PERMEMC_THREADS", "1")
-    a = containment_probability(fam, Fraction(1, 3), "monte_carlo", samples=8_000, seed=7)
-    monkeypatch.delenv("PERMEMC_THREADS")
-    b = containment_probability(fam, Fraction(1, 3), "monte_carlo", samples=8_000, seed=7)
-    assert a.value == b.value
+def test_containment_probability_monte_carlo_wide_family():
+    # The 8 cyclic shifts of [8] cover all 64 cells, more than one machine
+    # word per sample.  They are pairwise disjoint, so the exact value is
+    # 1 - (1 - p^8)^8.
+    shifts = family(8, [tuple((i + k) % 8 + 1 for i in range(8)) for k in range(8)])
+    est = containment_probability(shifts, Fraction(1, 2), "monte_carlo", samples=1000, seed=1)
+    exact = 1 - (1 - Fraction(1, 2) ** 8) ** 8
+    assert 0 <= est.value <= 1
+    assert abs(est.value - float(exact)) <= 3 * est.standard_error
+
+
+def test_containment_probability_monte_carlo_pinned_bits():
+    # with fewer than 64 relevant cells the sampled bits must not change
+    est = containment_probability(derangements(5), Fraction(2, 3), "monte_carlo", samples=5000, seed=11)
+    assert est.value == 0.862
+
+
+@pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), Fraction(-1, 2)])
+def test_containment_probability_rejects_p_outside_unit_interval(p):
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError):
+            containment_probability(symmetric_group(2), p, mode, samples=100, seed=0)
 
 
 def test_containment_probability_requires_seed():
