@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, is_partial_permutation, is_permutation
+from .core import Cell, Perm, is_permutation, partial_permutation
 
-#: Caps keeping the exact permanents at interactive speeds.
+#: Caps keeping the general exact permanents at interactive speeds.
 BRUTE_CAP = 9
 RYSER_CAP = 30
 
@@ -187,30 +187,71 @@ def permanent(matrix, method: str = "ryser") -> int:
     raise ValueError(f"unknown permanent method: {method!r}")
 
 
-def _reduced_forbidden_matrix(n: int, cells, forbidden) -> list[list[int]]:
-    """Delete the rows/columns of the fixed cells; zero the forbidden map."""
+def _rook_permanent(size: int, zeros) -> int:
+    """Permanent of the size x size 0/1 matrix whose zero cells are ``zeros``.
+
+    Rows and columns may carry any labels, but each may hold at most two
+    zeros.  Read as edges between row and column vertices, the zero cells
+    then split into disjoint paths and cycles; a path with e cells has
+    r_k = C(e-k+1, k) placements of k non-attacking rooks, a cycle with e
+    cells has r_k = e/(e-k) C(e-k, k), the board's rook polynomial is their
+    product, and perm = sum_k (-1)^k r_k (size-k)! (Kaplansky-Riordan).
+    """
+    adj: dict[tuple, list[tuple]] = {}
+    for r, c in set(zeros):
+        adj.setdefault((0, r), []).append((1, c))
+        adj.setdefault((1, c), []).append((0, r))
+    if any(len(ends) > 2 for ends in adj.values()):
+        raise ValueError("closed-form permanent needs at most two zeros per row and column")
+    rooks = [1]
+    seen: set = set()
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, nodes, ends = [start], 0, 0
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            ends += len(adj[node])
+            for nxt in adj[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        e = ends // 2
+        if e == nodes:  # connected with as many edges as vertices: a cycle
+            comp = [1] + [e * math.comb(e - k, k) // (e - k) for k in range(1, e // 2 + 1)]
+        else:
+            comp = [math.comb(e - k + 1, k) for k in range((e + 1) // 2 + 1)]
+        product = [0] * (len(rooks) + len(comp) - 1)
+        for i, a in enumerate(rooks):
+            for j, b in enumerate(comp):
+                product[i + j] += a * b
+        rooks = product
+    return sum((-1) ** k * r * math.factorial(size - k) for k, r in enumerate(rooks))
+
+
+def _reduced_forbidden_matrix(n: int, cells, forbidden) -> set[Cell]:
+    """Zero cells left once the fixed cells' rows and columns are deleted.
+
+    Each surviving row r forbids the surviving columns in ``forbidden(r)``;
+    the cells keep their labels in [n].
+    """
     fixed_rows = {r for r, _ in cells}
     fixed_cols = {c for _, c in cells}
-    rows = [r for r in range(1, n + 1) if r not in fixed_rows]
-    cols = [c for c in range(1, n + 1) if c not in fixed_cols]
-    return [[0 if c in forbidden(r) else 1 for c in cols] for r in rows]
+    return {(r, c) for r in range(1, n + 1) if r not in fixed_rows for c in forbidden(r) if c not in fixed_cols}
 
 
 def derangement_containment_count(n: int, cells) -> int:
     """Number of derangements of [n] whose graph contains the given cells.
 
-    Zero when some cell sits on the diagonal.  Computed as the permanent of
-    the reduced matrix that forbids the surviving diagonal.
+    Zero when some cell sits on the diagonal.  Computed in closed form as
+    the permanent of the reduced board that forbids the surviving diagonal.
     """
-    cs = frozenset(cells)
-    if not is_partial_permutation(cs):
-        raise ValueError("cells do not form a partial permutation")
+    cs = partial_permutation(cells, n)
     if any(r == c for r, c in cs):
         return 0
-    if n - len(cs) > RYSER_CAP:
-        raise ValueError(f"reduced size {n - len(cs)} exceeds ryser cap {RYSER_CAP}")
-    reduced = _reduced_forbidden_matrix(n, cs, lambda r: {r})
-    return permanent_ryser(reduced)
+    return _rook_permanent(n - len(cs), _reduced_forbidden_matrix(n, cs, lambda r: (r,)))
 
 
 def double_derangement_count(n: int, sigma: Perm, cells=()) -> int:
@@ -218,21 +259,17 @@ def double_derangement_count(n: int, sigma: Perm, cells=()) -> int:
 
     After fixing the cells of S the corresponding rows and columns are
     deleted and each surviving row r forbids the columns {r, sigma(r)}; the
-    count is the permanent of that reduced 0/1 matrix.  Returns 0 when S
-    touches the diagonal or the graph of sigma.
+    count is the permanent of that reduced board, in closed form since it
+    has at most two zeros per row and column.  Returns 0 when S touches the
+    diagonal or the graph of sigma.
     """
     sigma = tuple(sigma)
     if len(sigma) != n or not is_permutation(sigma):
         raise ValueError(f"sigma is not a permutation of [{n}]")
-    cs = frozenset(cells)
-    if not is_partial_permutation(cs):
-        raise ValueError("cells do not form a partial permutation")
+    cs = partial_permutation(cells, n)
     if any(r == c or sigma[r - 1] == c for r, c in cs):
         return 0
-    if n - len(cs) > RYSER_CAP:
-        raise ValueError(f"reduced size {n - len(cs)} exceeds ryser cap {RYSER_CAP}")
-    reduced = _reduced_forbidden_matrix(n, cs, lambda r: {r, sigma[r - 1]})
-    return permanent_ryser(reduced)
+    return _rook_permanent(n - len(cs), _reduced_forbidden_matrix(n, cs, lambda r: (r, sigma[r - 1])))
 
 
 def near_full_permanent_bound(n: int, case: str = "two_regular") -> Fraction:
@@ -271,7 +308,8 @@ def near_full_permanent_check(matrix) -> NearFullCheck:
     The input must have at least N-2 ones in every row and column.  The zero
     graph is saturated (zeros added while keeping both-side degrees <= 2,
     which can only decrease the permanent) purely for classification; the
-    bound is then checked against the exact permanent of the *input*.
+    bound is then checked against the exact permanent of the *input*, which
+    the degree bound lets ``_rook_permanent`` compute in closed form.
     """
     rows = _rows_of(matrix)
     n = len(rows)
@@ -282,7 +320,8 @@ def near_full_permanent_check(matrix) -> NearFullCheck:
     if max(row_deg + col_deg) > 2:
         raise ValueError("some row or column has fewer than N-2 ones")
 
-    zeros = {(i + 1, j + 1) for i in range(n) for j in range(n) if rows[i][j] == 0}
+    input_zeros = {(i + 1, j + 1) for i in range(n) for j in range(n) if rows[i][j] == 0}
+    zeros = set(input_zeros)
     changed = True
     while changed:
         changed = False
@@ -307,7 +346,7 @@ def near_full_permanent_check(matrix) -> NearFullCheck:
             raise AssertionError("saturation did not reach a recognized shape")
         case = "one_deficient"
     bound = near_full_permanent_bound(n, case)
-    value = permanent_ryser(rows)
+    value = _rook_permanent(n, input_zeros)
     return NearFullCheck(case, bound, value, Fraction(value) >= bound, tuple(sorted(zeros)))
 
 

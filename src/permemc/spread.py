@@ -10,6 +10,7 @@ spreadness values such as (n!)^{1/n} only ever appear as float *outputs*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,12 +79,29 @@ class SpreadReport:
         }
 
 
+def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Sign of (total/c_a)^{1/k_a} - (total/c_b)^{1/k_b} for pairs (k, c) = (|X|, |F(X)|),
+    decided as total^{k_b} c_b^{k_a} against total^{k_a} c_a^{k_b} in integers."""
+    (ka, ca), (kb, cb) = a, b
+    lhs, rhs = total**kb * cb**ka, total**ka * ca**kb
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _worst_offender(counts: dict, total: int, pairs: set) -> tuple:
+    """Among the X whose (|X|, |F(X)|) lies in ``pairs``, the X minimizing
+    (|F|/|F(X)|)^{1/|X|}, exactly; ties go to the lexicographically least X."""
+    best = min(pairs, key=functools.cmp_to_key(lambda a, b: _compare_spreadness(total, a, b)))
+    tied = {pair for pair in pairs if _compare_spreadness(total, pair, best) == 0}
+    return min(sub for sub, cnt in counts.items() if (len(sub), cnt) in tied)
+
+
 def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
     """Exhaustively decide whether the family is r-spread.
 
     Only X contained in some member can violate (all others have empty
     trace), so those are the sets tested.  On failure the witness is the X
-    maximizing (|F(X)|/|F|)^{1/|X|}, i.e. the worst offender.
+    minimizing (|F|/|F(X)|)^{1/|X|}, i.e. the worst offender, ranked
+    exactly with ties going to the lexicographically least X.
     """
     members = cell_sets(fam)
     if not members:
@@ -93,21 +111,17 @@ def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
         raise ValueError("r must be positive")
     total = len(members)
     counts = _distinct_trace_counts(members)
-
-    worst = None  # (spreadness value, X); smallest value = worst offender
-    spreadness = None
-    for sub, cnt in counts.items():
-        val = (total / cnt) ** (1.0 / len(sub))
-        if spreadness is None or val < spreadness:
-            spreadness = val
-        if cnt * r ** len(sub) > total:
-            score = val
-            if worst is None or score < worst[0] or (score == worst[0] and sub < worst[1]):
-                worst = (score, sub)
-    exact = spreadness if want_exact else None
-    if worst is None:
+    # every X of one pair (|X|, |F(X)|) has the same value and the same verdict
+    pairs = set(zip(map(len, counts), counts.values()))
+    exact = None
+    if want_exact and counts:
+        sub = _worst_offender(counts, total, pairs)
+        exact = (total / counts[sub]) ** (1.0 / len(sub))
+    num, den = r.numerator, r.denominator
+    violating = {(k, cnt) for k, cnt in pairs if cnt * num**k > total * den**k}
+    if not violating:
         return SpreadReport(True, None, None, exact)
-    sub = worst[1]
+    sub = _worst_offender(counts, total, violating)
     return SpreadReport(False, tuple(sub), Fraction(counts[sub], total), exact)
 
 
@@ -115,19 +129,19 @@ def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
     """min over nonempty X of (|F|/|F(X)|)^{1/|X|}, with an argmin witness.
 
     The search runs over sub-sets of members only; every other X has empty
-    trace and is vacuous for the definition.
+    trace and is vacuous for the definition.  The minimum is found exactly,
+    ties going to the lexicographically least X, and the float value is the
+    witness's own (|F|/|F(X)|)^{1/|X|}.
     """
     members = cell_sets(fam)
     if not members:
         raise ValueError("spreadness is undefined for the empty family")
     total = len(members)
-    best = None
-    witness = None
-    for sub, cnt in _distinct_trace_counts(members).items():
-        val = (total / cnt) ** (1.0 / len(sub))
-        if best is None or val < best or (val == best and sub < witness):
-            best, witness = val, sub
-    return best, tuple(witness)
+    counts = _distinct_trace_counts(members)
+    if not counts:
+        raise ValueError("spreadness is undefined when every member is empty")
+    sub = _worst_offender(counts, total, set(zip(map(len, counts), counts.values())))
+    return (total / counts[sub]) ** (1.0 / len(sub)), tuple(sub)
 
 
 @dataclass(frozen=True)
@@ -177,9 +191,12 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     if rho <= 0:
         raise ValueError("rho must be positive")
     total = len(members)
+    # |F(X)| * rho^s >= |F| as |F(X)| * num^s >= |F| * den^s, one pair per size s
+    scale = [(rho.numerator**s, total * rho.denominator**s) for s in range(max(map(len, members)) + 2)]
 
     def qualifies(mask: int, size: int) -> bool:
-        return mask.bit_count() * rho**size >= total
+        num_s, bar = scale[size]
+        return mask.bit_count() * num_s >= bar
 
     masks = fam.cell_masks if isinstance(fam, Family) else cell_masks(members)
     chosen: set = set()

@@ -138,10 +138,15 @@ def suite_counts(seed: int = 0) -> dict:
         lhs=menage,
         rhs=bound6,
     )
+    menage400 = counting.near_full_permanent_check(counting.cycle_cover_zero_matrix([400]))
     s.add(
         "near-full-threshold-400",
-        "two-regular bound exceeds N!/7.5 at N = 400 (exact rationals)",
-        counting.near_full_permanent_bound(400, "two_regular") > Fraction(math.factorial(400), 1) * Fraction(2, 15),
+        "exact 400x400 menage permanent meets the two-regular bound, which exceeds N!/7.5 (exact rationals)",
+        menage400.case == "two_regular"
+        and menage400.holds
+        and menage400.bound > Fraction(math.factorial(400) * 2, 15),
+        lhs=menage400.permanent,
+        rhs=menage400.bound,
     )
 
     ok = True

@@ -26,7 +26,7 @@ from permemc import (
     pointed_derangement_count,
     round_factorial_over_e,
 )
-from permemc.counting import BRUTE_CAP, RYSER_CAP, all_ones_matrix
+from permemc.counting import BRUTE_CAP, RYSER_CAP, _rook_permanent, all_ones_matrix
 
 # Derangement numbers d_0..d_8, frozen from brute-force enumeration.
 D_TABLE = [1, 0, 1, 2, 9, 44, 265, 1854, 14833]
@@ -213,9 +213,20 @@ def test_near_full_bound_values():
         near_full_permanent_bound(6, "mystery")
 
 
+def _menage(n):
+    """Touchard's menage number: sum_k (-1)^k 2n/(2n-k) C(2n-k, k) (n-k)!."""
+    return sum((-1) ** k * 2 * n * math.comb(2 * n - k, k) // (2 * n - k) * math.factorial(n - k) for k in range(n + 1))
+
+
 def test_near_full_threshold_at_400():
-    # (1 - 2/N)^N N! > N!/7.5 at N = 400, checked in exact rationals
+    # the exact menage permanent at N = 400 meets (1 - 2/N)^N N!, which
+    # exceeds N!/7.5; all three compared in exact integers and rationals
     assert Fraction(398, 400) ** 400 > Fraction(2, 15)
+    chk = near_full_permanent_check(cycle_cover_zero_matrix([400]))
+    assert chk.case == "two_regular"
+    assert chk.permanent == _menage(400)
+    assert chk.bound == near_full_permanent_bound(400)
+    assert chk.holds and Fraction(chk.permanent) >= chk.bound > Fraction(math.factorial(400) * 2, 15)
 
 
 def test_near_full_check_menage():
@@ -302,3 +313,88 @@ def test_derangement_trace_inequality_has_equality_witnesses():
             if 3 * cnt == target:
                 equalities.add((n, len(cand)))
     assert equalities == {(3, 0), (5, 2)}
+
+
+def _degree_two_patterns(rng, count, max_n):
+    """Random zero patterns with at most two zeros per row and column.
+
+    Each is the union of two random partial permutations (overlaps give
+    single zeros, like a fixed point of sigma), plus the empty pattern,
+    single paths and cycles, and cycle covers with an extra path.
+    """
+    for n in range(1, max_n + 1):
+        yield n, set()
+        yield n, {(i, i) for i in range(n)}
+        yield n, {(i, i) for i in range(n)} | {(i, i + 1) for i in range(n - 1)}
+        if n >= 2:
+            yield n, {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
+        if n >= 5:
+            yield n, {(i, i) for i in range(n)} | {(0, 1), (1, 0), (2, 3), (3, 4)}
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        zeros = set()
+        for _ in range(2):
+            k = rng.randint(0, n)
+            zeros |= set(zip(rng.sample(range(n), k), rng.sample(range(n), k)))
+        yield n, zeros
+
+
+def _board(n, zeros):
+    return [[0 if (i, j) in zeros else 1 for j in range(n)] for i in range(n)]
+
+
+def test_rook_permanent_agrees_with_ryser():
+    rng = random.Random(41)
+    seen = 0
+    for n, zeros in _degree_two_patterns(rng, 500, 10):
+        assert _rook_permanent(n, zeros) == permanent_ryser(_board(n, zeros)), (n, sorted(zeros))
+        seen += 1
+    assert seen >= 500
+
+
+def test_rook_permanent_agrees_with_brute():
+    rng = random.Random(43)
+    for n, zeros in _degree_two_patterns(rng, 500, 8):
+        assert _rook_permanent(n, zeros) == permanent_brute(_board(n, zeros)), (n, sorted(zeros))
+
+
+def test_rook_permanent_rejects_three_zeros_in_a_line():
+    with pytest.raises(ValueError):
+        _rook_permanent(4, {(0, 0), (0, 1), (0, 2)})
+    with pytest.raises(ValueError):
+        _rook_permanent(4, {(0, 3), (1, 3), (2, 3)})
+
+
+def test_double_derangement_with_fixed_points_vs_enumeration():
+    # sigma with fixed points: (r, r) and (r, sigma(r)) are one zero cell
+    rng = random.Random(47)
+    for n in (4, 5, 6):
+        for _ in range(4):
+            sigma = list(range(1, n + 1))
+            a, b = rng.sample(range(n), 2)
+            sigma[a], sigma[b] = sigma[b], sigma[a]
+            sigma = tuple(sigma)
+            dd = double_derangements(n, sigma)
+            assert double_derangement_count(n, sigma) == len(dd)
+            for cell in [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]:
+                brute = sum(1 for p in dd.members if p[cell[0] - 1] == cell[1])
+                assert double_derangement_count(n, sigma, [cell]) == brute
+
+
+def test_double_derangement_cyclic_shift_is_menage_number_at_400():
+    n = 400
+    shift = tuple(list(range(2, n + 1)) + [1])
+    assert double_derangement_count(n, shift) == _menage(n)
+
+
+def test_derangement_containment_count_beyond_ryser_cap():
+    assert derangement_containment_count(500, {(1, 2)}) == pointed_derangement_count(500)
+    assert derangement_containment_count(500, ()) == derangement_count(500)
+    assert derangement_containment_count(40, {(1, 2), (2, 1)}) == derangement_count(38)
+
+
+def test_counts_reject_cells_outside_the_grid():
+    with pytest.raises(ValueError):
+        derangement_containment_count(5, {(7, 8)})
+    with pytest.raises(ValueError):
+        double_derangement_count(4, (2, 1, 4, 3), [(1, 5)])

@@ -1,6 +1,7 @@
 """Spreadness calculus: exact checks, maximal-ratio sets, the greedy
 decomposition and its guarantees, and containment probabilities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -63,6 +64,49 @@ def test_exact_spreadness_closed_form():
         value, witness = exact_spreadness(symmetric_group(n))
         assert abs(value - math.factorial(n) ** (1.0 / n)) <= 1e-9
         assert len(witness) == n  # attained at a full member
+
+
+def test_exact_tie_across_sizes_goes_to_least_witness():
+    # 125 members: {(1,1),(2,2),(3,j)} for j = 1..5 and 120 singletons.
+    # X = ((1,1),(2,2)) has value (125/5)^(1/2) = 5 and each 3-set
+    # ((1,1),(2,2),(3,j)) has (125/1)^(1/3) = 5 exactly; in floats the
+    # cube root rounds to 4.999999999999999, but the tie must go to the
+    # lexicographically least X, the 2-set.
+    members = [{(1, 1), (2, 2), (3, j)} for j in range(1, 6)] + [{(9, j)} for j in range(1, 121)]
+    pair = ((1, 1), (2, 2))
+    assert exact_spreadness(members) == (5.0, pair)
+    report = is_r_spread(members, 6, want_exact=True)
+    assert not report.is_spread
+    assert report.witness == pair
+    assert report.witness_ratio == Fraction(5, 125)
+    assert report.exact_spreadness == 5.0
+    assert is_r_spread(members, 5).is_spread
+
+
+def test_witness_ranking_matches_exact_oracle():
+    # oracle: rank every X by the exact rational (|F|/|F(X)|)^{L/|X|}, L the
+    # lcm of the sizes, then lexicographically
+    rng = random.Random(19)
+    ambient = symmetric_group(4)
+    lcm = 12
+    for _ in range(40):
+        fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
+        members = [sorted(m) for m in fam.graphs()]
+        counts = {}
+        for m in members:
+            for t in range(1, len(m) + 1):
+                for sub in itertools.combinations(m, t):
+                    counts[sub] = counts.get(sub, 0) + 1
+        total = len(members)
+        rank = {sub: (Fraction(total, c) ** (lcm // len(sub)), sub) for sub, c in counts.items()}
+        witness = min(counts, key=rank.get)
+        value, got = exact_spreadness(fam)
+        assert got == witness
+        assert value == (total / counts[witness]) ** (1.0 / len(witness))
+        r = Fraction(rng.randint(11, 40), 10)
+        violating = [sub for sub, c in counts.items() if c * r ** len(sub) > total]
+        report = is_r_spread(fam, r)
+        assert report.witness == (min(violating, key=rank.get) if violating else None)
 
 
 def test_spreadness_monotone():
