@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -271,24 +272,58 @@ def double_derangements(n: int, sigma: Perm) -> Family:
     return enumerate_family(n, "double_derangements", sigma)
 
 
-def set_matching_number(sets: Sequence[Iterable]) -> int:
-    """Largest number of pairwise disjoint sets in the collection.
+def disjoint_masks(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> list[int]:
+    """Bit j of entry i is set iff j != i and sets i and j share no cell.
 
-    Works on any finite sets (cell sets, permutation graphs); the empty set
-    is disjoint from everything.  Exhaustive DFS, intended for small inputs.
+    Set i meets exactly the sets in the OR of its cells' masks in the cell
+    index (``cell_masks(sets)`` unless a Family passes its cached one), so
+    an empty set is disjoint from every other set but not from itself.
     """
-    frozen = [frozenset(s) for s in sets]
-    best = 0
+    index = cell_masks(sets) if index is None else index
+    full = (1 << len(sets)) - 1
+    return [full & ~reduce(or_, (index[c] for c in cells), 1 << i) for i, cells in enumerate(sets)]
 
-    def rec(i: int, chosen_union: frozenset, count: int):
-        nonlocal best
-        if count > best:
-            best = count
-        if count + (len(frozen) - i) <= best:
+
+def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> tuple[int, ...]:
+    """Indices of a largest pairwise disjoint subcollection of cell sets.
+
+    Include-first branch and bound in index order, so the first maximum
+    found is the lexicographically least.  Disjoint sets use distinct cells
+    of a row, so at most (row cells meeting the candidates) + (candidates
+    without a cell in the row) can join; the bound is the least such sum
+    over rows, on permutation graphs the fewest distinct images at one
+    position.  ``index`` is as for ``disjoint_masks``.
+    """
+    index = cell_masks(sets) if index is None else index
+    disjoint = disjoint_masks(sets, index)
+    by_row: dict[int, list[int]] = {}
+    for (r, _), mask in index.items():
+        by_row.setdefault(r, []).append(mask)
+    rows = [(masks, ~reduce(or_, masks)) for masks in by_row.values()]
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def rec(cand: int) -> None:
+        if len(chosen) > len(best):
+            best[:] = chosen
+        room = len(best) - len(chosen)  # prune once the bound cannot beat best
+        if cand.bit_count() <= room:
             return
-        for j in range(i, len(frozen)):
-            if not (frozen[j] & chosen_union):
-                rec(j + 1, chosen_union | frozen[j], count + 1)
+        for masks, missing in rows:
+            if (cand & missing).bit_count() + len([m for m in masks if m & cand]) <= room:
+                return
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            chosen.append(j)
+            rec(cand & disjoint[j])
+            chosen.pop()
 
-    rec(0, frozenset(), 0)
-    return best
+    rec((1 << len(sets)) - 1)
+    return tuple(best)
+
+
+def set_matching_number(sets: Sequence[Iterable[Cell]]) -> int:
+    """Largest number of pairwise disjoint cell sets; empty sets are
+    disjoint from every other entry, duplicate nonempty sets meet."""
+    return len(max_disjoint([tuple(s) for s in sets]))

@@ -22,12 +22,13 @@ from .core import (
     Family,
     Perm,
     compose,
+    disjoint_masks,
     enumerate_family,
-    graph,
     identity,
     intersects,
     inverse,
     is_derangement,
+    max_disjoint,
     set_matching_number,
     sorted_cells,
     subfamily_containing_any,
@@ -41,68 +42,11 @@ E_UPPER = Fraction(27182818285, 10**10)
 
 
 def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
-    """Exact maximum number of pairwise disjoint members, with a witness.
-
-    Branch and bound over the disjointness graph in canonical member order.
-    The pruning bound is the least number of distinct images the remaining
-    candidates take at any single position: pairwise disjoint members map
-    each position to pairwise distinct values (the same counting that caps
-    a bounded-matching family at (s-1)(n-1)! through the cyclic coset
-    partition).  The first maximum found in lexicographic include-first
-    order is the lexicographically least witness.
-    """
-    ms = fam.members
-    count = len(ms)
-    if count == 0:
-        return 0, ()
-    n = fam.n
-    disjoint_masks = []
-    for i, p in enumerate(ms):
-        mask = 0
-        for j, q in enumerate(ms):
-            if i != j and not intersects(p, q):
-                mask |= 1 << j
-        disjoint_masks.append(mask)
-
-    best = 0
-    best_witness: tuple[int, ...] = ()
-
-    def image_bound(cand_mask: int) -> int:
-        if cand_mask == 0:
-            return 0
-        idxs = []
-        m = cand_mask
-        while m:
-            lsb = m & -m
-            idxs.append(lsb.bit_length() - 1)
-            m ^= lsb
-        bound = len(idxs)
-        for pos in range(n):
-            values = {ms[j][pos] for j in idxs}
-            if len(values) < bound:
-                bound = len(values)
-                if bound == 1:
-                    break
-        return bound
-
-    def rec(start_mask: int, chosen: list[int]):
-        nonlocal best, best_witness
-        if len(chosen) > best:
-            best = len(chosen)
-            best_witness = tuple(chosen)
-        if len(chosen) + image_bound(start_mask) <= best:
-            return
-        m = start_mask
-        while m:
-            lsb = m & -m
-            j = lsb.bit_length() - 1
-            m ^= lsb
-            chosen.append(j)
-            rec(m & disjoint_masks[j], chosen)
-            chosen.pop()
-
-    rec((1 << count) - 1, [])
-    return best, tuple(ms[j] for j in best_witness)
+    """Exact maximum number of pairwise disjoint members, with the
+    lexicographically least witness (``core.max_disjoint`` on the member
+    graphs and the family's cached cell index)."""
+    picks = max_disjoint(fam.graphs(), fam.cell_masks)
+    return len(picks), tuple(fam.members[j] for j in picks)
 
 
 def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
@@ -117,18 +61,15 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     """
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
-    ms = fam.members
     cell_mask = fam.cell_masks
     cells = sorted(cell_mask)
-    full = (1 << len(ms)) - 1
+    full = (1 << len(fam)) - 1
 
-    lower = 0
-    taken_union: set[Cell] = set()
-    for p in ms:  # greedy disjoint members force tau >= their number
-        g = graph(p)
-        if not (g & taken_union):
-            lower += 1
-            taken_union |= g
+    disjoint = disjoint_masks(fam.graphs(), cell_mask)
+    lower, cand = 0, full
+    while cand:  # greedy disjoint members force tau >= their number
+        lower += 1
+        cand &= disjoint[(cand & -cand).bit_length() - 1]
 
     for t in range(max(lower, 1), fam.n + 1):
         for combo in itertools.combinations(cells, t):
@@ -234,26 +175,33 @@ def coset_certificate(fam: Family, s: int, assert_matching_bound: bool = False) 
     )
 
 
-def _disjoint_representatives(collections: Sequence[Sequence[frozenset]]):
-    """Pairwise disjoint picks, one per collection, in branch order."""
-    order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
-    picks: list[frozenset | None] = [None] * len(collections)
+def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -> list[int] | None:
+    """Pairwise disjoint picks, one per collection, as positions within it.
 
-    def rec(level: int) -> bool:
+    Collections are branched in (size, index) order and candidates in
+    collection order, so the picks are the first pairwise disjoint tuple
+    of ``itertools.product`` over the collections in that order.
+    """
+    flat = [cells for coll in collections for cells in coll]
+    disjoint = disjoint_masks(flat)
+    starts = list(itertools.accumulate(map(len, collections), initial=0))
+    order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
+    picks = [0] * len(collections)
+
+    def rec(level: int, allowed: int) -> bool:
         if level == len(order):
             return True
         i = order[level]
-        for cand in collections[i]:
-            if all(picks[j] is None or not (cand & picks[j]) for j in order[:level]):
-                picks[i] = cand
-                if rec(level + 1):
-                    return True
-                picks[i] = None
+        rest = allowed & ((1 << starts[i + 1]) - (1 << starts[i]))
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            picks[i] = j - starts[i]
+            if rec(level + 1, allowed & disjoint[j]):
+                return True
         return False
 
-    if rec(0):
-        return [picks[i] for i in range(len(collections))]
-    return None
+    return picks if rec(0, (1 << len(flat)) - 1) else None
 
 
 def cross_matching(families: Sequence[Family], t: int | None = None):
@@ -273,15 +221,10 @@ def cross_matching(families: Sequence[Family], t: int | None = None):
     n = families[0].n
     if any(f.n != n for f in families):
         raise DimensionMismatch("families over different [n]")
-    tagged = [[(graph(p), p) for p in f.members] for f in families]
-    reps = _disjoint_representatives([[g for g, _ in fam] for fam in tagged])
-    if reps is None:
+    picks = _disjoint_representatives([f.graphs() for f in families])
+    if picks is None:
         return None
-    out = []
-    for i, g in enumerate(reps):
-        perm = next(p for gg, p in tagged[i] if gg == g)
-        out.append(perm)
-    return tuple(out)
+    return tuple(f.members[k] for f, k in zip(families, picks))
 
 
 @dataclass(frozen=True)
@@ -414,11 +357,10 @@ def containment_implies_matching_check(
     probs = tuple(containment_probability(basis, pf, "exact").value for basis in frozen)
     threshold = 3 * s * pf
     hypothesis = all(q >= threshold for q in probs)
-    reps = _disjoint_representatives(frozen)
+    picks = _disjoint_representatives(frozen)
+    reps = None if picks is None else tuple(basis[k] for basis, k in zip(frozen, picks))
     held = (reps is not None) if hypothesis else None
-    return DisjointRepresentativesCheck(
-        probs, threshold, hypothesis, None if reps is None else tuple(reps), held
-    )
+    return DisjointRepresentativesCheck(probs, threshold, hypothesis, reps, held)
 
 
 @dataclass(frozen=True)

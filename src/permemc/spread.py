@@ -155,11 +155,14 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     """(r, q)-spreadness: every trace by at most q cells is r-spread.
 
     Restrictions A run over the sub-partial-permutations of members (others
-    trace to nothing), plus the empty restriction.
+    trace to nothing), plus the empty restriction; q = 0 is plain
+    r-spreadness.
     """
     members = cell_sets(fam)
     if not members:
         raise ValueError("spreadness is undefined for the empty family")
+    if q_cells < 0:
+        raise ValueError("q must be non-negative")
     restrictions = {(): None}
     for sub in _distinct_trace_counts(members, max_size=q_cells):
         restrictions[sub] = None

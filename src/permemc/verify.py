@@ -438,6 +438,25 @@ def suite_approx(seed: int = 0) -> dict:
     return s.report()
 
 
+def brute_nu(sets) -> int:
+    """Largest number of pairwise disjoint sets, by exhaustive DFS over frozensets."""
+    frozen = [frozenset(s) for s in sets]
+    best = 0
+
+    def rec(i: int, chosen_union: frozenset, count: int):
+        nonlocal best
+        if count > best:
+            best = count
+        if count + (len(frozen) - i) <= best:
+            return
+        for j in range(i, len(frozen)):
+            if not (frozen[j] & chosen_union):
+                rec(j + 1, chosen_union | frozen[j], count + 1)
+
+    rec(0, frozenset(), 0)
+    return best
+
+
 def brute_tau(fam: core.Family) -> int:
     """Covering number by trying every cell combination, smallest first."""
     cells = sorted({c for p in fam.members for c in core.graph(p)})
@@ -459,7 +478,7 @@ def suite_solvers(seed: int = 0) -> dict:
     for _ in range(60):
         fam = random_subfamily(rng, sigma4, rng.randint(1, 24))
         nu, wit = solvers.matching_number(fam)
-        ok_nu = ok_nu and nu == core.set_matching_number(fam.graphs()) and len(wit) == nu
+        ok_nu = ok_nu and nu == brute_nu(fam.graphs()) and len(wit) == nu
         ok_nu = ok_nu and all(not core.intersects(a, b) for a, b in itertools.combinations(wit, 2))
         tau, cover = solvers.covering_number(fam)
         ok_tau = ok_tau and tau == brute_tau(fam) and len(cover) == tau

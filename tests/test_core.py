@@ -29,7 +29,8 @@ from permemc import (
     symmetric_group,
     trace,
 )
-from permemc.core import ENUMERATION_CAP
+from permemc.core import ENUMERATION_CAP, disjoint_masks, max_disjoint
+from permemc.verify import brute_nu
 
 
 def test_compose_identity():
@@ -246,12 +247,74 @@ def test_family_set_operations():
 
 
 def test_set_matching_number_basics():
-    assert set_matching_number([]) == 0
-    assert set_matching_number([frozenset({1}), frozenset({2}), frozenset({1, 2})]) == 2
-    # the empty set is disjoint from everything
-    assert set_matching_number([frozenset(), frozenset({1}), frozenset({1, 2})]) == 2
+    one_row = [frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(1, 1), (1, 2)})]
+    assert set_matching_number([]) == 0 == brute_nu([])
+    assert set_matching_number(one_row) == 2 == brute_nu(one_row)
+    # the empty set is disjoint from everything, another empty set included
+    with_empty = [frozenset(), frozenset({(1, 1)}), frozenset({(1, 1), (1, 2)})]
+    assert set_matching_number(with_empty) == 2 == brute_nu(with_empty)
+    assert set_matching_number([frozenset(), frozenset()]) == 2 == brute_nu([frozenset()] * 2)
+    # duplicates of a nonempty set meet each other
+    assert set_matching_number([frozenset({(1, 1)})] * 3) == 1
 
 
 def test_set_matching_number_vs_graphs():
     fam = derangements(4)
-    assert set_matching_number(fam.graphs()) == 3
+    assert set_matching_number(fam.graphs()) == 3 == brute_nu(fam.graphs())
+
+
+def _random_cell_sets(rng):
+    """Up to 10 cell sets in a 4x4 grid: empty sets, duplicates, and sets
+    with row or column clashes (not partial permutations) mixed in."""
+    sets = []
+    for _ in range(rng.randint(0, 10)):
+        roll = rng.random()
+        if roll < 0.1:
+            sets.append(frozenset())
+        elif roll < 0.2 and sets:
+            sets.append(rng.choice(sets))
+        else:
+            size = rng.randint(1, 4)
+            sets.append(frozenset((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(size)))
+    return sets
+
+
+def test_set_matching_number_vs_brute_nu_random():
+    rng = random.Random(31)
+    shapes = {"empty": 0, "duplicate": 0, "clash": 0}
+    for _ in range(600):
+        sets = _random_cell_sets(rng)
+        shapes["empty"] += frozenset() in sets
+        shapes["duplicate"] += len(set(sets)) < len(sets)
+        shapes["clash"] += any(not is_partial_permutation(s) for s in sets)
+        assert set_matching_number(sets) == brute_nu(sets)
+    assert all(v >= 50 for v in shapes.values()), shapes
+
+
+def test_max_disjoint_witness_is_disjoint_and_lex_least():
+    rng = random.Random(32)
+    for _ in range(300):
+        sets = _random_cell_sets(rng)
+        picks = max_disjoint(sets)
+        assert len(picks) == brute_nu(sets)
+        assert all(not (sets[i] & sets[j]) for i, j in itertools.combinations(picks, 2))
+        least = next(
+            combo
+            for combo in itertools.combinations(range(len(sets)), len(picks))
+            if all(not (sets[i] & sets[j]) for i, j in itertools.combinations(combo, 2))
+        )
+        assert picks == least
+
+
+def test_disjoint_masks_match_pairwise_scan():
+    rng = random.Random(33)
+    for _ in range(200):
+        sets = _random_cell_sets(rng)
+        expected = [
+            sum(1 << j for j, b in enumerate(sets) if j != i and not (a & b))
+            for i, a in enumerate(sets)
+        ]
+        assert disjoint_masks(sets) == expected
+    fam = derangements(5)
+    graphs = fam.graphs()
+    assert disjoint_masks(graphs, fam.cell_masks) == disjoint_masks(graphs)

@@ -1,6 +1,7 @@
 """File formats, JSON encoding, and the command-line surface."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -314,6 +315,15 @@ def test_cli_mc_spread_wide_family(tmp_path, capsys):
     assert 0 <= json.loads(out)["value"] <= 1
 
 
+def test_cli_spread_rejects_negative_q(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    save_family(symmetric_group(3), path)
+    code, out, err = _run(["spread", "--family", str(path), "--r", "2", "--q", "-1"], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    code, out, _ = _run(["spread", "--family", str(path), "--r", "2", "--q", "0"], capsys)
+    assert code == 0 and json.loads(out)["is_spread"] is False
+
+
 def test_cli_mc_spread_rejects_p_outside_unit_interval(tmp_path, capsys):
     path = tmp_path / "fam.txt"
     save_family(symmetric_group(2), path)
@@ -337,3 +347,73 @@ def test_cli_json_only_on_stdout(capsys):
     code, out, err = _run(["counts", "--n", "5"], capsys)
     json.loads(out)  # stdout parses as JSON on its own
     assert err.strip()  # the human summary goes to stderr
+
+
+def _fuzz_file(rng, path, kind):
+    """A random family (n <= 5) or matrix (N <= 6) file, often mangled."""
+    n = rng.randint(1, 5 if kind == "family" else 6)
+    if kind == "family":
+        rows = [" ".join(map(str, rng.sample(range(1, n + 1), n))) for _ in range(rng.randint(0, 12))]
+        text = "\n".join([f"n={n}"] + rows) + "\n"
+    else:
+        rows = [" ".join(rng.choice("01") for _ in range(n)) for _ in range(n)]
+        text = "\n".join([f"N={n}"] + rows) + "\n"
+    roll = rng.random()
+    if roll < 0.2:
+        text = text[: rng.randint(0, len(text))]
+    elif roll < 0.35:
+        toks = text.split(" ")
+        toks[rng.randrange(len(toks))] = rng.choice(["-1", "0", "99", "x", "1e400", "", "n=0", "3/2"])
+        text = " ".join(toks)
+    data = text.encode()
+    if 0.35 <= roll < 0.45:
+        data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 40)))
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicate permutation ignored")
+def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys):
+    rng = random.Random(606)
+
+    def fam():
+        return _fuzz_file(rng, tmp_path / f"{rng.randrange(10**9)}.txt", "family")
+
+    ints = ["-7", "-1", "0", "1", "2", "3", "6", "x", "", "1.5", "1e3"]
+    fracs = ["1e400", "-1", "0", "1/0", "abc", "2", "3/2", "1e-400", "-2/3"]
+    qs = ["-3", "-1", "0", "1", "2", "4", "x"]
+    codes = set()
+    for case in range(400):
+        cmd = rng.choice(["counts", "permanent", "nu", "tau", "spread", "approx", "extremal", "crossmatch", "mc-spread"])
+        if cmd == "counts":
+            argv = [cmd, "--n", rng.choice(ints)]
+        elif cmd == "permanent":
+            matrix = _fuzz_file(rng, tmp_path / f"{case}.mat", "matrix")
+            argv = [cmd, "--matrix", matrix, "--method", rng.choice(["ryser", "brute", "x"])]
+        elif cmd in ("nu", "tau"):
+            argv = [cmd, "--family", rng.choice([fam(), str(tmp_path / "missing.txt")])]
+        elif cmd == "spread":
+            argv = [cmd, "--family", fam(), "--r", rng.choice(fracs), "--q", rng.choice(qs)]
+            argv = argv[:4] + rng.choice([[], argv[4:], ["--exact"]])
+        elif cmd == "approx":
+            ambient = rng.choice(["sigma", "derangements", fam()])
+            argv = [cmd, "--family", fam(), "--r", rng.choice(fracs), "--q", rng.choice(qs), "--ambient", ambient]
+        elif cmd == "extremal":
+            kind = rng.choice(["stars", "hm", "theorem3", "derstars", "x"])
+            argv = [cmd, "--kind", kind, "--n", rng.choice(ints), "--s", rng.choice(["-2", "0", "1", "3", "50", "x"])]
+            argv += rng.choice([[], ["--sigma", rng.choice(["2 1 3", "1 2 3 4 5 6", "1 1", "x"])]])
+        elif cmd == "crossmatch":
+            argv = [cmd, "--families"] + [fam() for _ in range(rng.randint(1, 3))]
+        else:
+            argv = [cmd, "--family", fam(), "--p", rng.choice(["0", "1", "1/2", "-1", "3/2", "1e-9", "x"])]
+            argv += ["--samples", rng.choice(["-1", "0", "1", "100", "x"])]
+            argv += ["--seed", rng.choice(["-1", "0", str(2**70), "7", "x"])]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed values with exit 2
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    assert {0, 2, 3} <= codes

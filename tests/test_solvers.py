@@ -25,13 +25,12 @@ from permemc import (
     make_star_union,
     matching_number,
     pointed_derangement_count,
-    set_matching_number,
     star_union_slack_sides,
     support_union_bound_sides,
     symmetric_group,
 )
 from permemc.solvers import coset_representative
-from permemc.verify import brute_tau
+from permemc.verify import brute_nu, brute_tau
 
 
 def _random_subfamily(rng, ambient, size):
@@ -77,7 +76,7 @@ def test_nu_vs_exhaustive_500():
     for _ in range(500):
         fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
         nu, witness = matching_number(fam)
-        assert nu == set_matching_number(fam.graphs())
+        assert nu == brute_nu(fam.graphs())
         assert len(witness) == nu
         assert all(not intersects(a, b) for a, b in itertools.combinations(witness, 2))
 
@@ -193,18 +192,20 @@ def test_cross_matching_t_mismatch():
 def test_cross_matching_vs_brute():
     rng = random.Random(24)
     ambient = symmetric_group(4)
-    for _ in range(50):
-        fams = [_random_subfamily(rng, ambient, rng.randint(1, 8)) for _ in range(rng.randint(2, 3))]
+    found = 0
+    for _ in range(300):
+        fams = [_random_subfamily(rng, ambient, rng.randint(1, 8)) for _ in range(rng.randint(2, 4))]
         got = cross_matching(fams)
+        # the first pairwise disjoint tuple of the product in (size, index) order
+        order = sorted(range(len(fams)), key=lambda i: (len(fams[i]), i))
         brute = None
-        for combo in itertools.product(*[f.members for f in fams]):
+        for combo in itertools.product(*[fams[i].members for i in order]):
             if all(not intersects(a, b) for a, b in itertools.combinations(combo, 2)):
-                brute = combo
+                brute = tuple(dict(sorted(zip(order, combo))).values())
                 break
-        assert (got is None) == (brute is None)
-        if got is not None:
-            assert all(not intersects(a, b) for a, b in itertools.combinations(got, 2))
-            assert all(p in f for p, f in zip(got, fams))
+        assert got == brute
+        found += got is not None
+    assert 50 <= found <= 250, found
 
 
 def test_classify_pinned_containment_both():

@@ -28,6 +28,7 @@ from permemc import (
     trace,
     verify_approximation,
 )
+from permemc.spread import _SUBSET_BUDGET
 
 
 def _random_subfamily(rng, ambient, size):
@@ -148,6 +149,26 @@ def test_rq_spread_failure_carries_restriction():
     report = is_rq_spread(single, 2, 1)
     assert not report.is_spread
     assert report.inner is not None and not report.inner.is_spread
+
+
+def test_rq_spread_rejects_negative_q():
+    with pytest.raises(ValueError):
+        is_rq_spread(symmetric_group(3), 2, -1)
+
+
+def test_rq_spread_q_zero_is_plain_r_spread():
+    for fam, r in [(symmetric_group(3), Fraction(9, 5)), (symmetric_group(3), 2), (derangements(4), 2)]:
+        assert is_rq_spread(fam, r, 0).is_spread == is_r_spread(fam, r).is_spread
+
+
+def test_subset_budget_refuses_before_enumerating():
+    # one 23-cell set has 2^23 > _SUBSET_BUDGET subsets; the guard fires first
+    wide = [[(1, c) for c in range(1, 24)]]
+    assert 2**23 > _SUBSET_BUDGET
+    with pytest.raises(ValueError, match="too large"):
+        is_r_spread(wide, 2)
+    with pytest.raises(ValueError, match="too large"):
+        exact_spreadness(wide)
 
 
 def test_derangement_trace_proof_inequality_size_at_most_one():
