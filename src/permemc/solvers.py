@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,12 +22,7 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
-    compose,
     disjoint_masks,
-    enumerate_family,
-    identity,
-    intersects,
-    inverse,
     is_derangement,
     max_disjoint,
     set_matching_number,
@@ -116,58 +112,50 @@ class CosetCertificate:
         }
 
 
-def _cyclic_shift(n: int) -> Perm:
-    return tuple(list(range(2, n + 1)) + [1])
-
-
 def coset_representative(p: Perm) -> Perm:
-    """The unique member of p's left shift-coset that maps 1 to 1."""
+    """The unique member of p's left shift-coset that maps 1 to 1.
+
+    The coset of p is {p∘c^j} for the cyclic shift c: i -> i+1 (mod n),
+    i.e. the rotations of p's image sequence, so the representative is the
+    rotation that starts at the position k with p(k+1) = 1.
+    """
     n = len(p)
-    shift = _cyclic_shift(n)
-    power = identity(n)
-    k = inverse(p)[0] - 1  # p(1 + k) = 1
-    for _ in range(k):
-        power = compose(power, shift)
-    return compose(p, power)
+    k = p.index(1)
+    return tuple(p[(i + k) % n] for i in range(n))
 
 
 def coset_certificate(fam: Family, s: int, assert_matching_bound: bool = False) -> CosetCertificate:
     """Per-coset member counts of the family, with the (s-1)(n-1)! check.
 
-    Verifies that every coset class of Σ_n is pairwise disjoint and reports
-    whether each class holds at most s-1 members of the family.  When the
-    caller knows the family has no s-matching, ``assert_matching_bound``
-    turns an overloaded coset into an error instead of a report.
+    Σ_n splits into (n-1)! cosets, one per representative fixing 1.  Two
+    members p∘c^i, p∘c^j of one coset agree at a point exactly when c^{j-i}
+    fixes one, so every class is pairwise disjoint iff no shift power
+    0 < j < n has a fixed point; that is checked directly, and only the
+    family's members are visited.  Reports whether each class holds at most
+    s-1 members of the family.  When the caller knows the family has no
+    s-matching, ``assert_matching_bound`` turns an overloaded coset into an
+    error instead of a report.
     """
     n = fam.n
-    full = enumerate_family(n)  # enforces the enumeration cap
-    classes: dict[Perm, list[Perm]] = {}
-    for p in full.members:
-        classes.setdefault(coset_representative(p), []).append(p)
-    disjoint = all(
-        not intersects(a, b)
-        for cls in classes.values()
-        for a, b in itertools.combinations(cls, 2)
-    )
-    loads: dict[Perm, int] = {rep: 0 for rep in classes}
-    for p in fam.members:
-        loads[coset_representative(p)] += 1
-    max_load = max(loads.values()) if loads else 0
-    histogram: dict[int, int] = {}
-    for v in loads.values():
-        histogram[v] = histogram.get(v, 0) + 1
+    class_count = math.factorial(n - 1)
+    disjoint = all((i + j) % n != i for j in range(1, n) for i in range(n))
+    loads = Counter(coset_representative(p) for p in fam.members)
+    max_load = max(loads.values(), default=0)
+    histogram = Counter(loads.values())
+    if class_count > len(loads):
+        histogram[0] = class_count - len(loads)
     certified = max_load <= s - 1
     if assert_matching_bound and not certified:
         raise ValueError(
             f"coset with {max_load} members contradicts the assumed matching bound s={s}"
         )
-    bound = (s - 1) * math.factorial(n - 1)
+    bound = (s - 1) * class_count
     return CosetCertificate(
         n,
         s,
-        len(classes),
+        class_count,
         max_load,
-        histogram,
+        dict(histogram),
         disjoint,
         len(fam),
         bound,

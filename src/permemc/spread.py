@@ -185,7 +185,9 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     row-major smallest such cell is taken; when no single cell works the
     smallest qualifying multi-cell extension (minimal size, then
     lexicographic) is taken instead, so the result is maximal against
-    *every* superset and its trace is therefore rho-spread.
+    *every* superset and its trace is therefore rho-spread.  The extensions
+    are read off ``_distinct_trace_counts`` of the members containing X, so
+    a jump over more than ``_SUBSET_BUDGET`` subsets raises ``ValueError``.
     """
     members = cell_sets(fam)
     if not members:
@@ -197,36 +199,31 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     # |F(X)| * rho^s >= |F| as |F(X)| * num^s >= |F| * den^s, one pair per size s
     scale = [(rho.numerator**s, total * rho.denominator**s) for s in range(max(map(len, members)) + 2)]
 
-    def qualifies(mask: int, size: int) -> bool:
+    def qualifies(count: int, size: int) -> bool:
         num_s, bar = scale[size]
-        return mask.bit_count() * num_s >= bar
+        return count * num_s >= bar
 
     masks = fam.cell_masks if isinstance(fam, Family) else cell_masks(members)
     chosen: set = set()
     carrier = (1 << total) - 1  # bitmask of the members containing the current X
     while True:
-        single = sorted(c for c, m in masks.items() if c not in chosen and qualifies(m & carrier, len(chosen) + 1))
+        single = sorted(
+            c for c, m in masks.items() if c not in chosen and qualifies((m & carrier).bit_count(), len(chosen) + 1)
+        )
         if single:
             chosen.add(single[0])
             carrier &= masks[single[0]]
             continue
-        jump = None
         carriers = [m - chosen for m, bit in zip(members, bin(carrier)[:1:-1]) if bit == "1"]
-        for t in range(2, max(map(len, carriers), default=0) + 1):
-            extensions = set()
-            for m in carriers:
-                extensions.update(itertools.combinations(sorted(m), t))
-            for ext in sorted(extensions):
-                hit = carrier
-                for c in ext:
-                    hit &= masks[c]
-                if qualifies(hit, len(chosen) + t):
-                    jump = ext
-                    break
-            if jump:
-                break
-        if jump is None:
+        # every extension with a nonempty trace lies inside some carrier
+        jumps = [
+            (len(ext), ext)
+            for ext, cnt in _distinct_trace_counts(carriers).items()
+            if len(ext) >= 2 and qualifies(cnt, len(chosen) + len(ext))
+        ]
+        if not jumps:
             return frozenset(chosen)
+        jump = min(jumps)[1]
         chosen.update(jump)
         for c in jump:
             carrier &= masks[c]

@@ -518,15 +518,14 @@ def suite_solvers(seed: int = 0) -> dict:
     for _ in range(20):
         fams = [random_subfamily(rng, sigma4, rng.randint(1, 8)) for _ in range(rng.randint(2, 3))]
         got = solvers.cross_matching(fams)
+        # the first pairwise disjoint tuple of the product in (size, index) order
+        order = sorted(range(len(fams)), key=lambda i: (len(fams[i]), i))
         brute = None
-        for combo in itertools.product(*[f.members for f in fams]):
-            if all(
-                not core.intersects(a, b)
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                brute = combo
+        for combo in itertools.product(*[fams[i].members for i in order]):
+            if all(not core.intersects(a, b) for a, b in itertools.combinations(combo, 2)):
+                brute = tuple(dict(sorted(zip(order, combo))).values())
                 break
-        ok = ok and (got is None) == (brute is None)
+        ok = ok and got == brute
     s.add("cross-vs-brute", "cross matching feasibility agrees with full tuple enumeration", ok)
 
     bases = [[frozenset({(1, 1)})], [frozenset({(2, 2)})]]

@@ -1,5 +1,6 @@
 """Exact solvers, certificates, classifiers, and inequality evaluators."""
 
+import functools
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from permemc import (
     Family,
     apply_isomorphism,
     classify_cross_free_families,
+    compose,
     containment_implies_matching_check,
     coset_certificate,
     covering_number,
@@ -19,7 +21,9 @@ from permemc import (
     derangements,
     family,
     graph,
+    identity,
     intersects,
+    inverse,
     make_hm,
     make_star,
     make_star_union,
@@ -132,8 +136,6 @@ def test_coset_representative_fixes_one():
 
 def test_coset_classes_are_shift_orbits():
     # the class of p is exactly {p composed with every power of the cycle}
-    from permemc import compose
-
     rng = random.Random(28)
     n = 5
     shift = tuple(list(range(2, n + 1)) + [1])
@@ -147,6 +149,90 @@ def test_coset_classes_are_shift_orbits():
         assert len(orbit) == n
         reps = {coset_representative(x) for x in orbit}
         assert len(reps) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_cosets(n):
+    """Σ_n split into left cosets of the cyclic shift by enumeration: the
+    representative of p is p∘c^k for the shift c = (2, ..., n, 1) and
+    p(1 + k) = 1, found by composing k times."""
+    shift = tuple(list(range(2, n + 1)) + [1])
+
+    def rep(p):
+        power = identity(n)
+        for _ in range(inverse(p)[0] - 1):
+            power = compose(power, shift)
+        return compose(p, power)
+
+    classes = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        classes.setdefault(rep(p), []).append(p)
+    disjoint = all(
+        not intersects(a, b) for cls in classes.values() for a, b in itertools.combinations(cls, 2)
+    )
+    rep_of = {p: r for r, cls in classes.items() for p in cls}
+    return rep_of, len(classes), disjoint
+
+
+def _coset_oracle(fam, s):
+    rep_of, class_count, disjoint = _enumerated_cosets(fam.n)
+    loads = dict.fromkeys(rep_of.values(), 0)
+    for p in fam.members:
+        loads[rep_of[p]] += 1
+    max_load = max(loads.values())
+    histogram = {}
+    for v in loads.values():
+        histogram[v] = histogram.get(v, 0) + 1
+    bound = (s - 1) * math.factorial(fam.n - 1)
+    return {
+        "n": fam.n,
+        "s": s,
+        "class_count": class_count,
+        "max_load": max_load,
+        "load_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "classes_pairwise_disjoint": disjoint,
+        "family_size": len(fam),
+        "bound": bound,
+        "certified": max_load <= s - 1 and len(fam) <= bound,
+    }
+
+
+def test_coset_certificate_matches_enumerated_oracle():
+    for n in range(1, 7):
+        for s in (2, 3, n + 1):
+            assert coset_certificate(symmetric_group(n), s).to_json() == _coset_oracle(symmetric_group(n), s)
+            assert coset_certificate(Family(n, ()), s).to_json() == _coset_oracle(Family(n, ()), s)
+    rng = random.Random(41)
+    for _ in range(180):
+        ambient = symmetric_group(rng.choice([4, 5, 6]))
+        fam = _random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 80)))
+        s = rng.choice([2, 3, 4])
+        assert coset_certificate(fam, s).to_json() == _coset_oracle(fam, s)
+
+
+def test_coset_representative_matches_enumerated_oracle():
+    rep_of, _, _ = _enumerated_cosets(6)
+    assert len(rep_of) == 720
+    for p, rep in rep_of.items():
+        assert coset_representative(p) == rep
+
+
+def test_coset_certificate_beyond_enumeration_cap():
+    # Σ_12 has 12! members, far past the enumeration cap; only the three
+    # members are visited.  The identity and the shift share a coset.
+    n = 12
+    ident = tuple(range(1, n + 1))
+    shift = tuple(list(range(2, n + 1)) + [1])
+    reverse = tuple(range(n, 0, -1))
+    fam = Family(n, (ident, shift, reverse))
+    cert = coset_certificate(fam, s=2)
+    classes = math.factorial(11)
+    touched = 2
+    assert cert.class_count == classes
+    assert cert.classes_pairwise_disjoint
+    assert cert.load_histogram == {0: classes - touched, 1: 1, 2: 1}
+    assert cert.max_load == 2 and not cert.certified
+    assert coset_certificate(fam, s=3).certified
 
 
 def test_coset_star_union_equality_instance():

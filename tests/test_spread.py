@@ -396,6 +396,71 @@ def test_max_ratio_set_maximality_oracle():
                     assert cy * rho ** len(y) < total
 
 
+def _max_ratio_set_oracle(sets, rho):
+    """Greedy growth as specified, by plain scans: the least qualifying
+    single cell, else the least qualifying extension of the least size,
+    searched size by size over the t-subsets of the members containing X.
+    Returns the set and the number of multi-cell jumps taken."""
+    members = [frozenset(m) for m in sets]
+    total = len(members)
+
+    def qualifies(x):
+        return sum(1 for m in members if x <= m) * rho ** len(x) >= total
+
+    chosen, jumps = frozenset(), 0
+    while True:
+        carriers = [m - chosen for m in members if chosen <= m]
+        single = sorted(c for c in set().union(*carriers) if qualifies(chosen | {c}))
+        if single:
+            chosen |= {single[0]}
+            continue
+        jump = None
+        for t in range(2, max(map(len, carriers), default=0) + 1):
+            extensions = set()
+            for m in carriers:
+                extensions.update(itertools.combinations(sorted(m), t))
+            jump = next((ext for ext in sorted(extensions) if qualifies(chosen | set(ext))), None)
+            if jump:
+                break
+        if jump is None:
+            return chosen, jumps
+        chosen |= set(jump)
+        jumps += 1
+
+
+def test_max_ratio_set_matches_per_size_jump_oracle():
+    rng = random.Random(47)
+
+    def cells():
+        return frozenset((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 5)))
+
+    jumps = empties = duplicates = 0
+    for _ in range(480):
+        rho = Fraction(rng.randint(1, 10), 2)
+        if rng.random() < 0.5:
+            n = rng.choice([4, 5])
+            fam = _random_subfamily(rng, symmetric_group(n), rng.randint(1, 24 if n == 4 else 30))
+            sets = fam.graphs()
+        else:  # raw cell-set lists, with empty sets and duplicate members
+            fam = []
+            for _ in range(rng.randint(1, 11)):
+                fam.append(rng.choice(fam) if fam and rng.random() < 0.3 else cells())
+            sets = fam
+            empties += frozenset() in fam
+            duplicates += len(set(fam)) < len(fam)
+        expected, taken = _max_ratio_set_oracle(sets, rho)
+        assert max_ratio_set(fam, rho) == expected
+        jumps += taken
+    assert empties >= 50 and duplicates >= 50, (empties, duplicates)
+    assert jumps >= 20, jumps
+
+
+def test_max_ratio_set_jump_respects_subset_budget():
+    # no single cell qualifies, so the jump would enumerate 2^23 subsets
+    with pytest.raises(ValueError, match="too large"):
+        max_ratio_set([[(1, c) for c in range(1, 24)]], Fraction(1, 2))
+
+
 def test_containment_probability_monte_carlo_matches_exact():
     rng = random.Random(19)
     for i in range(4):
