@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,25 +53,23 @@ def derangement_count_inclusion_exclusion(n: int) -> int:
 def round_factorial_over_e(n: int) -> int:
     """Nearest integer to n!/e via the truncated alternating series.
 
-    The partial sums of n! * sum (-1)^i/i! bracket n!/e ever more tightly;
-    we extend the series until both bracket ends round to the same integer.
-    No floating-point value of e is used.
+    The partial sums n! * num_i / i! of n! * sum (-1)^k/k!, with num_i an
+    integer, bracket n!/e ever more tightly; we extend the series until both
+    bracket ends round to the same integer.  Rounding is floor division in
+    integers; no floating-point value of e is used.
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
     nf = math.factorial(n)
-    partial = Fraction(0)
-    fact_i = 1
-    i = 0
+    num, fact_i, i = 0, 1, 1  # sum_{k<=1} (-1)^k/k! = 0/1!
+    prev = None
     while True:
-        partial += Fraction((-1) ** i, fact_i)
-        if i >= 1:
-            lo, hi = sorted([nf * partial, nf * (partial + Fraction((-1) ** (i + 1), fact_i * (i + 1)))])
-            rlo = (2 * lo + 1) // 2  # floor(x + 1/2)
-            rhi = (2 * hi + 1) // 2
-            if rlo == rhi:
-                return int(rlo)
+        rounded = (2 * nf * num + fact_i) // (2 * fact_i)  # floor(x + 1/2)
+        if rounded == prev:
+            return rounded
+        prev = rounded
         i += 1
+        num = num * i + (-1 if i & 1 else 1)
         fact_i *= i
 
 
@@ -136,11 +135,16 @@ def permanent_brute(matrix) -> int:
 
 
 def permanent_ryser(matrix) -> int:
-    """Permanent by Ryser's inclusion-exclusion with Gray-code updates.
+    """Permanent by Glynn's formula on row bitmasks (the ``ryser`` method).
 
-    Column subsets are visited in Gray-code order so each step toggles a
-    single column in the running row sums; exact big-integer arithmetic
-    throughout.
+    perm(A) = 2^-(N-1) * sum over d in {+1,-1}^N with d_1 = +1 of
+    (prod_k d_k) * prod_i (sum_j d_j a_ij), which has 2^(N-1) terms where
+    Ryser's formula has 2^N - 1 (Glynn, Eur. J. Combin. 31, 2010).  With row
+    i as a column bitmask m_i and P the columns signed +1, row i's sum is
+    2 popcount(m_i & P) - popcount(m_i).  The N-1 free columns split into a
+    low and a high half: the low half's doubled popcounts are tabulated once
+    and added to one base vector per high-half value.  The sum is an exact
+    big integer divisible by 2^(N-1).
     """
     rows = _rows_of(matrix)
     n = len(rows)
@@ -148,38 +152,31 @@ def permanent_ryser(matrix) -> int:
         raise ValueError(f"ryser permanent capped at N={RYSER_CAP}")
     if n == 0:
         return 1
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    sums = [0] * n
+    masks = [sum(v << j for j, v in enumerate(row)) for row in rows]
+    free = n - 1
+    low_bits = free // 2
+    high_bits = free - low_bits
+    # Low-half vectors (columns 2..low_bits+1), grouped by the parity of
+    # their minus columns.
+    lows: tuple[list, list] = ([], [])
+    for low in range(1 << low_bits):
+        plus = low << 1
+        lows[(low_bits - low.bit_count()) & 1].append([2 * (m & plus).bit_count() for m in masks])
     total = 0
-    popcount = 0
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
-        col = cols[j]
-        if gray & bit:
-            popcount += 1
-            for i in range(n):
-                sums[i] += col[i]
-        else:
-            popcount -= 1
-            for i in range(n):
-                sums[i] -= col[i]
-        prev_gray = gray
-        prod = 1
-        for s in sums:
-            prod *= s
-            if not prod:
-                break
-        if prod:
-            total += prod if popcount % 2 == 0 else -prod
-    # Ryser: perm(A) = (-1)^N * sum_S (-1)^|S| * prod_i sum_{j in S} a_ij.
-    return total if n % 2 == 0 else -total
+    for high in range(1 << high_bits):
+        plus = 1 | high << (low_bits + 1)
+        base = [2 * (m & plus).bit_count() - m.bit_count() for m in masks]
+        even, odd = (sum(math.prod(map(operator.add, base, vec)) for vec in group) for group in lows)
+        total += odd - even if (high_bits - high.bit_count()) & 1 else even - odd
+    return total >> free
 
 
 def permanent(matrix, method: str = "ryser") -> int:
-    """Exact permanent of a 0/1 matrix; ``method`` is ``ryser`` or ``brute``."""
+    """Exact permanent of a 0/1 matrix; ``method`` is ``ryser`` or ``brute``.
+
+    ``ryser`` runs Glynn's formula (``permanent_ryser``, N <= 30); ``brute``
+    is the literal N!-sum oracle (N <= 9).
+    """
     if method == "ryser":
         return permanent_ryser(matrix)
     if method == "brute":

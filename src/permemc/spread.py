@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     Cell,
     Family,
@@ -432,6 +430,8 @@ def containment_probability(
             raise ValueError("monte_carlo mode needs samples >= 1")
         if seed is None:
             raise ValueError("monte_carlo mode needs an explicit seed")
+        import numpy as np  # imported where used: it dominates the CLI's start-up
+
         index = {c: i for i, c in enumerate(relevant)}
         rng = np.random.Generator(np.random.Philox(key=seed))
         keep = rng.random((samples, len(relevant))) < float(pf)
@@ -457,6 +457,8 @@ def _containment_inclusion_exclusion(members: list[frozenset], p: Fraction) -> F
 
 
 def _containment_subset_scan(members, relevant, p: Fraction) -> Fraction:
+    import numpy as np
+
     index = {c: i for i, c in enumerate(relevant)}
     k = len(relevant)
     masks = np.array([sum(1 << index[c] for c in m) for m in members], dtype=np.int32)

@@ -97,7 +97,7 @@ def suite_counts(seed: int = 0) -> dict:
         for _ in range(20):
             rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
             ok = ok and counting.permanent_ryser(rows) == counting.permanent_brute(rows)
-    s.add("ryser-vs-brute", "Gray-code Ryser equals the N!-sum oracle on random 0/1 matrices, N in 3..7", ok)
+    s.add("ryser-vs-brute", "Glynn's formula equals the N!-sum oracle on random 0/1 matrices, N in 3..7", ok)
 
     ok = all(
         counting.permanent_ryser(counting.complement_of_identity(n)) == counting.derangement_count(n)

@@ -47,7 +47,7 @@ def test_derangement_negative_rejected():
 
 
 def test_derangement_closed_forms_agree():
-    for n in range(0, 41):
+    for n in range(0, 301):
         rec = derangement_count(n)
         assert derangement_count_inclusion_exclusion(n) == rec
         if n >= 1:
@@ -85,20 +85,37 @@ def test_permanent_identity_and_all_ones():
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert permanent(eye, "ryser") == 1
     assert permanent(eye, "brute") == 1
-    assert permanent(all_ones_matrix(4), "ryser") == math.factorial(4)
+    for n in range(0, 13):  # n = 0 is perm([]) = 1
+        assert permanent(all_ones_matrix(n), "ryser") == math.factorial(n)
 
 
 def test_permanent_complement_identity_is_derangement_count():
-    for n in range(2, 9):
+    for n in range(0, 19):
         assert permanent_ryser(complement_of_identity(n)) == derangement_count(n)
 
 
 def test_permanent_ryser_vs_brute_random():
     rng = random.Random(7)
-    for n in range(1, 8):
-        for _ in range(30):
-            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+    checked = 0
+    for n in range(1, 9):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        cases = [eye, all_ones_matrix(n)]
+        for _ in range(45 if n < 8 else 20):
+            density = rng.choice((0.3, 0.5, 0.8, 0.95))
+            rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+            cases.append(rows)
+        for rows in cases[2:12]:
+            zero_row = [list(r) for r in rows]
+            zero_row[rng.randrange(n)] = [0] * n
+            zero_col = [list(r) for r in rows]
+            j = rng.randrange(n)
+            for r in zero_col:
+                r[j] = 0
+            cases += [zero_row, zero_col]
+        for rows in cases:
             assert permanent_ryser(rows) == permanent_brute(rows)
+        checked += len(cases)
+    assert checked >= 300
 
 
 def _dp_permanent(rows):
@@ -121,9 +138,9 @@ def _dp_permanent(rows):
 
 
 def test_permanent_ryser_vs_dp_oracle_midrange():
-    # covers the N = 10..12 range the brute oracle cannot reach
+    # covers the N = 10..14 range the brute oracle cannot reach
     rng = random.Random(17)
-    for n in (10, 11, 12):
+    for n in range(10, 15):
         assert permanent_ryser(complement_of_identity(n)) == _dp_permanent(complement_of_identity(n))
         for _ in range(5):
             rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]

@@ -334,6 +334,23 @@ def test_cli_mc_spread_rejects_p_outside_unit_interval(tmp_path, capsys):
     assert code == 2 and out == "" and "Traceback" not in err
 
 
+def test_cli_import_leaves_numpy_to_sampling(tmp_path):
+    path = tmp_path / "fam.txt"
+    save_family(symmetric_group(3), path)
+    script = (
+        "import sys\n"
+        "from permemc import cli\n"
+        "assert 'numpy' not in sys.modules, 'import permemc.cli loaded numpy'\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "assert 'numpy' in sys.modules, 'mc-spread ran without numpy'\n"
+        "sys.exit(code)\n"
+    )
+    args = ["mc-spread", "--family", str(path), "--p", "1/2", "--samples", "100", "--seed", "0"]
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 <= json.loads(proc.stdout)["value"] <= 1
+
+
 def test_cli_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "permemc.cli", "counts", "--bogus"],
