@@ -3,6 +3,7 @@ Hilton-Milner style families, plus the two-sided isomorphism action."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -13,6 +14,7 @@ from .core import (
     compose,
     enumerate_family,
     intersects,
+    inverse,
     is_permutation,
 )
 from .counting import pointed_derangement_count
@@ -24,7 +26,7 @@ def make_star(n: int, cell: Cell) -> Family:
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"cell {cell} outside [{n}]^2")
     full = enumerate_family(n)
-    return Family(n, tuple(p for p in full if p[x - 1] == y), label=f"star_{n}[{x}:{y}]")
+    return Family(n, tuple(p for p in full if p[x - 1] == y))
 
 
 def derangement_star(n: int, cell: Cell) -> Family:
@@ -35,7 +37,7 @@ def derangement_star(n: int, cell: Cell) -> Family:
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"cell {cell} outside [{n}]^2")
     ders = enumerate_family(n, "derangements")
-    return Family(n, tuple(p for p in ders if p[x - 1] == y), label=f"derstar_{n}[{x}:{y}]")
+    return Family(n, tuple(p for p in ders if p[x - 1] == y))
 
 
 @dataclass(frozen=True)
@@ -59,14 +61,10 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
         raise ValueError("derangement stars need off-diagonal centers")
     maker = derangement_star if derangement else make_star
     stars = [maker(n, c) for c in centers]
-    members = set()
-    disjoint = True
-    for s in stars:
-        if members & set(s.members):
-            disjoint = False
-        members |= set(s.members)
-    kind = "derstar_union" if derangement else "star_union"
-    fam = Family(n, tuple(members), label=f"{kind}_{n}{list(centers)}")
+    members = {p for star in stars for p in star.members}
+    # the stars are pairwise disjoint iff no member is counted twice
+    disjoint = len(members) == sum(map(len, stars))
+    fam = Family(n, tuple(members))
     return StarUnion(fam, centers, disjoint)
 
 
@@ -76,15 +74,7 @@ def make_hm(n: int, sigma: Perm) -> Family:
     All permutations fixing 1 that intersect sigma, together with sigma
     itself; requires sigma(1) != 1.  Size (n-1)! - d_{n,1} + 1.
     """
-    sigma = tuple(sigma)
-    if len(sigma) != n or not is_permutation(sigma):
-        raise ValueError(f"sigma is not a permutation of [{n}]")
-    if sigma[0] == 1:
-        raise ValueError("sigma must not fix 1")
-    full = enumerate_family(n)
-    members = [p for p in full if p[0] == 1 and intersects(p, sigma)]
-    members.append(sigma)
-    return Family(n, tuple(members), label=f"hm_{n}[{' '.join(map(str, sigma))}]")
+    return make_hm_star_union(n, 2, sigma)
 
 
 def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
@@ -102,17 +92,13 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
     if len(sigma) != n or not is_permutation(sigma):
         raise ValueError(f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
-        raise ValueError("sigma(1) must lie outside [s-1]")
-    members = set(make_hm(n, sigma).members)
+        raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
     full = enumerate_family(n)
-    for i in range(2, s):
-        members |= {p for p in full if p[0] == i}
-    return Family(n, tuple(members), label=f"hm_star_union_{n}_s{s}")
+    members = (p for p in full if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma)))
+    return Family(n, tuple(members))
 
 
 def expected_hm_star_union_size(n: int, s: int) -> int:
-    import math
-
     return (s - 1) * math.factorial(n - 1) - pointed_derangement_count(n) + 1
 
 
@@ -130,7 +116,5 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:
     """Where apply_isomorphism(rho, -, pi) sends a star centered at ``cell``."""
-    from .core import inverse
-
     x, y = cell
     return (inverse(pi)[x - 1], rho[y - 1])

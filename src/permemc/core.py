@@ -13,7 +13,7 @@ pairwise distinct columns, i.e. a subset of some full permutation's graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -122,14 +122,11 @@ class Family:
     """A finite set of permutations sharing one n.
 
     Members are kept deduplicated in lexicographic order of image sequences,
-    so equal families compare equal regardless of construction order.  The
-    optional ``label`` names symbolic constructions (star unions etc.) and is
-    ignored by comparison: families are equal by extension.
+    so equal families compare equal regardless of construction order.
     """
 
     n: int
     members: tuple[Perm, ...]
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -182,8 +179,8 @@ class Family:
         return self.n == other.n and self._member_set <= other._member_set
 
 
-def family(n: int, members: Iterable[Sequence[int]], label: str | None = None) -> Family:
-    return Family(n, tuple(tuple(m) for m in members), label)
+def family(n: int, members: Iterable[Sequence[int]]) -> Family:
+    return Family(n, tuple(tuple(m) for m in members))
 
 
 def _containing(fam: Family, cells: Iterable[Cell]) -> int:
@@ -244,9 +241,9 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
     _check_cap(n)
     perms = itertools.permutations(range(1, n + 1))
     if kind == "all":
-        return Family(n, tuple(perms), label=f"sigma_{n}")
+        return Family(n, tuple(perms))
     if kind == "derangements":
-        return Family(n, tuple(p for p in perms if is_derangement(p)), label=f"derangements_{n}")
+        return Family(n, tuple(p for p in perms if is_derangement(p)))
     if kind == "double_derangements":
         if sigma is None:
             raise ValueError("kind 'double_derangements' needs sigma")
@@ -256,7 +253,7 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
         members = tuple(
             p for p in perms if is_derangement(p) and not any(x == y for x, y in zip(p, sigma))
         )
-        return Family(n, members, label=f"double_derangements_{n}")
+        return Family(n, members)
     raise ValueError(f"unknown enumeration kind: {kind!r}")
 
 

@@ -192,7 +192,7 @@ def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -
     return picks if rec(0, (1 << len(flat)) - 1) else None
 
 
-def cross_matching(families: Sequence[Family], t: int | None = None):
+def cross_matching(families: Sequence[Family]):
     """Pairwise disjoint representatives, one per family, or None.
 
     Families are branched in increasing size order (stable on ties) and
@@ -200,10 +200,6 @@ def cross_matching(families: Sequence[Family], t: int | None = None):
     returned aligned with the input order.
     """
     families = list(families)
-    if t is None:
-        t = len(families)
-    if t != len(families):
-        raise ValueError("t must equal the number of families")
     if not families:
         return ()
     n = families[0].n
@@ -271,13 +267,14 @@ def classify_cross_free_families(
         if fam.n != n:
             raise DimensionMismatch("families over different [n]")
         x, y = cell
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValueError(f"cell {cell} outside [{n}]^2")
         if x == y:
             raise ValueError(f"cell {cell} lies on the diagonal")
         for p in fam.members:
             if not is_derangement(p) or p[x - 1] != y:
                 raise ValueError(f"{p} is not a derangement through {cell}")
-    nonempty = [f for f in families if len(f) > 0]
-    if len(nonempty) == t and cross_matching(families) is not None:
+    if cross_matching(families) is not None:  # None whenever a family is empty
         raise ValueError("the families contain a cross matching; nothing to classify")
 
     union = Family(n, tuple(p for f in families for p in f.members))

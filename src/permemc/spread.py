@@ -44,18 +44,27 @@ def cell_sets(obj) -> list[frozenset]:
     return [frozenset(m) for m in obj]
 
 
-def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None):
-    """Counts |F(X)| for every distinct nonempty X inside some member."""
+def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
+    """Counts |F(X)| >= floor for every distinct nonempty X of at most
+    max_size cells inside some member, by a depth-first walk over
+    ``cell_masks(members)``: X grows only by row-major later cells, so each
+    X is met once, its carriers are the AND of its cells' masks, and since
+    a subset of X has as many carriers, a branch below the floor ends."""
     budget = sum(2 ** len(m) for m in members)
     if budget > _SUBSET_BUDGET:
         raise ValueError("family too large for exhaustive subset enumeration")
     counts: dict[tuple, int] = {}
-    for m in members:
-        cells = sorted(m)
-        top = len(cells) if max_size is None else min(len(cells), max_size)
-        for t in range(1, top + 1):
-            for sub in itertools.combinations(cells, t):
-                counts[sub] = counts.get(sub, 0) + 1
+
+    def walk(prefix: tuple, branches: list) -> None:
+        if max_size is not None and len(prefix) >= max_size:
+            return
+        while branches:
+            cell, carriers = branches.pop(0)
+            sub = prefix + (cell,)
+            counts[sub] = carriers.bit_count()
+            walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
+
+    walk((), [(c, m) for c, m in sorted(cell_masks(members).items()) if m.bit_count() >= floor])
     return counts
 
 
@@ -85,12 +94,26 @@ def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> i
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _worst_offender(counts: dict, total: int, pairs: set) -> tuple:
-    """Among the X whose (|X|, |F(X)|) lies in ``pairs``, the X minimizing
-    (|F|/|F(X)|)^{1/|X|}, exactly; ties go to the lexicographically least X."""
+def _worst_offender(members: list[frozenset], floor: int | None = None) -> tuple[tuple, int] | None:
+    """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|} among those with
+    |F(X)| >= floor, exactly; ties go to the lexicographically least X.
+
+    The default floor keeps every X that ranks with the best single cell or
+    ahead of it: with c that cell's count and K the largest member size, an
+    X of k <= K cells does iff |F(X)| >= c^k/|F|^(k-1) >= c^K/|F|^(K-1)."""
+    total = len(members)
+    if floor is None:
+        top = max(map(len, members))
+        c = max(map(int.bit_count, cell_masks(members).values()), default=1)
+        floor = -(-(c**top) // total ** max(top - 1, 0))
+    counts = _distinct_trace_counts(members, None, floor)
+    if not counts:
+        return None
+    # every X of one pair (|X|, |F(X)|) has the same value
+    pairs = set(zip(map(len, counts), counts.values()))
     best = min(pairs, key=functools.cmp_to_key(lambda a, b: _compare_spreadness(total, a, b)))
     tied = {pair for pair in pairs if _compare_spreadness(total, pair, best) == 0}
-    return min(sub for sub, cnt in counts.items() if (len(sub), cnt) in tied)
+    return min((sub, cnt) for sub, cnt in counts.items() if (len(sub), cnt) in tied)
 
 
 def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
@@ -108,19 +131,18 @@ def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
     if r <= 0:
         raise ValueError("r must be positive")
     total = len(members)
-    counts = _distinct_trace_counts(members)
-    # every X of one pair (|X|, |F(X)|) has the same value and the same verdict
-    pairs = set(zip(map(len, counts), counts.values()))
-    exact = None
-    if want_exact and counts:
-        sub = _worst_offender(counts, total, pairs)
-        exact = (total / counts[sub]) ** (1.0 / len(sub))
+    top = max(map(len, members))
     num, den = r.numerator, r.denominator
-    violating = {(k, cnt) for k, cnt in pairs if cnt * num**k > total * den**k}
-    if not violating:
+    # X of k <= top cells violates iff |F(X)| num^k > |F| den^k; then X and all
+    # its subsets have |F(X)| > |F| (den/num)^top.  For r <= 1 none violates.
+    worst = _worst_offender(members, None if want_exact else total * den**top // num**top + 1)
+    if worst is None:
+        return SpreadReport(True)
+    sub, cnt = worst
+    exact = (total / cnt) ** (1.0 / len(sub)) if want_exact else None
+    if cnt * num ** len(sub) <= total * den ** len(sub):
         return SpreadReport(True, None, None, exact)
-    sub = _worst_offender(counts, total, violating)
-    return SpreadReport(False, tuple(sub), Fraction(counts[sub], total), exact)
+    return SpreadReport(False, sub, Fraction(cnt, total), exact)
 
 
 def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
@@ -134,12 +156,11 @@ def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
     members = cell_sets(fam)
     if not members:
         raise ValueError("spreadness is undefined for the empty family")
-    total = len(members)
-    counts = _distinct_trace_counts(members)
-    if not counts:
+    worst = _worst_offender(members)
+    if worst is None:
         raise ValueError("spreadness is undefined when every member is empty")
-    sub = _worst_offender(counts, total, set(zip(map(len, counts), counts.values())))
-    return (total / counts[sub]) ** (1.0 / len(sub)), tuple(sub)
+    sub, cnt = worst
+    return (len(members) / cnt) ** (1.0 / len(sub)), sub
 
 
 @dataclass(frozen=True)
@@ -161,17 +182,13 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
         raise ValueError("spreadness is undefined for the empty family")
     if q_cells < 0:
         raise ValueError("q must be non-negative")
-    restrictions = {(): None}
-    for sub in _distinct_trace_counts(members, max_size=q_cells):
-        restrictions[sub] = None
-    for sub in sorted(restrictions, key=lambda s: (len(s), s)):
+    table = _distinct_trace_counts(members, max_size=q_cells)
+    for sub in [(), *sorted(table, key=lambda s: (len(s), s))]:
         cs = frozenset(sub)
         residues = [m - cs for m in members if cs <= m]
-        if not residues:
-            continue
         rep = is_r_spread(residues, r)
         if not rep.is_spread:
-            return RestrictedSpreadReport(False, tuple(sub), rep)
+            return RestrictedSpreadReport(False, sub, rep)
     return RestrictedSpreadReport(True)
 
 
@@ -213,10 +230,12 @@ def max_ratio_set(fam, rho) -> PartialPerm:
             carrier &= masks[single[0]]
             continue
         carriers = [m - chosen for m, bit in zip(members, bin(carrier)[:1:-1]) if bit == "1"]
-        # every extension with a nonempty trace lies inside some carrier
+        # every extension with a nonempty trace lies inside some carrier, and one
+        # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
+        least = min((-(-bar // num_s) for num_s, bar in scale[len(chosen) + 2 :]), default=1)
         jumps = [
             (len(ext), ext)
-            for ext, cnt in _distinct_trace_counts(carriers).items()
+            for ext, cnt in _distinct_trace_counts(carriers, None, least).items()
             if len(ext) >= 2 and qualifies(cnt, len(chosen) + len(ext))
         ]
         if not jumps:

@@ -117,6 +117,24 @@ def test_hm_star_union_reduces_to_hm():
     assert make_hm_star_union(4, 2, (2, 1, 4, 3)) == make_hm(4, (2, 1, 4, 3))
 
 
+def test_hm_star_union_matches_definition_from_one_enumeration(monkeypatch):
+    # the stars Σ_n[(1, i)], i = 2..s-1, plus the permutations fixing 1 that
+    # meet sigma, plus sigma; Σ_n is built once per call
+    import permemc.construct as construct
+
+    builds = []
+    enumerate_family = construct.enumerate_family
+    monkeypatch.setattr(construct, "enumerate_family", lambda *a: builds.append(a) or enumerate_family(*a))
+    full = symmetric_group(5).members
+    for s in (2, 3, 4):
+        for sigma in [p for p in full if p[0] >= s][::7]:
+            builds.clear()
+            stars = {p for p in full if 2 <= p[0] <= s - 1}
+            pinned = {p for p in full if p[0] == 1 and intersects(p, sigma)}
+            assert set(make_hm_star_union(5, s, sigma).members) == stars | pinned | {sigma}
+            assert len(builds) == 1
+
+
 def test_hm_star_union_preconditions():
     with pytest.raises(ValueError):
         make_hm_star_union(5, 1, (2, 1, 4, 5, 3))

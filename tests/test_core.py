@@ -112,12 +112,6 @@ def test_family_rejects_non_permutations():
         family(3, [(1, 2)])
 
 
-def test_family_label_ignored_by_equality():
-    a = family(3, [(1, 2, 3)], label="x")
-    b = family(3, [(1, 2, 3)], label="y")
-    assert a == b
-
-
 def test_trace_star_size():
     assert len(trace(symmetric_group(4), [(1, 1)])) == math.factorial(3)
 

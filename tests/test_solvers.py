@@ -270,11 +270,6 @@ def test_cross_matching_single_family():
     assert cross_matching([f1]) == ((2, 1, 4, 3),)
 
 
-def test_cross_matching_t_mismatch():
-    with pytest.raises(ValueError):
-        cross_matching([derangements(4)], t=2)
-
-
 def test_cross_matching_vs_brute():
     rng = random.Random(24)
     ambient = symmetric_group(4)
@@ -320,6 +315,16 @@ def test_classify_rejects_bad_membership():
     bad = family(4, [(2, 3, 4, 1)])  # does not map 2 to 1
     with pytest.raises(ValueError):
         classify_cross_free_families([bad], [(2, 1)])
+
+
+def test_classify_rejects_cells_outside_the_grid():
+    # p[x - 1] with x = 0 would read p(4): (0, 3) must not pass as "through (4, 3)"
+    g = family(4, [p for p in derangements(4).members if p[3] == 3])
+    for cells in ([(0, 3), (4, 3)], [(7, 3), (4, 3)], [(4, 3), (2, 5)]):
+        with pytest.raises(ValueError, match="outside"):
+            classify_cross_free_families([g, g], cells)
+    with pytest.raises(ValueError, match="outside"):
+        classify_cross_free_families([Family(4, ())], [(0, 1)])
 
 
 def test_classify_vs_brute_random():

@@ -28,7 +28,7 @@ from permemc import (
     trace,
     verify_approximation,
 )
-from permemc.spread import _SUBSET_BUDGET
+from permemc.spread import _SUBSET_BUDGET, _distinct_trace_counts
 
 
 def _random_subfamily(rng, ambient, size):
@@ -84,30 +84,81 @@ def test_exact_tie_across_sizes_goes_to_least_witness():
     assert is_r_spread(members, 5).is_spread
 
 
+def _oracle_counts(members, max_size=None):
+    """|F(X)| for every nonempty X of at most max_size cells, from every
+    subset of every member."""
+    counts = {}
+    for m in members:
+        cells = sorted(m)
+        top = len(cells) if max_size is None else min(len(cells), max_size)
+        for t in range(1, top + 1):
+            for sub in itertools.combinations(cells, t):
+                counts[sub] = counts.get(sub, 0) + 1
+    return counts
+
+
+def _oracle_worst(counts, total, subs):
+    # (|F|/|F(X)|)^{60/|X|} is exact and ranks like (|F|/|F(X)|)^{1/|X|} for
+    # |X| <= 6; ties go to the lexicographically least X
+    return min(subs, key=lambda sub: (Fraction(total, counts[sub]) ** (60 // len(sub)), sub), default=None)
+
+
+def _oracle_violator(members, r):
+    """The worst offender among the X with |F(X)| r^|X| > |F|, or None."""
+    counts = _oracle_counts(members)
+    violating = [sub for sub, c in counts.items() if c * r ** len(sub) > len(members)]
+    return _oracle_worst(counts, len(members), violating)
+
+
 def test_witness_ranking_matches_exact_oracle():
-    # oracle: rank every X by the exact rational (|F|/|F(X)|)^{L/|X|}, L the
-    # lcm of the sizes, then lexicographically
     rng = random.Random(19)
-    ambient = symmetric_group(4)
-    lcm = 12
-    for _ in range(40):
-        fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
-        members = [sorted(m) for m in fam.graphs()]
-        counts = {}
-        for m in members:
-            for t in range(1, len(m) + 1):
-                for sub in itertools.combinations(m, t):
-                    counts[sub] = counts.get(sub, 0) + 1
+    sigma4, sigma5 = symmetric_group(4), symmetric_group(5)
+    cases = [_random_subfamily(rng, sigma4, rng.randint(1, 24)) for _ in range(40)]
+    cases += [_random_subfamily(rng, sigma5, rng.randint(1, 120)) for _ in range(25)]
+    for _ in range(60):
+        # raw cell sets of 0..6 cells, some empty, some repeated
+        sets = [
+            {(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))} for _ in range(rng.randint(1, 8))
+        ]
+        cases.append(sets + rng.sample(sets, rng.randint(0, len(sets))))
+    for fam in cases:
+        members = [frozenset(m) for m in (fam.graphs() if isinstance(fam, Family) else fam)]
         total = len(members)
-        rank = {sub: (Fraction(total, c) ** (lcm // len(sub)), sub) for sub, c in counts.items()}
-        witness = min(counts, key=rank.get)
-        value, got = exact_spreadness(fam)
-        assert got == witness
-        assert value == (total / counts[witness]) ** (1.0 / len(witness))
-        r = Fraction(rng.randint(11, 40), 10)
-        violating = [sub for sub, c in counts.items() if c * r ** len(sub) > total]
+        for max_size in (None, 0, 1, 2):
+            assert _distinct_trace_counts(members, max_size) == _oracle_counts(members, max_size)
+        counts = _oracle_counts(members)
+        worst = _oracle_worst(counts, total, counts)
+        value = None if worst is None else (total / counts[worst]) ** (1.0 / len(worst))
+        if worst is None:
+            with pytest.raises(ValueError, match="every member is empty"):
+                exact_spreadness(fam)
+        else:
+            assert exact_spreadness(fam) == (value, worst)
+
+        r = Fraction(rng.randint(5, 40), 10)  # 1/2 to 4, r <= 1 included
+        witness = _oracle_violator(members, r)
+        ratio = None if witness is None else Fraction(counts[witness], total)
+        expected = (witness is None, witness, ratio)
         report = is_r_spread(fam, r)
-        assert report.witness == (min(violating, key=rank.get) if violating else None)
+        assert (report.is_spread, report.witness, report.witness_ratio, report.exact_spreadness) == (*expected, None)
+        report = is_r_spread(fam, r, want_exact=True)
+        assert (report.is_spread, report.witness, report.witness_ratio, report.exact_spreadness) == (*expected, value)
+
+        q = rng.randint(0, 2)
+        restrictions = [(), *sorted(_oracle_counts(members, q), key=lambda sub: (len(sub), sub))]
+        failing = None
+        for sub in restrictions:
+            residues = [m - frozenset(sub) for m in members if m >= frozenset(sub)]
+            inner = _oracle_violator(residues, r)
+            if inner is not None:
+                failing = (sub, inner, Fraction(_oracle_counts(residues)[inner], len(residues)))
+                break
+        report = is_rq_spread(fam, r, q)
+        if failing is None:
+            assert report.is_spread and report.restriction is None and report.inner is None
+        else:
+            assert not report.is_spread
+            assert (report.restriction, report.inner.witness, report.inner.witness_ratio) == failing
 
 
 def test_spreadness_monotone():
