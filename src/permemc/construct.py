@@ -59,13 +59,14 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
         raise ValueError("duplicate star centers")
     if derangement and any(x == y for x, y in centers):
         raise ValueError("derangement stars need off-diagonal centers")
-    maker = derangement_star if derangement else make_star
-    stars = [maker(n, c) for c in centers]
-    members = {p for star in stars for p in star.members}
-    # the stars are pairwise disjoint iff no member is counted twice
-    disjoint = len(members) == sum(map(len, stars))
-    fam = Family(n, tuple(members))
-    return StarUnion(fam, centers, disjoint)
+    for cell in centers:
+        if not all(1 <= v <= n for v in cell):
+            raise ValueError(f"cell {cell} outside [{n}]^2")
+    ambient = enumerate_family(n, "derangements" if derangement else "all") if centers else ()
+    hits = [sum(p[x - 1] == y for x, y in centers) for p in ambient]
+    # the stars are pairwise disjoint iff no member lies in two of them
+    fam = Family(n, tuple(p for p, k in zip(ambient, hits) if k))
+    return StarUnion(fam, centers, max(hits, default=0) <= 1)
 
 
 def make_hm(n: int, sigma: Perm) -> Family:

@@ -30,7 +30,7 @@ from .core import (
     subfamily_containing_any,
 )
 from .counting import pointed_derangement_count
-from .spread import containment_probability
+from .spread import EXACT_CELL_CAP, containment_probability
 
 #: Rational upper bound on e; using an upper bound keeps "hypothesis met"
 #: verdicts sound for inequalities of the form eps*r >= 8e(s-1)q.
@@ -336,8 +336,8 @@ def containment_implies_matching_check(
     for basis in frozen:
         for a in basis:
             ground |= a
-    if len(ground) > 24:
-        raise ValueError("ground set capped at 24 cells for exact probabilities")
+    if len(ground) > EXACT_CELL_CAP:
+        raise ValueError(f"ground set capped at {EXACT_CELL_CAP} cells for exact probabilities")
     pf = Fraction(p)
     probs = tuple(containment_probability(basis, pf, "exact").value for basis in frozen)
     threshold = 3 * s * pf

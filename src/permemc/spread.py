@@ -11,7 +11,6 @@ spreadness values such as (n!)^{1/n} only ever appear as float *outputs*.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,8 +30,6 @@ from .core import (
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
 EXACT_CELL_CAP = 24
-#: Inclusion-exclusion over members is used up to this family size.
-_IE_MEMBER_CAP = 20
 #: Subset enumeration guard for exhaustive spreadness checks.
 _SUBSET_BUDGET = 6_000_000
 
@@ -423,11 +420,13 @@ def containment_probability(
 
     W keeps each cell of the ground grid independently with probability p;
     the event is that W contains the full cell set of at least one member.
-    Exact mode uses inclusion-exclusion over members (or an exhaustive scan
-    of subsets of the <= 24 relevant cells for wide families) and returns a
-    Fraction.  Monte Carlo mode draws each sample from a counter-based
-    Philox stream keyed by the seed, so sample i is a fixed function of
-    (seed, i) and any partitioning of the work reproduces identical bits.
+    Exact mode returns a Fraction by Shannon expansion over the at most
+    ``EXACT_CELL_CAP`` cells some member uses: a cell is either kept or
+    deleted, each branch is solved again on the members that survive it,
+    and the result is memoised.  Monte Carlo mode draws each sample from a
+    counter-based Philox stream keyed by the seed, so sample i is a fixed
+    function of (seed, i) and any partitioning of the work reproduces
+    identical bits.
     """
     members = [frozenset(m) for m in cell_sets(fam)]
     if not members:
@@ -439,11 +438,7 @@ def containment_probability(
     if mode == "exact":
         if len(relevant) > EXACT_CELL_CAP:
             raise ValueError(f"exact mode capped at {EXACT_CELL_CAP} distinct cells")
-        if len(members) <= _IE_MEMBER_CAP:
-            value = _containment_inclusion_exclusion(members, pf)
-        else:
-            value = _containment_subset_scan(members, relevant, pf)
-        return ProbabilityEstimate(value, "exact")
+        return ProbabilityEstimate(_containment_exact(members, relevant, pf), "exact")
     if mode == "monte_carlo":
         if samples is None or samples < 1:
             raise ValueError("monte_carlo mode needs samples >= 1")
@@ -464,36 +459,29 @@ def containment_probability(
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _containment_inclusion_exclusion(members: list[frozenset], p: Fraction) -> Fraction:
-    total = Fraction(0)
-    m = len(members)
-    for size in range(1, m + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for combo in itertools.combinations(members, size):
-            union = frozenset().union(*combo)
-            total += sign * p ** len(union)
-    return total
+def _containment_exact(members, relevant, p: Fraction) -> Fraction:
+    """Pr[W contains a member] with members as bitmasks over ``relevant``.
 
+    The pivot is the lowest cell of a member with the fewest cells: kept
+    (probability p), it leaves every member less that cell; deleted, it
+    leaves the members without it.  A member emptied by kept cells means
+    success, no member left means failure.  Taking a smallest member's
+    cell finishes that member before the next one is branched on."""
+    bit = {c: 1 << i for i, c in enumerate(relevant)}
+    q = 1 - p
 
-def _containment_subset_scan(members, relevant, p: Fraction) -> Fraction:
-    import numpy as np
+    @functools.cache
+    def rec(sets: frozenset) -> Fraction:
+        if 0 in sets:
+            return Fraction(1)
+        if not sets:
+            return Fraction(0)
+        low = (pivot := min(sets, key=int.bit_count)) & -pivot
+        kept = frozenset(s & ~low for s in sets)
+        deleted = frozenset(s for s in sets if not s & low)
+        return p * rec(kept) + q * rec(deleted)
 
-    index = {c: i for i, c in enumerate(relevant)}
-    k = len(relevant)
-    masks = np.array([sum(1 << index[c] for c in m) for m in members], dtype=np.int32)
-    grid = np.arange(1 << k, dtype=np.int32)
-    hit = np.zeros(1 << k, dtype=bool)
-    for m in masks:
-        hit |= (grid & m) == m
-    pops = np.zeros(1 << k, dtype=np.int8)
-    for b in range(k):
-        pops += ((grid >> b) & 1).astype(np.int8)
-    counts = np.bincount(pops[hit], minlength=k + 1)
-    total = Fraction(0)
-    for size, cnt in enumerate(counts):
-        if cnt:
-            total += int(cnt) * p**size * (1 - p) ** (k - size)
-    return total
+    return rec(frozenset(sum(bit[c] for c in m) for m in members))
 
 
 def spread_lemma_bound(k: int, r, beta, delta) -> float | None:

@@ -135,6 +135,34 @@ def test_hm_star_union_matches_definition_from_one_enumeration(monkeypatch):
             assert len(builds) == 1
 
 
+def test_star_union_matches_per_centre_stars_from_one_enumeration(monkeypatch):
+    # the union of the per-centre stars, with Σ_n (or D_n) built once per call
+    import permemc.construct as construct
+
+    builds = []
+    enumerate_family = construct.enumerate_family
+    monkeypatch.setattr(construct, "enumerate_family", lambda *a: builds.append(a) or enumerate_family(*a))
+    rng = random.Random(12)
+    grid = [(x, y) for x in range(1, 6) for y in range(1, 6)]
+    for derangement in (False, True):
+        cells = [c for c in grid if c[0] != c[1]] if derangement else grid
+        maker = derangement_star if derangement else make_star
+        for size in range(1, 6):
+            for _ in range(4):
+                centers = rng.sample(cells, size)
+                stars = [set(maker(5, c).members) for c in centers]
+                builds.clear()
+                union = make_star_union(5, centers, derangement)
+                assert len(builds) == 1
+                assert set(union.family.members) == set().union(*stars)
+                assert union.pairwise_disjoint == (len(union.family) == sum(map(len, stars)))
+    builds.clear()
+    with pytest.raises(ValueError, match=r"cell \(1, 6\) outside \[5\]\^2"):
+        make_star_union(5, [(1, 2), (1, 6)])
+    assert make_star_union(5, []).family == family(5, [])
+    assert builds == []
+
+
 def test_hm_star_union_preconditions():
     with pytest.raises(ValueError):
         make_hm_star_union(5, 1, (2, 1, 4, 5, 3))

@@ -341,6 +341,10 @@ def test_cli_import_leaves_numpy_to_sampling(tmp_path):
         "import sys\n"
         "from permemc import cli\n"
         "assert 'numpy' not in sys.modules, 'import permemc.cli loaded numpy'\n"
+        "from fractions import Fraction\n"
+        "from permemc import containment_probability, symmetric_group\n"
+        "containment_probability(symmetric_group(4), Fraction(1, 2))\n"
+        "assert 'numpy' not in sys.modules, 'exact containment_probability loaded numpy'\n"
         "code = cli.main(sys.argv[1:])\n"
         "assert 'numpy' in sys.modules, 'mc-spread ran without numpy'\n"
         "sys.exit(code)\n"

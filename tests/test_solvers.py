@@ -405,9 +405,17 @@ def test_upclosed_check_random_instances():
 
 
 def test_upclosed_check_ground_cap():
+    from permemc.spread import EXACT_CELL_CAP
+
     bases = [[frozenset({(1, c)}) for c in range(1, 26)]]
     with pytest.raises(ValueError):
         containment_implies_matching_check(bases, 1, Fraction(1, 2))
+    # 13 + 12 cells: each basis fits the exact cap, their ground does not
+    bases = [[frozenset({(1, c)}) for c in range(1, 14)], [frozenset({(2, c)}) for c in range(1, 13)]]
+    with pytest.raises(ValueError, match=f"ground set capped at {EXACT_CELL_CAP} cells"):
+        containment_implies_matching_check(bases, 2, Fraction(1, 2))
+    report = containment_implies_matching_check([bases[0][:12], bases[1]], 2, Fraction(1, 2))
+    assert report.probabilities == (1 - Fraction(1, 2) ** 12,) * 2
 
 
 def test_support_sides_pinned_two_cell():

@@ -389,33 +389,76 @@ def test_containment_probability_sigma2():
     assert est.value == Fraction(7, 16)
 
 
-def test_containment_probability_wide_family_scan_path():
-    # 24 members over 16 cells forces the subset-scan branch; cross-check
-    # against inclusion-exclusion on a subfamily small enough for both.
-    sigma4 = symmetric_group(4)
-    part = family(4, sigma4.members[:12])
-    ie = containment_probability(part, Fraction(1, 2)).value
-    assert 0 < ie < 1
-    wide = containment_probability(sigma4, Fraction(1, 2)).value
-    assert 0 < wide < 1
-    assert wide >= ie  # more members can only help containment
-
-
-def test_containment_scan_matches_inclusion_exclusion():
-    # the wide-family subset-scan path is exact: equal to member IE wherever
-    # both apply
-    from permemc.spread import (
-        _containment_inclusion_exclusion,
-        _containment_subset_scan,
+def _containment_member_ie(members, p):
+    # inclusion-exclusion over the nonempty member subsets
+    return sum(
+        (-1) ** (size + 1) * p ** len(frozenset().union(*combo))
+        for size in range(1, len(members) + 1)
+        for combo in itertools.combinations(members, size)
     )
 
+
+def _containment_cell_sum(members, p):
+    # p^|S| (1-p)^(k-|S|) summed over the subsets S of the k relevant cells
+    # that contain some member
+    relevant = sorted(set().union(*members))
+    k = len(relevant)
+    return sum(
+        p ** len(kept) * (1 - p) ** (k - len(kept))
+        for size in range(k + 1)
+        for kept in map(frozenset, itertools.combinations(relevant, size))
+        if any(m <= kept for m in members)
+    )
+
+
+def test_containment_probability_matches_both_oracles():
     rng = random.Random(31)
-    for _ in range(5):
-        fam = _random_subfamily(rng, symmetric_group(3), rng.randint(2, 6))
-        members = [graph(p) for p in fam.members]
-        relevant = sorted(set().union(*members))
+    grid = [(x, y) for x in range(1, 5) for y in range(1, 5)]
+    cases = []
+    for ambient in (symmetric_group(3), symmetric_group(4), derangements(4)):
+        for _ in range(12):
+            cases.append([graph(p) for p in rng.sample(list(ambient.members), rng.randint(1, min(10, len(ambient))))])
+    for _ in range(25):
+        base = [frozenset(rng.sample(grid, rng.randint(0, 4))) for _ in range(rng.randint(1, 5))]
+        # repeated and nested members, and at most 14 relevant cells
+        extra = [rng.choice(base) for _ in range(rng.randint(0, 2))]
+        extra += [frozenset(rng.sample(sorted(m), len(m) // 2)) for m in base[:2]]
+        members = base + extra
+        if len(set().union(*members)) <= 14:
+            cases.append(members)
+    # disjoint 2-cell members interleaved in row-major order
+    for width in (2, 3, 5, 7):
+        cells = grid[: 2 * width]
+        cases.append([frozenset({cells[i], cells[i + width]}) for i in range(width)])
+    checked = [0, 0]
+    for members in cases:
         p = Fraction(rng.randint(1, 9), 10)
-        assert _containment_subset_scan(members, relevant, p) == _containment_inclusion_exclusion(members, p)
+        value = containment_probability(members, p).value
+        assert isinstance(value, Fraction)
+        assert 0 <= value <= 1
+        if len(members) <= 10:
+            assert value == _containment_member_ie(members, p)
+            checked[0] += 1
+        if len(set().union(*members)) <= 14:
+            assert value == _containment_cell_sum(members, p)
+            checked[1] += 1
+    assert min(checked) >= 60
+
+
+def test_containment_probability_pinned_values():
+    assert containment_probability(symmetric_group(4), Fraction(1, 2)).value == Fraction(37823, 65536)
+    assert containment_probability(derangements(5), Fraction(2, 5)).value == Fraction(
+        22488450596224, 95367431640625
+    )
+
+
+def test_containment_probability_exact_cell_cap():
+    from permemc.spread import EXACT_CELL_CAP
+
+    wide = [frozenset({(1, y)}) for y in range(1, EXACT_CELL_CAP + 2)]
+    with pytest.raises(ValueError, match=f"capped at {EXACT_CELL_CAP} distinct cells"):
+        containment_probability(wide, Fraction(1, 2))
+    assert containment_probability(wide[:-1], Fraction(1, 2)).value == 1 - Fraction(1, 2) ** EXACT_CELL_CAP
 
 
 def test_max_ratio_set_maximality_oracle():
