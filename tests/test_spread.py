@@ -445,6 +445,31 @@ def test_containment_probability_matches_both_oracles():
     assert min(checked) >= 60
 
 
+def test_containment_probability_wide_family_scan_path():
+    # 24 members over 16 cells, beyond what member inclusion-exclusion can
+    # sum; cross-check against a subfamily small enough for it
+    sigma4 = symmetric_group(4)
+    part = family(4, sigma4.members[:12])
+    ie = containment_probability(part, Fraction(1, 2)).value
+    assert 0 < ie < 1
+    assert ie == _containment_member_ie([graph(p) for p in part.members], Fraction(1, 2))
+    wide = containment_probability(sigma4, Fraction(1, 2)).value
+    assert 0 < wide < 1
+    assert wide >= ie  # more members can only help containment
+
+
+def test_containment_scan_matches_inclusion_exclusion():
+    # the exact value equals both the cell-subset scan and member
+    # inclusion-exclusion on small subfamilies of Σ_3
+    rng = random.Random(31)
+    for _ in range(5):
+        fam = _random_subfamily(rng, symmetric_group(3), rng.randint(2, 6))
+        members = [graph(p) for p in fam.members]
+        p = Fraction(rng.randint(1, 9), 10)
+        value = containment_probability(fam, p).value
+        assert value == _containment_cell_sum(members, p) == _containment_member_ie(members, p)
+
+
 def test_containment_probability_pinned_values():
     assert containment_probability(symmetric_group(4), Fraction(1, 2)).value == Fraction(37823, 65536)
     assert containment_probability(derangements(5), Fraction(2, 5)).value == Fraction(
