@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import construct, core, counting, solvers, spread, verify
+from . import construct, core, counting, solvers, spread
 from .io import (
     ParseError,
     cells_json,
@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+#: The ``verify`` suites, listed here so that parsing needs no import of ``verify``.
+SUITES = ("counts", "spread", "approx", "solvers", "extremal", "lemma16")
 
 
 def _fraction(text: str) -> Fraction:
@@ -205,6 +208,8 @@ def cmd_mc_spread(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # imported where used: it is the largest module behind the CLI
+
     report = verify.run_suite(args.suite, args.seed)
     failed = verify.report_failed(report)
     if args.out:
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc_spread)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the JSON report to this path")
     p.set_defaults(func=cmd_verify)

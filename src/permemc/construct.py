@@ -25,8 +25,7 @@ def make_star(n: int, cell: Cell) -> Family:
     x, y = cell
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"cell {cell} outside [{n}]^2")
-    full = enumerate_family(n)
-    return Family(n, tuple(p for p in full if p[x - 1] == y))
+    return Family._of(n, tuple(p for p in enumerate_family(n) if p[x - 1] == y))
 
 
 def derangement_star(n: int, cell: Cell) -> Family:
@@ -36,8 +35,7 @@ def derangement_star(n: int, cell: Cell) -> Family:
         raise ValueError("derangement star needs an off-diagonal cell")
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"cell {cell} outside [{n}]^2")
-    ders = enumerate_family(n, "derangements")
-    return Family(n, tuple(p for p in ders if p[x - 1] == y))
+    return Family._of(n, tuple(p for p in enumerate_family(n, "derangements") if p[x - 1] == y))
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     ambient = enumerate_family(n, "derangements" if derangement else "all") if centers else ()
     hits = [sum(p[x - 1] == y for x, y in centers) for p in ambient]
     # the stars are pairwise disjoint iff no member lies in two of them
-    fam = Family(n, tuple(p for p, k in zip(ambient, hits) if k))
+    fam = Family._of(n, tuple(p for p, k in zip(ambient, hits) if k))
     return StarUnion(fam, centers, max(hits, default=0) <= 1)
 
 
@@ -94,9 +92,8 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
         raise ValueError(f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
-    full = enumerate_family(n)
-    members = (p for p in full if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma)))
-    return Family(n, tuple(members))
+    members = (p for p in enumerate_family(n) if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma)))
+    return Family._of(n, tuple(members))
 
 
 def expected_hm_star_union_size(n: int, s: int) -> int:
@@ -112,7 +109,10 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     """
     if len(rho) != fam.n or len(pi) != fam.n:
         raise DimensionMismatch("isomorphism dimensions do not match the family")
-    return Family(fam.n, tuple(compose(compose(rho, p), pi) for p in fam.members))
+    if not (is_permutation(rho) and is_permutation(pi)):
+        raise ValueError(f"rho and pi must be permutations of [{fam.n}]")
+    rho = tuple(map(int, rho))
+    return Family._of(fam.n, tuple(sorted(compose(compose(rho, p), pi) for p in fam.members)))
 
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -137,6 +137,13 @@ class Family:
                 raise ValueError(f"not a permutation of [{self.n}]: {m}")
         object.__setattr__(self, "members", tuple(seen))
 
+    @classmethod
+    def _of(cls, n: int, members: tuple[Perm, ...]) -> "Family":
+        """A Family over members already valid, sorted and distinct, unchecked."""
+        fam = object.__new__(cls)
+        fam.__dict__.update(n=n, members=members)
+        return fam
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -164,16 +171,16 @@ class Family:
 
     def restrict(self, keep: Iterable[Perm]) -> "Family":
         keep = set(tuple(p) for p in keep)
-        return Family(self.n, tuple(p for p in self.members if p in keep))
+        return Family._of(self.n, tuple(p for p in self.members if p in keep))
 
     def difference(self, other: "Family") -> "Family":
         drop = other._member_set
-        return Family(self.n, tuple(p for p in self.members if p not in drop))
+        return Family._of(self.n, tuple(p for p in self.members if p not in drop))
 
     def union(self, other: "Family") -> "Family":
         if self.n != other.n:
             raise DimensionMismatch("families over different [n]")
-        return Family(self.n, self.members + other.members)
+        return Family._of(self.n, tuple(sorted(set(self.members).union(other.members))))
 
     def issubset(self, other: "Family") -> bool:
         return self.n == other.n and self._member_set <= other._member_set
@@ -185,10 +192,7 @@ def family(n: int, members: Iterable[Sequence[int]]) -> Family:
 
 def _containing(fam: Family, cells: Iterable[Cell]) -> int:
     """Bitmask of the members whose graphs contain every cell of X."""
-    hit = (1 << len(fam)) - 1
-    for c in cells:
-        hit &= fam.cell_masks.get(c, 0)
-    return hit
+    return reduce(and_, (fam.cell_masks.get(c, 0) for c in cells), (1 << len(fam)) - 1)
 
 
 def _selected(fam: Family, mask: int) -> tuple[Perm, ...]:
@@ -210,15 +214,12 @@ def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
 
 def subfamily_containing(fam: Family, cells: Iterable[Cell]) -> Family:
     """F[X]: the members whose graphs contain every cell of X."""
-    return Family(fam.n, _selected(fam, _containing(fam, cells)))
+    return Family._of(fam.n, _selected(fam, _containing(fam, cells)))
 
 
 def subfamily_containing_any(fam: Family, cell_sets: Iterable[Iterable[Cell]]) -> Family:
     """F[S] = union of F[A] over A in S."""
-    hit = 0
-    for cs in cell_sets:
-        hit |= _containing(fam, cs)
-    return Family(fam.n, _selected(fam, hit))
+    return Family._of(fam.n, _selected(fam, reduce(or_, (_containing(fam, cs) for cs in cell_sets), 0)))
 
 
 def _check_cap(n: int) -> None:
@@ -239,21 +240,18 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
     the last requires ``sigma``.  n is capped at ``ENUMERATION_CAP``.
     """
     _check_cap(n)
-    perms = itertools.permutations(range(1, n + 1))
+    perms = itertools.permutations(range(1, n + 1))  # lexicographic, so no re-sort
     if kind == "all":
-        return Family(n, tuple(perms))
+        return Family._of(n, tuple(perms))
     if kind == "derangements":
-        return Family(n, tuple(p for p in perms if is_derangement(p)))
+        return Family._of(n, tuple(p for p in perms if is_derangement(p)))
     if kind == "double_derangements":
         if sigma is None:
             raise ValueError("kind 'double_derangements' needs sigma")
         sigma = tuple(sigma)
         if len(sigma) != n or not is_permutation(sigma):
             raise ValueError(f"sigma is not a permutation of [{n}]")
-        members = tuple(
-            p for p in perms if is_derangement(p) and not any(x == y for x, y in zip(p, sigma))
-        )
-        return Family(n, members)
+        return Family._of(n, tuple(p for p in perms if is_derangement(p) and not intersects(p, sigma)))
     raise ValueError(f"unknown enumeration kind: {kind!r}")
 
 

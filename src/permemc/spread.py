@@ -20,12 +20,12 @@ from .core import (
     Cell,
     Family,
     PartialPerm,
+    _containing,
+    _selected,
     cell_masks,
     set_matching_number,
     sorted_cells,
-    subfamily_containing,
     subfamily_containing_any,
-    trace,
 )
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
@@ -34,21 +34,27 @@ EXACT_CELL_CAP = 24
 _SUBSET_BUDGET = 6_000_000
 
 
-def cell_sets(obj) -> list[frozenset]:
-    """Normalize a Family or an iterable of cell collections to frozensets."""
+def _index(obj) -> tuple[tuple[dict, dict], int]:
+    """The one index the spreadness kernels walk, (cell -> members holding
+    it, size -> members of that size) as bitmasks over the members of a
+    Family (its cached ``cell_masks``) or of a list of cell collections,
+    and the bitmask of all members."""
     if isinstance(obj, Family):
-        return obj.graphs()
-    return [frozenset(m) for m in obj]
+        return (obj.cell_masks, {obj.n: (1 << len(obj)) - 1}), (1 << len(obj)) - 1
+    members = [frozenset(m) for m in obj]
+    return (cell_masks(members), cell_masks([len(m)] for m in members)), (1 << len(members)) - 1
 
 
-def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
+def _trace_counts(index, carrier: int, skip=frozenset(), max_size: int | None = None, floor: int = 1):
     """Counts |F(X)| >= floor for every distinct nonempty X of at most
-    max_size cells inside some member, by a depth-first walk over
-    ``cell_masks(members)``: X grows only by row-major later cells, so each
-    X is met once, its carriers are the AND of its cells' masks, and since
-    a subset of X has as many carriers, a branch below the floor ends."""
-    budget = sum(2 ** len(m) for m in members)
-    if budget > _SUBSET_BUDGET:
+    max_size cells inside some member of F, the trace by A = ``skip`` of the
+    members in ``carrier`` (all of which contain A), by a depth-first walk
+    over the index with A's cells left out: X grows only by row-major later
+    cells, so each X is met once, its carriers are the AND of its cells'
+    masks, and since a subset of X has as many carriers, a branch below the
+    floor ends.  Refused if F has over ``_SUBSET_BUDGET`` subsets in all."""
+    masks, sizes = index
+    if sum((m & carrier).bit_count() * 2 ** (s - len(skip)) for s, m in sizes.items() if m & carrier) > _SUBSET_BUDGET:
         raise ValueError("family too large for exhaustive subset enumeration")
     counts: dict[tuple, int] = {}
 
@@ -61,8 +67,13 @@ def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = 
             counts[sub] = carriers.bit_count()
             walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
 
-    walk((), [(c, m) for c, m in sorted(cell_masks(members).items()) if m.bit_count() >= floor])
+    walk((), [(c, both) for c, m in sorted(masks.items()) if c not in skip and (both := m & carrier).bit_count() >= floor])
     return counts
+
+
+def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
+    """``_trace_counts`` of a list of cell sets, every member a carrier."""
+    return _trace_counts(*_index(members), frozenset(), max_size, floor)
 
 
 @dataclass(frozen=True)
@@ -91,19 +102,25 @@ def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> i
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _worst_offender(members: list[frozenset], floor: int | None = None) -> tuple[tuple, int] | None:
-    """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|} among those with
-    |F(X)| >= floor, exactly; ties go to the lexicographically least X.
+def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = None) -> tuple[tuple, int] | None:
+    """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|}, exactly, ties
+    going to the lexicographically least X, where F is the trace of the
+    carrier by ``skip`` as in ``_trace_counts``; None if no X is kept.
 
-    The default floor keeps every X that ranks with the best single cell or
-    ahead of it: with c that cell's count and K the largest member size, an
-    X of k <= K cells does iff |F(X)| >= c^k/|F|^(k-1) >= c^K/|F|^(K-1)."""
-    total = len(members)
-    if floor is None:
-        top = max(map(len, members))
-        c = max(map(int.bit_count, cell_masks(members).values()), default=1)
+    Given r, the walk keeps only the X that could violate r-spreadness: X of
+    k <= K cells (K the largest member size) violates iff |F(X)| num^k >
+    |F| den^k, and then X and all its subsets have |F(X)| > |F| (den/num)^K;
+    for r <= 1 none violates.  Otherwise it keeps every X that ranks with
+    the best single cell or ahead of it: with c that cell's count, an X of
+    k <= K cells does iff |F(X)| >= c^k/|F|^(k-1) >= c^K/|F|^(K-1)."""
+    total = carrier.bit_count()
+    top = max(k for k, m in index[1].items() if m & carrier) - len(skip)
+    if r is not None:
+        floor = total * r.denominator**top // r.numerator**top + 1
+    else:
+        c = max(((m & carrier).bit_count() for cell, m in index[0].items() if cell not in skip), default=0) or 1
         floor = -(-(c**top) // total ** max(top - 1, 0))
-    counts = _distinct_trace_counts(members, None, floor)
+    counts = _trace_counts(index, carrier, skip, None, floor)
     if not counts:
         return None
     # every X of one pair (|X|, |F(X)|) has the same value
@@ -111,6 +128,23 @@ def _worst_offender(members: list[frozenset], floor: int | None = None) -> tuple
     best = min(pairs, key=functools.cmp_to_key(lambda a, b: _compare_spreadness(total, a, b)))
     tied = {pair for pair in pairs if _compare_spreadness(total, pair, best) == 0}
     return min((sub, cnt) for sub, cnt in counts.items() if (len(sub), cnt) in tied)
+
+
+def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> SpreadReport:
+    """``is_r_spread`` of the trace of the carrier by ``skip``."""
+    if not carrier:
+        raise ValueError("spreadness is undefined for the empty family")
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    worst = _worst_offender(index, carrier, skip, None if want_exact else r)
+    if worst is None:
+        return SpreadReport(True)
+    (sub, cnt), total = worst, carrier.bit_count()
+    exact = (total / cnt) ** (1.0 / len(sub)) if want_exact else None
+    if cnt * r.numerator ** len(sub) <= total * r.denominator ** len(sub):
+        return SpreadReport(True, None, None, exact)
+    return SpreadReport(False, sub, Fraction(cnt, total), exact)
 
 
 def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
@@ -121,25 +155,7 @@ def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
     minimizing (|F|/|F(X)|)^{1/|X|}, i.e. the worst offender, ranked
     exactly with ties going to the lexicographically least X.
     """
-    members = cell_sets(fam)
-    if not members:
-        raise ValueError("spreadness is undefined for the empty family")
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    total = len(members)
-    top = max(map(len, members))
-    num, den = r.numerator, r.denominator
-    # X of k <= top cells violates iff |F(X)| num^k > |F| den^k; then X and all
-    # its subsets have |F(X)| > |F| (den/num)^top.  For r <= 1 none violates.
-    worst = _worst_offender(members, None if want_exact else total * den**top // num**top + 1)
-    if worst is None:
-        return SpreadReport(True)
-    sub, cnt = worst
-    exact = (total / cnt) ** (1.0 / len(sub)) if want_exact else None
-    if cnt * num ** len(sub) <= total * den ** len(sub):
-        return SpreadReport(True, None, None, exact)
-    return SpreadReport(False, sub, Fraction(cnt, total), exact)
+    return _spread_report(*_index(fam), frozenset(), r, want_exact)
 
 
 def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
@@ -150,14 +166,14 @@ def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
     ties going to the lexicographically least X, and the float value is the
     witness's own (|F|/|F(X)|)^{1/|X|}.
     """
-    members = cell_sets(fam)
-    if not members:
+    index, full = _index(fam)
+    if not full:
         raise ValueError("spreadness is undefined for the empty family")
-    worst = _worst_offender(members)
+    worst = _worst_offender(index, full)
     if worst is None:
         raise ValueError("spreadness is undefined when every member is empty")
     sub, cnt = worst
-    return (len(members) / cnt) ** (1.0 / len(sub)), sub
+    return (full.bit_count() / cnt) ** (1.0 / len(sub)), sub
 
 
 @dataclass(frozen=True)
@@ -172,18 +188,18 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
 
     Restrictions A run over the sub-partial-permutations of members (others
     trace to nothing), plus the empty restriction; q = 0 is plain
-    r-spreadness.
+    r-spreadness.  Each trace F(A) is walked as the members containing A in
+    the family's one index, with A's cells skipped.
     """
-    members = cell_sets(fam)
-    if not members:
+    index, full = _index(fam)
+    if not full:
         raise ValueError("spreadness is undefined for the empty family")
     if q_cells < 0:
         raise ValueError("q must be non-negative")
-    table = _distinct_trace_counts(members, max_size=q_cells)
+    table = _trace_counts(index, full, frozenset(), q_cells)
     for sub in [(), *sorted(table, key=lambda s: (len(s), s))]:
-        cs = frozenset(sub)
-        residues = [m - cs for m in members if cs <= m]
-        rep = is_r_spread(residues, r)
+        carrier = functools.reduce(int.__and__, (index[0][c] for c in sub), full)
+        rep = _spread_report(index, carrier, frozenset(sub), r)
         if not rep.is_spread:
             return RestrictedSpreadReport(False, sub, rep)
     return RestrictedSpreadReport(True)
@@ -198,41 +214,42 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     smallest qualifying multi-cell extension (minimal size, then
     lexicographic) is taken instead, so the result is maximal against
     *every* superset and its trace is therefore rho-spread.  The extensions
-    are read off ``_distinct_trace_counts`` of the members containing X, so
-    a jump over more than ``_SUBSET_BUDGET`` subsets raises ``ValueError``.
+    are read off ``_trace_counts`` of the members containing X, so a jump
+    over more than ``_SUBSET_BUDGET`` subsets raises ``ValueError``.
     """
-    members = cell_sets(fam)
-    if not members:
+    index, full = _index(fam)
+    if not full:
         raise ValueError("max_ratio_set is undefined for the empty family")
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    total = len(members)
+    return _max_ratio_set(index, full, rho)
+
+
+def _max_ratio_set(index, carrier: int, rho: Fraction) -> PartialPerm:
+    """``max_ratio_set`` of the members in ``carrier`` (nonempty), rho > 0."""
+    masks, total = index[0], carrier.bit_count()
+    top = max(k for k, m in index[1].items() if m & carrier)
     # |F(X)| * rho^s >= |F| as |F(X)| * num^s >= |F| * den^s, one pair per size s
-    scale = [(rho.numerator**s, total * rho.denominator**s) for s in range(max(map(len, members)) + 2)]
+    scale = [(rho.numerator**s, total * rho.denominator**s) for s in range(top + 2)]
 
     def qualifies(count: int, size: int) -> bool:
         num_s, bar = scale[size]
         return count * num_s >= bar
 
-    masks = fam.cell_masks if isinstance(fam, Family) else cell_masks(members)
-    chosen: set = set()
-    carrier = (1 << total) - 1  # bitmask of the members containing the current X
+    chosen: set = set()  # X; ``carrier`` is kept as the bitmask of the members containing it
     while True:
-        single = sorted(
-            c for c, m in masks.items() if c not in chosen and qualifies((m & carrier).bit_count(), len(chosen) + 1)
-        )
+        single = [c for c, m in masks.items() if c not in chosen and qualifies((m & carrier).bit_count(), len(chosen) + 1)]
         if single:
-            chosen.add(single[0])
-            carrier &= masks[single[0]]
+            chosen.add(cell := min(single))
+            carrier &= masks[cell]
             continue
-        carriers = [m - chosen for m, bit in zip(members, bin(carrier)[:1:-1]) if bit == "1"]
         # every extension with a nonempty trace lies inside some carrier, and one
         # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
         least = min((-(-bar // num_s) for num_s, bar in scale[len(chosen) + 2 :]), default=1)
         jumps = [
             (len(ext), ext)
-            for ext, cnt in _distinct_trace_counts(carriers, None, least).items()
+            for ext, cnt in _trace_counts(index, carrier, chosen, None, least).items()
             if len(ext) >= 2 and qualifies(cnt, len(chosen) + len(ext))
         ]
         if not jumps:
@@ -290,23 +307,19 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
         raise ValueError("r must be positive")
     if q < 1:
         raise ValueError("q must be at least 1")
-    rho = r / 2
-    supports: list[PartialPerm] = []
     branches: dict[PartialPerm, Family] = {}
-    current = fam
+    index, current = _index(fam)  # F^i, as a bitmask over F's members
     stop_set = None
-    remainder = Family(fam.n, ())
-    while len(current) > 0:
-        support = max_ratio_set(current, rho)
+    while current:
+        support = _max_ratio_set(index, current, r / 2)
         if len(support) > q:
             stop_set = support
-            remainder = current
             break
-        branch = subfamily_containing(current, support)
-        supports.append(support)
-        branches[support] = branch
-        current = current.difference(branch)
-    return ApproximationResult(tuple(supports), remainder, branches, stop_set)
+        branch = current & _containing(fam, support)
+        branches[support] = Family._of(fam.n, _selected(fam, branch))
+        current &= ~branch
+    # S_i is never repeated: F^i[S_i] is nonempty and leaves F^{i+1}
+    return ApproximationResult(tuple(branches), Family._of(fam.n, _selected(fam, current)), branches, stop_set)
 
 
 @dataclass(frozen=True)
@@ -355,12 +368,12 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     removed = fam.difference(res.remainder)
     covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
 
-    details = []
-    branch_ok = True
-    for support, branch in res.branches.items():
-        rep = is_r_spread(trace(branch, support), r / 2)
-        details.append((sorted_cells(support), rep.is_spread))
-        branch_ok = branch_ok and rep.is_spread
+    # each trace F[S](S) is walked as the members of F[S] containing S, with S's cells skipped
+    details = [
+        (sorted_cells(s), _spread_report(_index(branch)[0], _containing(branch, s), frozenset(s), r / 2).is_spread)
+        for s, branch in res.branches.items()
+    ]
+    branch_ok = all(ok for _, ok in details)
 
     bound = Fraction(len(ambient), 2 ** (q + 1))
     if len(res.remainder) == 0:
@@ -368,7 +381,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
         hypothesis_checked = True
     else:
         stop = res.stop_set
-        trace_count = len(subfamily_containing(ambient, stop))
+        trace_count = _containing(ambient, stop).bit_count()
         hypothesis_checked = trace_count * r ** len(stop) <= len(ambient)
         if hypothesis_checked:
             status = "pass" if Fraction(len(res.remainder)) <= bound else "fail"
@@ -428,7 +441,7 @@ def containment_probability(
     function of (seed, i) and any partitioning of the work reproduces
     identical bits.
     """
-    members = [frozenset(m) for m in cell_sets(fam)]
+    members = fam.graphs() if isinstance(fam, Family) else [frozenset(m) for m in fam]
     if not members:
         raise ValueError("containment probability needs a nonempty family")
     relevant = sorted(set().union(*members))

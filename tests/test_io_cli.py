@@ -355,6 +355,30 @@ def test_cli_import_leaves_numpy_to_sampling(tmp_path):
     assert 0 <= json.loads(proc.stdout)["value"] <= 1
 
 
+def test_cli_imports_verify_only_for_the_verify_command():
+    script = (
+        "import sys\n"
+        "from permemc import cli\n"
+        "assert 'permemc.verify' not in sys.modules, 'import permemc.cli loaded verify'\n"
+        "assert cli.main(['counts', '--n', '4']) == 0\n"
+        "assert 'permemc.verify' not in sys.modules, 'counts loaded verify'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "permemc.cli", "verify", "--suite", "counts"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["suite"] == "counts"
+
+
+def test_verify_suite_names_are_the_cli_choices():
+    from permemc import cli, verify
+
+    assert verify.SUITES is cli.SUITES
+    assert tuple(verify._SUITE_FUNCS) == cli.SUITES
+
+
 def test_cli_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "permemc.cli", "counts", "--bogus"],
