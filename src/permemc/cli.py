@@ -208,7 +208,7 @@ def cmd_mc_spread(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify  # imported where used: it is the largest module behind the CLI
+    from . import verify  # imported here, so that parsing and the other commands do not load it
 
     report = verify.run_suite(args.suite, args.seed)
     failed = verify.report_failed(report)

@@ -25,7 +25,8 @@ def make_star(n: int, cell: Cell) -> Family:
     x, y = cell
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"cell {cell} outside [{n}]^2")
-    return Family._of(n, tuple(p for p in enumerate_family(n) if p[x - 1] == y))
+    full = enumerate_family(n)
+    return Family._of(n, tuple(p for p in full if p[x - 1] == y))
 
 
 def derangement_star(n: int, cell: Cell) -> Family:
@@ -35,7 +36,8 @@ def derangement_star(n: int, cell: Cell) -> Family:
         raise ValueError("derangement star needs an off-diagonal cell")
     if not (1 <= x <= n and 1 <= y <= n):
         raise ValueError(f"cell {cell} outside [{n}]^2")
-    return Family._of(n, tuple(p for p in enumerate_family(n, "derangements") if p[x - 1] == y))
+    ders = enumerate_family(n, "derangements")
+    return Family._of(n, tuple(p for p in ders if p[x - 1] == y))
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,8 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
         raise ValueError(f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
-    members = (p for p in enumerate_family(n) if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma)))
+    full = enumerate_family(n)
+    members = (p for p in full if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma)))
     return Family._of(n, tuple(members))
 
 

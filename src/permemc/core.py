@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -127,6 +127,7 @@ class Family:
 
     n: int
     members: tuple[Perm, ...]
+    _view = None  # (parent, mask) when the members are a slice of a parent family; see _slice
 
     def __post_init__(self):
         if self.n < 1:
@@ -138,10 +139,10 @@ class Family:
         object.__setattr__(self, "members", tuple(seen))
 
     @classmethod
-    def _of(cls, n: int, members: tuple[Perm, ...]) -> "Family":
+    def _of(cls, n: int, members: tuple[Perm, ...], view: tuple | None = None) -> "Family":
         """A Family over members already valid, sorted and distinct, unchecked."""
         fam = object.__new__(cls)
-        fam.__dict__.update(n=n, members=members)
+        fam.__dict__.update(n=n, members=members, _view=view)
         return fam
 
     def __len__(self) -> int:
@@ -174,6 +175,9 @@ class Family:
         return Family._of(self.n, tuple(p for p in self.members if p in keep))
 
     def difference(self, other: "Family") -> "Family":
+        (root, mask), (other_root, other_mask) = _root(self), _root(other)
+        if other_root is root:
+            return _slice(root, mask & ~other_mask)
         drop = other._member_set
         return Family._of(self.n, tuple(p for p in self.members if p not in drop))
 
@@ -192,12 +196,27 @@ def family(n: int, members: Iterable[Sequence[int]]) -> Family:
 
 def _containing(fam: Family, cells: Iterable[Cell]) -> int:
     """Bitmask of the members whose graphs contain every cell of X."""
-    return reduce(and_, (fam.cell_masks.get(c, 0) for c in cells), (1 << len(fam)) - 1)
+    hit = (1 << len(fam)) - 1
+    for c in cells:
+        hit &= fam.cell_masks.get(c, 0)
+    return hit
 
 
 def _selected(fam: Family, mask: int) -> tuple[Perm, ...]:
     """The members whose index bits are set in ``mask``, in member order."""
     return tuple(p for p, bit in zip(fam.members, bin(mask)[:1:-1]) if bit == "1")
+
+
+def _root(fam: Family) -> tuple[Family, int]:
+    """(parent, mask) such that fam is the parent's members in mask; a family
+    that is no slice is its own parent.  Slices of slices keep the first
+    parent, so all of them share its one cached ``cell_masks``."""
+    return fam._view or (fam, (1 << len(fam)) - 1)
+
+
+def _slice(root: Family, mask: int) -> Family:
+    """The members of ``root`` in ``mask``, as a Family viewing root."""
+    return Family._of(root.n, _selected(root, mask), (root, mask))
 
 
 def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
@@ -214,12 +233,17 @@ def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
 
 def subfamily_containing(fam: Family, cells: Iterable[Cell]) -> Family:
     """F[X]: the members whose graphs contain every cell of X."""
-    return Family._of(fam.n, _selected(fam, _containing(fam, cells)))
+    root, mask = _root(fam)
+    return _slice(root, mask & _containing(root, cells))
 
 
 def subfamily_containing_any(fam: Family, cell_sets: Iterable[Iterable[Cell]]) -> Family:
     """F[S] = union of F[A] over A in S."""
-    return Family._of(fam.n, _selected(fam, reduce(or_, (_containing(fam, cs) for cs in cell_sets), 0)))
+    root, mask = _root(fam)
+    hit = 0
+    for cs in cell_sets:
+        hit |= _containing(root, cs)
+    return _slice(root, mask & hit)
 
 
 def _check_cap(n: int) -> None:
@@ -251,7 +275,10 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
         sigma = tuple(sigma)
         if len(sigma) != n or not is_permutation(sigma):
             raise ValueError(f"sigma is not a permutation of [{n}]")
-        return Family._of(n, tuple(p for p in perms if is_derangement(p) and not intersects(p, sigma)))
+        members = tuple(
+            p for p in perms if is_derangement(p) and not any(x == y for x, y in zip(p, sigma))
+        )
+        return Family._of(n, members)
     raise ValueError(f"unknown enumeration kind: {kind!r}")
 
 

@@ -19,6 +19,8 @@ from .core import Cell, Perm, is_permutation, partial_permutation
 BRUTE_CAP = 9
 RYSER_CAP = 30
 
+_PERM_CACHE: dict[int, list[tuple[int, ...]]] = {}
+
 
 def derangement_count(n: int) -> int:
     """d_n by the recurrence d_n = (n-1)(d_{n-1} + d_{n-2}), d_0 = 1, d_1 = 0."""
@@ -113,8 +115,16 @@ def permanent_brute(matrix) -> int:
     n = len(rows)
     if n > BRUTE_CAP:
         raise ValueError(f"brute permanent capped at N={BRUTE_CAP}")
+    if n == 0:
+        return 1
+    if n <= 8:
+        perms = _PERM_CACHE.get(n)
+        if perms is None:
+            perms = _PERM_CACHE[n] = list(itertools.permutations(range(n)))
+    else:
+        perms = itertools.permutations(range(n))
     total = 0
-    for p in itertools.permutations(range(n)):  # one empty permutation when n = 0
+    for p in perms:
         prod = 1
         for i, j in enumerate(p):
             prod *= rows[i][j]

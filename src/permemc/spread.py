@@ -20,11 +20,11 @@ from .core import (
     Cell,
     Family,
     PartialPerm,
-    _containing,
-    _selected,
+    _root,
     cell_masks,
     set_matching_number,
     sorted_cells,
+    subfamily_containing,
     subfamily_containing_any,
 )
 
@@ -37,10 +37,11 @@ _SUBSET_BUDGET = 6_000_000
 def _index(obj) -> tuple[tuple[dict, dict], int]:
     """The one index the spreadness kernels walk, (cell -> members holding
     it, size -> members of that size) as bitmasks over the members of a
-    Family (its cached ``cell_masks``) or of a list of cell collections,
-    and the bitmask of all members."""
+    Family's parent (its cached ``cell_masks``, see ``core._root``) or of a
+    list of cell collections, and the bitmask of the members walked."""
     if isinstance(obj, Family):
-        return (obj.cell_masks, {obj.n: (1 << len(obj)) - 1}), (1 << len(obj)) - 1
+        root, mask = _root(obj)
+        return (root.cell_masks, {root.n: (1 << len(root)) - 1}), mask
     members = [frozenset(m) for m in obj]
     return (cell_masks(members), cell_masks([len(m)] for m in members)), (1 << len(members)) - 1
 
@@ -140,7 +141,8 @@ def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> Sp
     worst = _worst_offender(index, carrier, skip, None if want_exact else r)
     if worst is None:
         return SpreadReport(True)
-    (sub, cnt), total = worst, carrier.bit_count()
+    sub, cnt = worst
+    total = carrier.bit_count()
     exact = (total / cnt) ** (1.0 / len(sub)) if want_exact else None
     if cnt * r.numerator ** len(sub) <= total * r.denominator ** len(sub):
         return SpreadReport(True, None, None, exact)
@@ -217,17 +219,12 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     are read off ``_trace_counts`` of the members containing X, so a jump
     over more than ``_SUBSET_BUDGET`` subsets raises ``ValueError``.
     """
-    index, full = _index(fam)
-    if not full:
+    index, carrier = _index(fam)  # ``carrier`` is kept as the bitmask of the members containing X
+    if not carrier:
         raise ValueError("max_ratio_set is undefined for the empty family")
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    return _max_ratio_set(index, full, rho)
-
-
-def _max_ratio_set(index, carrier: int, rho: Fraction) -> PartialPerm:
-    """``max_ratio_set`` of the members in ``carrier`` (nonempty), rho > 0."""
     masks, total = index[0], carrier.bit_count()
     top = max(k for k, m in index[1].items() if m & carrier)
     # |F(X)| * rho^s >= |F| as |F(X)| * num^s >= |F| * den^s, one pair per size s
@@ -237,12 +234,14 @@ def _max_ratio_set(index, carrier: int, rho: Fraction) -> PartialPerm:
         num_s, bar = scale[size]
         return count * num_s >= bar
 
-    chosen: set = set()  # X; ``carrier`` is kept as the bitmask of the members containing it
+    chosen: set = set()
     while True:
-        single = [c for c, m in masks.items() if c not in chosen and qualifies((m & carrier).bit_count(), len(chosen) + 1)]
+        single = sorted(
+            c for c, m in masks.items() if c not in chosen and qualifies((m & carrier).bit_count(), len(chosen) + 1)
+        )
         if single:
-            chosen.add(cell := min(single))
-            carrier &= masks[cell]
+            chosen.add(single[0])
+            carrier &= masks[single[0]]
             continue
         # every extension with a nonempty trace lies inside some carrier, and one
         # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
@@ -307,19 +306,19 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
         raise ValueError("r must be positive")
     if q < 1:
         raise ValueError("q must be at least 1")
+    rho = r / 2
     branches: dict[PartialPerm, Family] = {}
-    index, current = _index(fam)  # F^i, as a bitmask over F's members
+    current = fam  # F^i and its branches are slices of F, walked over F's one index
     stop_set = None
-    while current:
-        support = _max_ratio_set(index, current, r / 2)
+    while len(current) > 0:
+        support = max_ratio_set(current, rho)
         if len(support) > q:
             stop_set = support
             break
-        branch = current & _containing(fam, support)
-        branches[support] = Family._of(fam.n, _selected(fam, branch))
-        current &= ~branch
+        branches[support] = subfamily_containing(current, support)
+        current = current.difference(branches[support])
     # S_i is never repeated: F^i[S_i] is nonempty and leaves F^{i+1}
-    return ApproximationResult(tuple(branches), Family._of(fam.n, _selected(fam, current)), branches, stop_set)
+    return ApproximationResult(tuple(branches), current, branches, stop_set)
 
 
 @dataclass(frozen=True)
@@ -368,12 +367,13 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     removed = fam.difference(res.remainder)
     covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
 
-    # each trace F[S](S) is walked as the members of F[S] containing S, with S's cells skipped
-    details = [
-        (sorted_cells(s), _spread_report(_index(branch)[0], _containing(branch, s), frozenset(s), r / 2).is_spread)
-        for s, branch in res.branches.items()
-    ]
-    branch_ok = all(ok for _, ok in details)
+    details = []
+    branch_ok = True
+    for support, branch in res.branches.items():
+        # the trace F[S](S) is walked as the members of F[S] containing S, with S's cells skipped
+        rep = _spread_report(*_index(subfamily_containing(branch, support)), frozenset(support), r / 2)
+        details.append((sorted_cells(support), rep.is_spread))
+        branch_ok = branch_ok and rep.is_spread
 
     bound = Fraction(len(ambient), 2 ** (q + 1))
     if len(res.remainder) == 0:
@@ -381,7 +381,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
         hypothesis_checked = True
     else:
         stop = res.stop_set
-        trace_count = _containing(ambient, stop).bit_count()
+        trace_count = len(subfamily_containing(ambient, stop))
         hypothesis_checked = trace_count * r ** len(stop) <= len(ambient)
         if hypothesis_checked:
             status = "pass" if Fraction(len(res.remainder)) <= bound else "fail"

@@ -16,8 +16,9 @@ import time
 from fractions import Fraction
 
 from . import construct, counting, core, solvers, spread
-from .cli import SUITES
 from .io import cells_json, fraction_json
+
+SUITES = ("counts", "spread", "approx", "solvers", "extremal", "lemma16")
 
 
 def _jsonable(value):
@@ -807,7 +808,14 @@ def suite_lemma16(seed: int = 0) -> dict:
     return s.report()
 
 
-_SUITE_FUNCS = dict(zip(SUITES, (suite_counts, suite_spread, suite_approx, suite_solvers, suite_extremal, suite_lemma16)))
+_SUITE_FUNCS = {
+    "counts": suite_counts,
+    "spread": suite_spread,
+    "approx": suite_approx,
+    "solvers": suite_solvers,
+    "extremal": suite_extremal,
+    "lemma16": suite_lemma16,
+}
 
 
 def run_suite(name: str, seed: int = 0) -> dict:

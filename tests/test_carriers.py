@@ -1,10 +1,12 @@
 """Derived families as carrier masks over one parent index.
 
 The spread kernels walk one ``(cell_masks, member sizes)`` index from a
-carrier bitmask, and filtered slices of a family skip re-validation.  Both
-are checked here against the member-list code they replaced, kept as
-test-local oracles: residue lists re-indexed per restriction, a carrier
-list per ``max_ratio_set`` jump, and a validated ``Family`` per greedy step.
+carrier bitmask, and filtered slices of a family skip re-validation and
+view their parent's index.  Both are checked here against the member-list
+code they replaced, kept as test-local oracles: a residue list per
+restriction and a carrier list per ``max_ratio_set`` jump, each counted by
+``_distinct_trace_counts`` over its own index, and a validated ``Family``
+per greedy step.
 """
 
 import random
@@ -19,8 +21,10 @@ from permemc import (
     derangements,
     double_derangements,
     enumerate_family,
+    exact_spreadness,
     family,
     graph,
+    is_r_spread,
     is_rq_spread,
     make_hm,
     make_hm_star_union,
@@ -33,30 +37,11 @@ from permemc import (
     symmetric_group,
     verify_approximation,
 )
-from permemc.core import cell_masks, sorted_cells
+from permemc.core import _root, sorted_cells
 from permemc.io import ParseError, parse_family
-from permemc.spread import _SUBSET_BUDGET, ApproximationResult, _compare_spreadness
+from permemc.spread import _SUBSET_BUDGET, ApproximationResult, _compare_spreadness, _distinct_trace_counts
 
 # -- the member-list oracles -------------------------------------------------
-
-
-def _list_counts(members, max_size=None, floor=1):
-    """|F(X)| >= floor per distinct X, walked over a fresh ``cell_masks(members)``."""
-    if sum(2 ** len(m) for m in members) > _SUBSET_BUDGET:
-        raise ValueError("family too large for exhaustive subset enumeration")
-    counts = {}
-
-    def walk(prefix, branches):
-        if max_size is not None and len(prefix) >= max_size:
-            return
-        while branches:
-            cell, carriers = branches.pop(0)
-            sub = prefix + (cell,)
-            counts[sub] = carriers.bit_count()
-            walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
-
-    walk((), [(c, m) for c, m in sorted(cell_masks(members).items()) if m.bit_count() >= floor])
-    return counts
 
 
 def _list_is_r_spread(members, r):
@@ -65,7 +50,7 @@ def _list_is_r_spread(members, r):
         raise ValueError("spreadness is undefined for the empty family")
     r = Fraction(r)
     total, top = len(members), max(map(len, members))
-    counts = _list_counts(members, None, total * r.denominator**top // r.numerator**top + 1)
+    counts = _distinct_trace_counts(members, None, total * r.denominator**top // r.numerator**top + 1)
     if not counts:
         return True, None, None
     pairs = set(zip(map(len, counts), counts.values()))
@@ -81,7 +66,7 @@ def _list_is_r_spread(members, r):
 
 def _list_is_rq_spread(members, r, q):
     """(is_spread, restriction, inner) from one residue list per restriction."""
-    for sub in [(), *sorted(_list_counts(members, q), key=lambda s: (len(s), s))]:
+    for sub in [(), *sorted(_distinct_trace_counts(members, q), key=lambda s: (len(s), s))]:
         cs = frozenset(sub)
         inner = _list_is_r_spread([m - cs for m in members if cs <= m], r)
         if not inner[0]:
@@ -112,7 +97,7 @@ def _list_max_ratio_set(members, rho):
         least = min((-(-total * rho.denominator**s // rho.numerator**s) for s in sizes), default=1)
         jumps = [
             (len(ext), ext)
-            for ext, cnt in _list_counts(carriers, None, least).items()
+            for ext, cnt in _distinct_trace_counts(carriers, None, least).items()
             if len(ext) >= 2 and qualifies(cnt, len(chosen) + len(ext))
         ]
         if not jumps:
@@ -299,13 +284,46 @@ def test_trusted_constructors_equal_validated_families():
                 apply_isomorphism(tuple(rng.sample(range(1, n + 1), n)), a, tuple(rng.sample(range(1, n + 1), n))),
                 subfamily_containing(a, picks[:1]),
                 subfamily_containing(a, picks),
+                subfamily_containing(subfamily_containing(a, picks[:1]), picks[1:]),
                 subfamily_containing_any(a, [picks[:1], picks[1:]]),
                 a.difference(b),
+                a.difference(subfamily_containing(a, picks[:1])),
+                subfamily_containing(a, picks[:1]).difference(b),
+                subfamily_containing(a, picks[:1]).difference(subfamily_containing(a, picks[1:])),
                 a.restrict(b.members),
                 a.union(b),
             ]
         for fam in built:
             _assert_as_validated(fam)
+
+
+def test_slices_of_slices_view_the_first_parent():
+    rng = random.Random(115)
+    a = _random_subfamily(rng, symmetric_group(5), 60)
+    b = subfamily_containing(a, [(1, 2)])
+    c = subfamily_containing_any(b, [[(2, 1)], [(3, 3)]])
+    column = subfamily_containing(a, [(3, 3)])  # overlaps b without lying in it
+    views = [b, c, b.difference(c), a.difference(c), b.difference(column)]
+    expected = [
+        [p for p in a if p[0] == 2],
+        [p for p in a if p[0] == 2 and (p[1] == 1 or p[2] == 3)],
+        [p for p in a if p[0] == 2 and p[1] != 1 and p[2] != 3],
+        [p for p in a if not (p[0] == 2 and (p[1] == 1 or p[2] == 3))],
+        [p for p in a if p[0] == 2 and p[2] != 3],
+    ]
+    for fam, members in zip(views, expected):
+        assert _root(fam)[0] is a and fam.members == tuple(members) and len(fam) > 0
+    # a slice of another parent is subtracted member by member
+    other = b.difference(subfamily_containing(symmetric_group(5), [(2, 1)]))
+    assert _root(other)[0] is other and other.members == tuple(p for p in b.members if p[1] != 1)
+    for fam in views + [other]:
+        _assert_as_validated(fam)
+        copy = Family(fam.n, fam.members)
+        for r in (1, Fraction(3, 2), 2, 3):
+            assert is_r_spread(fam, r, want_exact=True) == is_r_spread(copy, r, want_exact=True)
+            assert is_rq_spread(fam, r, 1) == is_rq_spread(copy, r, 1)
+            assert max_ratio_set(fam, r) == max_ratio_set(copy, r)
+        assert exact_spreadness(fam) == exact_spreadness(copy)
 
 
 def test_apply_isomorphism_rejects_non_permutations():
