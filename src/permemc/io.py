@@ -63,7 +63,7 @@ def parse_family(text: str, path: str = "<string>") -> Family:
         members.append(image)
     if n is None:
         raise ParseError(path, 1, "missing 'n=<int>' header")
-    return Family(n, tuple(members))
+    return Family._of(n, tuple(sorted(members)))  # every line was checked above
 
 
 def _read_text(path) -> str:

@@ -15,6 +15,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -40,8 +42,8 @@ E_UPPER = Fraction(27182818285, 10**10)
 def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
     """Exact maximum number of pairwise disjoint members, with the
     lexicographically least witness (``core.max_disjoint`` on the member
-    graphs and the family's cached cell index)."""
-    picks = max_disjoint(fam.graphs(), fam.cell_masks)
+    cells and the family's cached cell index)."""
+    picks = max_disjoint([tuple(enumerate(p, 1)) for p in fam.members], fam.cell_masks)
     return len(picks), tuple(fam.members[j] for j in picks)
 
 
@@ -49,34 +51,55 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     """Exact minimum set of cells meeting every member, with a witness.
 
     Candidate cells are the cells of members (a minimum cover never needs
-    others).  Sizes are tried in increasing order and, within a size,
-    combinations in row-major lexicographic order, so the witness returned
-    is the lexicographically least minimum cover.  The search floor is a
-    greedily found set of pairwise disjoint members, each of which must be
-    hit by a distinct cell.
+    others).  Sizes t are tried in increasing order from a floor, each by a
+    depth-first search over t-sets of cells in row-major lexicographic
+    order, so the witness returned is the lexicographically least minimum
+    cover.  Two prunings drop only branches holding no cover: the next cell
+    comes no later than the last cell of the lowest uncovered member (later
+    cells all miss it), and a branch ends when more greedily found pairwise
+    disjoint uncovered members remain than cells are left, since each needs
+    a cell of its own.  The same greedy count on the whole family is the
+    floor.  A member's meet mask (the members it shares a cell with) is read
+    off the cell index only for the members the greedy count picks.
     """
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
-    cell_mask = fam.cell_masks
+    n, members, cell_mask = fam.n, fam.members, fam.cell_masks
     cells = sorted(cell_mask)
+    masks = [cell_mask[c] for c in cells]
+    position = {c: i for i, c in enumerate(cells)}
     full = (1 << len(fam)) - 1
+    meets: dict[int, int] = {}
 
-    disjoint = disjoint_masks(fam.graphs(), cell_mask)
-    lower, cand = 0, full
-    while cand:  # greedy disjoint members force tau >= their number
-        lower += 1
-        cand &= disjoint[(cand & -cand).bit_length() - 1]
+    def packing(uncovered: int) -> int:
+        """Size of a greedy pairwise disjoint set of the uncovered members."""
+        count = 0
+        while uncovered:
+            j = (uncovered & -uncovered).bit_length() - 1
+            if j not in meets:
+                meets[j] = reduce(or_, (cell_mask[c] for c in enumerate(members[j], 1)))
+            uncovered &= ~meets[j]
+            count += 1
+        return count
 
-    for t in range(max(lower, 1), fam.n + 1):
-        for combo in itertools.combinations(cells, t):
-            covered = 0
-            for c in combo:
-                covered |= cell_mask[c]
-                if covered == full:
-                    break
-            if covered == full:
-                return t, combo
-    raise AssertionError("a family is always covered by n cells of any member")
+    def search(start: int, covered: int, left: int) -> tuple[Cell, ...] | None:
+        uncovered = full & ~covered
+        if not uncovered:
+            return ()
+        if packing(uncovered) > left:
+            return None
+        low = members[(uncovered & -uncovered).bit_length() - 1]
+        for i in range(start, position[(n, low[-1])] + 1):
+            rest = search(i + 1, covered | masks[i], left - 1)
+            if rest is not None:
+                return (cells[i], *rest)
+        return None
+
+    for t in range(packing(full), n + 1):
+        cover = search(0, 0, t)
+        if cover is not None:
+            return t, cover
+    raise AssertionError("a family is always covered by the n cells of one row")
 
 
 @dataclass(frozen=True)

@@ -108,20 +108,24 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     going to the lexicographically least X, where F is the trace of the
     carrier by ``skip`` as in ``_trace_counts``; None if no X is kept.
 
-    Given r, the walk keeps only the X that could violate r-spreadness: X of
-    k <= K cells (K the largest member size) violates iff |F(X)| num^k >
-    |F| den^k, and then X and all its subsets have |F(X)| > |F| (den/num)^K;
-    for r <= 1 none violates.  Otherwise it keeps every X that ranks with
-    the best single cell or ahead of it: with c that cell's count, an X of
-    k <= K cells does iff |F(X)| >= c^k/|F|^(k-1) >= c^K/|F|^(K-1)."""
+    The walk keeps every X that ranks with the best single cell or ahead of
+    it, as the worst offender does: with c that cell's count, an X of k <= K
+    cells (K the largest member size) does iff |F(X)| >= c^k/|F|^(k-1) >=
+    c^K/|F|^(K-1).  Given r, it keeps of those only the X that could violate
+    r-spreadness: X of k <= K cells violates iff |F(X)| num^k > |F| den^k,
+    and then X and all its subsets have |F(X)| > |F| (den/num)^K; for r <= 1
+    none violates.  So if any X violates, so does the worst offender, which
+    passes both floors; if none does, the report reads spread either way."""
     total = carrier.bit_count()
     top = max(k for k, m in index[1].items() if m & carrier) - len(skip)
+    # each cell's carriers, read once for c and handed to the walk as its index
+    singles = {cell: both for cell, m in index[0].items() if cell not in skip and (both := m & carrier)}
+    c = max(map(int.bit_count, singles.values()), default=1)
+    floor = -(-(c**top) // total ** max(top - 1, 0))
     if r is not None:
-        floor = total * r.denominator**top // r.numerator**top + 1
-    else:
-        c = max(((m & carrier).bit_count() for cell, m in index[0].items() if cell not in skip), default=0) or 1
-        floor = -(-(c**top) // total ** max(top - 1, 0))
-    counts = _trace_counts(index, carrier, skip, None, floor)
+        floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
+    kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
+    counts = _trace_counts((kept, index[1]), carrier, skip, None, floor)
     if not counts:
         return None
     # every X of one pair (|X|, |F(X)|) has the same value

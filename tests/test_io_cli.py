@@ -4,11 +4,12 @@ import json
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from permemc import family, symmetric_group
+from permemc import Family, family, symmetric_group
 from permemc.cli import main
 from permemc.io import (
     ParseError,
@@ -59,6 +60,20 @@ def test_family_duplicate_warns_and_dedups():
     with pytest.warns(UserWarning):
         fam = parse_family("n=3\n1 2 3\n1 2 3\n")
     assert len(fam) == 1
+
+
+def test_parse_family_equals_validated_family():
+    rng = random.Random(31)
+    members = list(symmetric_group(4).members)
+    rng.shuffle(members)
+    cases = [members[:10], members[:6] + members[2:5], []]
+    for image in cases:
+        text = "n=4\n" + "".join(" ".join(map(str, p)) + "\n" for p in image)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fam = parse_family(text)
+        assert len(caught) == len(image) - len(set(image))
+        assert fam == Family(4, tuple(image))
 
 
 def test_matrix_round_trip(tmp_path):

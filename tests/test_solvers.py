@@ -33,6 +33,7 @@ from permemc import (
     support_union_bound_sides,
     symmetric_group,
 )
+from permemc.core import disjoint_masks
 from permemc.solvers import coset_representative
 from permemc.verify import brute_nu, brute_tau
 
@@ -115,6 +116,39 @@ def test_tau_vs_exhaustive_500_and_tau_ge_nu():
         assert tau == brute_tau(fam)
         assert all(graph(p) & set(cover) for p in fam.members)
         assert tau >= matching_number(fam)[0]
+
+
+def _combinations_tau(fam):
+    """The unpruned covering search: every t-combination of member cells in
+    row-major lexicographic order, for t from a greedy disjoint-member floor
+    read off the full disjointness table."""
+    cell_mask = fam.cell_masks
+    full = (1 << len(fam)) - 1
+    disjoint = disjoint_masks(fam.graphs(), cell_mask)
+    lower, cand = 0, full
+    while cand:
+        lower += 1
+        cand &= disjoint[(cand & -cand).bit_length() - 1]
+    for t in range(lower, fam.n + 1):
+        for combo in itertools.combinations(sorted(cell_mask), t):
+            if functools.reduce(int.__or__, (cell_mask[c] for c in combo)) == full:
+                return t, combo
+
+
+def test_tau_pruned_search_matches_combinations_oracle():
+    rng = random.Random(12)
+    ambients = [symmetric_group(n) for n in (3, 4, 5, 6)] + [derangements(n) for n in (4, 5, 6)]
+    for ambient in ambients:
+        sizes = [1, len(ambient)] + [rng.randint(2, min(len(ambient), 30)) for _ in range(12)]
+        for size in sizes:
+            fam = _random_subfamily(rng, ambient, size)
+            assert covering_number(fam) == _combinations_tau(fam)
+
+
+def test_tau_pinned_sigma7_instance():
+    # the unpruned search scans all C(49,5) combinations, then C(49,6) ones up to the witness
+    fam = Family(7, random.Random(3).sample(symmetric_group(7).members, 40))
+    assert covering_number(fam) == (6, ((2, 2), (2, 3), (2, 6), (4, 6), (7, 2), (7, 6)))
 
 
 def test_coset_partition_structure():

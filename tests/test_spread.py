@@ -1,6 +1,7 @@
 """Spreadness calculus: exact checks, maximal-ratio sets, the greedy
 decomposition and its guarantees, and containment probabilities."""
 
+import functools
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from permemc import (
     trace,
     verify_approximation,
 )
+from permemc import spread
 from permemc.spread import _SUBSET_BUDGET, _distinct_trace_counts
 
 
@@ -159,6 +161,51 @@ def test_witness_ranking_matches_exact_oracle():
         else:
             assert not report.is_spread
             assert (report.restriction, report.inner.witness, report.inner.witness_ratio) == failing
+
+
+def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
+    """The worst-offender walk with the r-floor alone: every X that could
+    violate r-spreadness, ranked exactly, ties going to the least X."""
+    total = carrier.bit_count()
+    top = max(k for k, m in index[1].items() if m & carrier) - len(skip)
+    floor = total * r.denominator**top // r.numerator**top + 1
+    counts = spread._trace_counts(index, carrier, skip, None, floor)
+    if not counts:
+        return None
+    rank = functools.cmp_to_key(lambda a, b: spread._compare_spreadness(total, a, b))
+    best = min(((len(sub), cnt) for sub, cnt in counts.items()), key=rank)
+    return min((sub, cnt) for sub, cnt in counts.items() if spread._compare_spreadness(total, (len(sub), cnt), best) == 0)
+
+
+def test_worst_offender_floor_matches_r_floor_walk(monkeypatch):
+    rng = random.Random(29)
+    cases = []
+    for n, count in ((3, 8), (4, 16), (5, 12)):
+        ambient = symmetric_group(n)
+        cases += [(_random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 60))), ambient) for _ in range(count)]
+        cases.append((ambient, ambient))
+    for _ in range(30):
+        # raw cell sets of 0..6 cells, some empty, some repeated
+        sets = [
+            {(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))} for _ in range(rng.randint(1, 8))
+        ]
+        cases.append((sets + rng.sample(sets, rng.randint(0, len(sets))), None))
+
+    def reports():
+        out = []
+        for fam, ambient in cases:
+            for r in (Fraction(1, 2), 1, Fraction(6, 5), 2, 3):
+                out.append(is_r_spread(fam, r))
+                out += [is_rq_spread(fam, r, q) for q in (0, 1, 2)]
+                if ambient is not None:
+                    res = spread_approximate(fam, ambient, r, 2)
+                    out.append(verify_approximation(res, fam, ambient, r, 2))
+        return out
+
+    pruned = reports()
+    assert sum(not rep.is_spread for rep in pruned if not hasattr(rep, "ok")) > len(cases)
+    monkeypatch.setattr(spread, "_worst_offender", _r_floor_worst_offender)
+    assert reports() == pruned
 
 
 def test_spreadness_monotone():
