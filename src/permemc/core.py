@@ -294,18 +294,6 @@ def double_derangements(n: int, sigma: Perm) -> Family:
     return enumerate_family(n, "double_derangements", sigma)
 
 
-def disjoint_masks(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> list[int]:
-    """Bit j of entry i is set iff j != i and sets i and j share no cell.
-
-    Set i meets exactly the sets in the OR of its cells' masks in the cell
-    index (``cell_masks(sets)`` unless a Family passes its cached one), so
-    an empty set is disjoint from every other set but not from itself.
-    """
-    index = cell_masks(sets) if index is None else index
-    full = (1 << len(sets)) - 1
-    return [full & ~reduce(or_, (index[c] for c in cells), 1 << i) for i, cells in enumerate(sets)]
-
-
 def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> tuple[int, ...]:
     """Indices of a largest pairwise disjoint subcollection of cell sets.
 
@@ -314,10 +302,13 @@ def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None =
     of a row, so at most (row cells meeting the candidates) + (candidates
     without a cell in the row) can join; the bound is the least such sum
     over rows, on permutation graphs the fewest distinct images at one
-    position.  ``index`` is as for ``disjoint_masks``.
+    position.  ``index`` is ``cell_masks(sets)`` unless a Family passes its
+    cached one.  The root loop branches on every set, so every set's
+    disjointness mask is built up front; an empty set meets only itself.
     """
     index = cell_masks(sets) if index is None else index
-    disjoint = disjoint_masks(sets, index)
+    full = (1 << len(sets)) - 1
+    disjoint = [full & ~reduce(or_, (index[c] for c in cells), 1 << i) for i, cells in enumerate(sets)]
     by_row: dict[int, list[int]] = {}
     for (r, _), mask in index.items():
         by_row.setdefault(r, []).append(mask)
@@ -341,7 +332,7 @@ def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None =
             rec(cand & disjoint[j])
             chosen.pop()
 
-    rec((1 << len(sets)) - 1)
+    rec(full)
     return tuple(best)
 
 

@@ -179,11 +179,11 @@ def save_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def family_json(fam: Family, inline_limit: int = 1000, spill_dir: str | None = None, name: str = "family") -> dict:
-    """Inline small families; spill large ones to a referenced family file."""
-    if len(fam) <= inline_limit:
+def family_json(fam: Family, name: str = "family") -> dict:
+    """Inline up to 1,000 members; spill a larger family to
+    ``<name>.family.txt`` in the working directory and reference that file."""
+    if len(fam) <= 1000:
         return {"n": fam.n, "size": len(fam), "members": [list(p) for p in fam.members]}
-    directory = spill_dir or os.getcwd()
-    path = os.path.join(directory, f"{name}.family.txt")
+    path = os.path.join(os.getcwd(), f"{name}.family.txt")
     save_family(fam, path)
     return {"n": fam.n, "size": len(fam), "file": path}

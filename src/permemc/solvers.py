@@ -24,11 +24,10 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
-    disjoint_masks,
+    cell_masks,
     is_derangement,
     max_disjoint,
     set_matching_number,
-    sorted_cells,
     subfamily_containing_any,
 )
 from .counting import pointed_derangement_count
@@ -191,10 +190,14 @@ def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -
 
     Collections are branched in (size, index) order and candidates in
     collection order, so the picks are the first pairwise disjoint tuple
-    of ``itertools.product`` over the collections in that order.
+    of ``itertools.product`` over the collections in that order.  A pick's
+    meet mask (the sets it shares a cell with, itself included) is read off
+    the cell index the first time the pick is tried, so no N x N table is
+    built.
     """
     flat = [cells for coll in collections for cells in coll]
-    disjoint = disjoint_masks(flat)
+    index = cell_masks(flat)
+    meets: dict[int, int] = {}
     starts = list(itertools.accumulate(map(len, collections), initial=0))
     order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
     picks = [0] * len(collections)
@@ -208,7 +211,9 @@ def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -
             j = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             picks[i] = j - starts[i]
-            if rec(level + 1, allowed & disjoint[j]):
+            if j not in meets:
+                meets[j] = reduce(or_, (index[c] for c in flat[j]), 1 << j)
+            if rec(level + 1, allowed & ~meets[j]):
                 return True
         return False
 
@@ -228,7 +233,7 @@ def cross_matching(families: Sequence[Family]):
     n = families[0].n
     if any(f.n != n for f in families):
         raise DimensionMismatch("families over different [n]")
-    picks = _disjoint_representatives([f.graphs() for f in families])
+    picks = _disjoint_representatives([[tuple(enumerate(p, 1)) for p in f.members] for f in families])
     if picks is None:
         return None
     return tuple(f.members[k] for f, k in zip(families, picks))
@@ -251,19 +256,6 @@ class CrossFreeClassification:
     union_size: int
     size_bound: Fraction
     size_holds: bool
-
-    def to_json(self) -> dict:
-        from .io import fraction_json
-
-        return {
-            "alternative": self.alternative,
-            "details": {
-                "containment_witnesses": list(self.containment_witnesses),
-                "union_size": self.union_size,
-                "size_bound": fraction_json(self.size_bound),
-                "size_holds": self.size_holds,
-            },
-        }
 
 
 def classify_cross_free_families(
@@ -327,19 +319,6 @@ class DisjointRepresentativesCheck:
     representatives: tuple | None
     implication_held: bool | None  # None when the hypothesis is vacuous
 
-    def to_json(self) -> dict:
-        from .io import cells_json, fraction_json
-
-        return {
-            "probabilities": [fraction_json(p) for p in self.probabilities],
-            "threshold": fraction_json(self.threshold),
-            "hypothesis_met": self.hypothesis_met,
-            "representatives": None
-            if self.representatives is None
-            else [cells_json(sorted_cells(a)) for a in self.representatives],
-            "implication_held": self.implication_held,
-        }
-
 
 def containment_implies_matching_check(
     bases: Sequence[Sequence[Iterable[Cell]]], s: int, p
@@ -390,29 +369,6 @@ class SupportBoundSides:
     corollary_holds: bool
     corollary_applicable: bool
     hypothesis_met: bool | None
-
-    def to_json(self) -> dict:
-        from .io import fraction_json
-
-        return {
-            "trivial": self.trivial,
-            "maximal": self.maximal,
-            "maximality_violation": None
-            if self.maximality_violation is None
-            else [list(map(list, sorted_cells(x))) for x in self.maximality_violation],
-            "singleton_count": self.singleton_count,
-            "matching_ok": self.matching_ok,
-            "lhs": self.lhs,
-            "singleton_union_size": self.singleton_union_size,
-            "max_star_size": self.max_star_size,
-            "max_star_cell": None if self.max_star_cell is None else list(self.max_star_cell),
-            "rhs": fraction_json(self.rhs),
-            "holds": self.holds,
-            "corollary_rhs": fraction_json(self.corollary_rhs),
-            "corollary_holds": self.corollary_holds,
-            "corollary_applicable": self.corollary_applicable,
-            "hypothesis_met": self.hypothesis_met,
-        }
 
 
 def support_union_bound_sides(

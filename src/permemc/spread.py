@@ -278,16 +278,16 @@ class ApproximationResult:
     branches: dict = field(compare=False)
     stop_set: PartialPerm | None = None
 
-    def to_json(self, inline_limit: int = 1000, spill_dir: str | None = None) -> dict:
+    def to_json(self) -> dict:
         from .io import cells_json, family_json
 
         return {
             "supports": [cells_json(sorted_cells(s)) for s in self.supports],
-            "remainder": family_json(self.remainder, inline_limit, spill_dir, "remainder"),
+            "remainder": family_json(self.remainder, "remainder"),
             "branches": [
                 {
                     "support": cells_json(sorted_cells(s)),
-                    "family": family_json(f, inline_limit, spill_dir, f"branch{i}"),
+                    "family": family_json(f, f"branch{i}"),
                 }
                 for i, (s, f) in enumerate(self.branches.items())
             ],

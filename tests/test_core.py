@@ -29,7 +29,7 @@ from permemc import (
     symmetric_group,
     trace,
 )
-from permemc.core import ENUMERATION_CAP, disjoint_masks, max_disjoint
+from permemc.core import ENUMERATION_CAP, max_disjoint
 from permemc.verify import brute_nu
 
 
@@ -300,15 +300,16 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         assert picks == least
 
 
-def test_disjoint_masks_match_pairwise_scan():
-    rng = random.Random(33)
-    for _ in range(200):
-        sets = _random_cell_sets(rng)
-        expected = [
-            sum(1 << j for j, b in enumerate(sets) if j != i and not (a & b))
-            for i, a in enumerate(sets)
-        ]
-        assert disjoint_masks(sets) == expected
-    fam = derangements(5)
-    graphs = fam.graphs()
-    assert disjoint_masks(graphs, fam.cell_masks) == disjoint_masks(graphs)
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: intersects((1, 2), (1, 2, 3)), DimensionMismatch, r"permutations of \[2\] and \[3\]"),
+        (lambda: symmetric_group(2).union(symmetric_group(3)), DimensionMismatch, r"different \[n\]"),
+        (lambda: double_derangements(3, (1, 1, 2)), ValueError, "sigma is not a permutation"),
+        (lambda: double_derangements(3, (1, 2)), ValueError, "sigma is not a permutation"),
+    ],
+    ids=["intersects-mixed-n", "union-mixed-n", "double-derangements-repeated-sigma", "double-derangements-short-sigma"],
+)
+def test_bad_inputs_fail_cleanly(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -415,3 +415,19 @@ def test_counts_reject_cells_outside_the_grid():
         derangement_containment_count(5, {(7, 8)})
     with pytest.raises(ValueError):
         double_derangement_count(4, (2, 1, 4, 3), [(1, 5)])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: double_derangement_count(3, (1, 1, 2)), "sigma is not a permutation"),
+        (lambda: derangement_count_inclusion_exclusion(-1), "non-negative"),
+        (lambda: round_factorial_over_e(0), "n >= 1"),
+        (lambda: near_full_permanent_check([[1, 1, 1]] * 3), "N >= 4"),
+        (lambda: cycle_cover_zero_matrix([1]), "parts must be >= 2"),
+    ],
+    ids=["double-derangement-count-bad-sigma", "inclusion-exclusion-negative", "round-n0", "near-full-n3", "cycle-part-1"],
+)
+def test_bad_inputs_fail_cleanly(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

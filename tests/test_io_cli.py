@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from permemc import Family, family, symmetric_group
+from permemc import Family, family, make_star_union, symmetric_group
 from permemc.cli import main
 from permemc.io import (
     ParseError,
@@ -92,6 +92,39 @@ def test_matrix_parse_errors():
         parse_matrix("N=2\n0 2\n1 0\n")  # non-binary
 
 
+@pytest.mark.parametrize(
+    "parse, text, error, match",
+    [
+        (parse_matrix, "N=x\n1\n", ParseError, "bad N value"),
+        (parse_matrix, "N=0\n", ParseError, "N must be positive"),
+        (parse_matrix, "N=2\n1 a\n0 1\n", ParseError, "non-integer token"),
+        (parse_matrix, "1 0\n0 1\n", ParseError, "expected header"),
+        (parse_matrix, "# no header\n", ParseError, "missing 'N=<int>' header"),
+        (parse_partial_permutation, "1:x", ValueError, "expected integers"),
+    ],
+    ids=["matrix-bad-N", "matrix-N-0", "matrix-non-integer", "matrix-header-not-first", "matrix-no-header", "cell-non-integer"],
+)
+def test_bad_inputs_fail_cleanly(parse, text, error, match, tmp_path, capsys):
+    with pytest.raises(error, match=match):
+        parse(text)
+    if parse is parse_matrix:  # the permanent command reads matrix files
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, out, err = _run(["permanent", "--matrix", str(path)], capsys)
+        assert code == 3 and out == "" and match in err and "Traceback" not in err
+
+
+def test_verify_unknown_suite_fails_cleanly(capsys):
+    from permemc import verify
+
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice" in err and "Traceback" not in err
+
+
 def test_partial_permutation_literal():
     cells = parse_partial_permutation("1:2,3:4")
     assert cells == frozenset({(1, 2), (3, 4)})
@@ -117,15 +150,28 @@ def test_save_report(tmp_path):
     assert json.loads(path.read_text()) == {"a": [1, 2], "b": 1}
 
 
-def test_family_json_inline_and_spill(tmp_path):
+def test_family_json_inline_and_spill(tmp_path, monkeypatch):
     from permemc.io import family_json
 
+    monkeypatch.chdir(tmp_path)
     fam = symmetric_group(3)
     inline = family_json(fam)
     assert inline["size"] == 6 and len(inline["members"]) == 6
-    spilled = family_json(fam, inline_limit=2, spill_dir=str(tmp_path), name="big")
-    assert "members" not in spilled
-    assert load_family(spilled["file"]) == fam
+    big = symmetric_group(7)
+    spilled = family_json(big, name="big")
+    assert spilled == {"n": 7, "size": 5040, "file": str(tmp_path / "big.family.txt")}
+    assert load_family(spilled["file"]) == big
+
+
+def test_cli_extremal_spills_large_family_to_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(["extremal", "--kind", "stars", "--n", "7", "--s", "3"], capsys)
+    assert code == 0
+    spilled = json.loads(out)["family"]
+    assert "members" not in spilled and spilled["size"] == 1440
+    assert spilled["file"] == str(tmp_path / "family.family.txt")
+    fam = load_family(tmp_path / "family.family.txt")
+    assert fam == make_star_union(7, [(1, 1), (1, 2)]).family
 
 
 def _run(args, capsys):

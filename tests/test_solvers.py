@@ -4,11 +4,13 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from permemc import (
+    DimensionMismatch,
     Family,
     apply_isomorphism,
     classify_cross_free_families,
@@ -24,6 +26,7 @@ from permemc import (
     identity,
     intersects,
     inverse,
+    is_partial_permutation,
     make_hm,
     make_star,
     make_star_union,
@@ -33,8 +36,8 @@ from permemc import (
     support_union_bound_sides,
     symmetric_group,
 )
-from permemc.core import disjoint_masks
-from permemc.solvers import coset_representative
+from permemc.core import max_disjoint
+from permemc.solvers import _disjoint_representatives, coset_representative
 from permemc.verify import brute_nu, brute_tau
 
 
@@ -86,6 +89,16 @@ def test_nu_vs_exhaustive_500():
         assert all(not intersects(a, b) for a, b in itertools.combinations(witness, 2))
 
 
+def test_matching_number_cached_index_matches_fresh_index():
+    rng = random.Random(34)
+    ambients = [symmetric_group(4), symmetric_group(5), derangements(5), derangements(6)]
+    for _ in range(120):
+        ambient = rng.choice(ambients)
+        fam = _random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 40)))
+        fresh = max_disjoint(fam.graphs())
+        assert matching_number(fam) == (len(fresh), tuple(fam.members[j] for j in fresh))
+
+
 def test_tau_star_is_center():
     tau, cover = covering_number(make_star(4, (2, 3)))
     assert tau == 1 and cover == ((2, 3),)
@@ -121,14 +134,14 @@ def test_tau_vs_exhaustive_500_and_tau_ge_nu():
 def _combinations_tau(fam):
     """The unpruned covering search: every t-combination of member cells in
     row-major lexicographic order, for t from a greedy disjoint-member floor
-    read off the full disjointness table."""
+    found by a pairwise scan."""
     cell_mask = fam.cell_masks
     full = (1 << len(fam)) - 1
-    disjoint = disjoint_masks(fam.graphs(), cell_mask)
-    lower, cand = 0, full
+    graphs = fam.graphs()
+    lower, cand = 0, list(range(len(fam)))
     while cand:
         lower += 1
-        cand &= disjoint[(cand & -cand).bit_length() - 1]
+        cand = [k for k in cand[1:] if not graphs[cand[0]] & graphs[k]]
     for t in range(lower, fam.n + 1):
         for combo in itertools.combinations(sorted(cell_mask), t):
             if functools.reduce(int.__or__, (cell_mask[c] for c in combo)) == full:
@@ -321,6 +334,66 @@ def test_cross_matching_vs_brute():
         assert got == brute
         found += got is not None
     assert 50 <= found <= 250, found
+
+
+def _random_collections(rng):
+    """Up to 4 collections of up to 4 cell sets in a 4x4 grid: empty sets,
+    sets repeated across collections, row or column clashes, and empty
+    collections mixed in."""
+    pool, collections = [], []
+    for _ in range(rng.randint(0, 4)):
+        coll = []
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.1:
+                cells = frozenset()
+            elif roll < 0.3 and pool:
+                cells = rng.choice(pool)
+            else:
+                cells = frozenset((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+            pool.append(cells)
+            coll.append(cells)
+        collections.append(coll)
+    return collections
+
+
+def test_disjoint_representatives_match_product_scan():
+    rng = random.Random(35)
+    shapes = {"none": 0, "empty_collection": 0, "empty_set": 0, "shared": 0, "clash": 0, "found": 0, "missing": 0}
+    for _ in range(1500):
+        colls = _random_collections(rng)
+        # the first pairwise disjoint tuple of the product in (size, index) order
+        order = sorted(range(len(colls)), key=lambda i: (len(colls[i]), i))
+        brute = None
+        for combo in itertools.product(*[range(len(colls[i])) for i in order]):
+            chosen = [colls[i][k] for i, k in zip(order, combo)]
+            if all(not (a & b) for a, b in itertools.combinations(chosen, 2)):
+                brute = [k for _, k in sorted(zip(order, combo))]
+                break
+        got = _disjoint_representatives(colls)
+        assert got == brute
+        sets = [cells for coll in colls for cells in coll]
+        shapes["none"] += not colls
+        shapes["empty_collection"] += any(not coll for coll in colls)
+        shapes["empty_set"] += frozenset() in sets
+        shapes["shared"] += any(set(a) & set(b) for a, b in itertools.combinations(colls, 2))
+        shapes["clash"] += any(not is_partial_permutation(cells) for cells in sets)
+        shapes["found"] += got is not None and bool(colls)
+        shapes["missing"] += got is None
+    assert all(v >= 50 for v in shapes.values()), shapes
+
+
+def test_cross_matching_three_sigma8_stars_in_bounded_memory():
+    stars = [make_star(8, c) for c in ((1, 2), (2, 3), (3, 1))]
+    tracemalloc.start()
+    try:
+        witness = cross_matching(stars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == ((2, 1, 3, 4, 5, 6, 7, 8), (1, 3, 2, 5, 4, 7, 8, 6), (3, 2, 1, 6, 7, 8, 4, 5))
+    # an N x N disjointness table over the 15,120 members alone takes about 28 MiB
+    assert peak < 16 * 2**20, peak
 
 
 def test_classify_pinned_containment_both():
@@ -542,3 +615,35 @@ def test_isomorphism_preserves_nu_tau_with_certificates():
         mapped = apply_isomorphism(rho, family(4, wit1), pi)
         assert all(not intersects(a, b) for a, b in itertools.combinations(mapped.members, 2))
         assert covering_number(fam)[0] == covering_number(image)[0]
+
+
+@pytest.mark.parametrize(
+    "families, cells, error, match",
+    [
+        ([Family(4, ())], [], ValueError, "one cell per family"),
+        ([Family(4, ()), Family(4, ())], [(1, 2), (1, 2)], ValueError, "cells must be distinct"),
+        ([], [], ValueError, "at least one family"),
+        ([Family(4, ()), Family(5, ())], [(1, 2), (2, 1)], DimensionMismatch, r"different \[n\]"),
+        ([Family(4, ()), Family(4, ())], [(1, 1), (1, 2)], ValueError, "diagonal"),
+    ],
+    ids=["cell-count-mismatch", "repeated-cells", "no-families", "mixed-n", "diagonal-cell"],
+)
+def test_classify_bad_inputs_fail_cleanly(families, cells, error, match):
+    with pytest.raises(error, match=match):
+        classify_cross_free_families(families, cells)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: containment_implies_matching_check([[{(1, 1)}]], 2, Fraction(1, 10)), "exactly s"),
+        (lambda: support_union_bound_sides(symmetric_group(3), [], 1, 2), "must be nonempty"),
+        (lambda: star_union_slack_sides(symmetric_group(3), symmetric_group(3), 1), "s must be at least 2"),
+        # C(36, 8) cell combinations of Σ_6 against a budget of 2,000,000
+        (lambda: star_union_slack_sides(symmetric_group(6), symmetric_group(6), 9), "too large"),
+    ],
+    ids=["upclosed-wrong-count", "support-sides-no-supports", "star-slack-s1", "star-slack-over-budget"],
+)
+def test_bad_inputs_fail_cleanly(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -687,3 +687,29 @@ def test_spread_lemma_bound_vacuous():
     for n in range(3, 11):
         delta = Fraction(1, 16 * max(1, math.ceil(math.log2(2 * n))))
         assert spread_lemma_bound(n, Fraction(45, 10), math.log2(2 * n), delta) is None
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: exact_spreadness(Family(3, ())), "empty family"),
+        (lambda: exact_spreadness([frozenset()]), "every member is empty"),
+        (lambda: max_ratio_set(Family(3, ()), 2), "empty family"),
+        (lambda: max_ratio_set(symmetric_group(3), 0), "rho must be positive"),
+        (lambda: max_ratio_set(symmetric_group(3), Fraction(-1, 2)), "rho must be positive"),
+        (lambda: containment_probability(symmetric_group(3), Fraction(1, 2), mode="x"), "unknown mode"),
+        (lambda: spread_lemma_bound(0, 8, 1, 1), "k must be at least 1"),
+    ],
+    ids=[
+        "spreadness-empty-family",
+        "spreadness-empty-member",
+        "max-ratio-empty-family",
+        "max-ratio-rho-0",
+        "max-ratio-rho-negative",
+        "containment-unknown-mode",
+        "lemma-bound-k0",
+    ],
+)
+def test_bad_inputs_fail_cleanly(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
