@@ -56,12 +56,6 @@ def _emit(payload: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _default_sigma(n: int, s: int) -> tuple[int, ...]:
-    """Lexicographically least permutation with sigma(1) = s."""
-    rest = [v for v in range(1, n + 1) if v != s]
-    return tuple([s] + rest)
-
-
 def cmd_counts(args) -> int:
     n = args.n
     payload = {
@@ -164,10 +158,10 @@ def cmd_extremal(args) -> int:
         union = construct.make_star_union(n, [(1, c + 1) for c in range(1, s)], derangement=True)
         fam, disjoint = union.family, union.pairwise_disjoint
     elif args.kind == "hm":
-        sigma = sigma or _default_sigma(n, 2)
+        sigma = sigma or next(construct._star(n, 1, 2))  # the least p with p(1) = 2
         fam = construct.make_hm(n, sigma)
     else:  # theorem3
-        sigma = sigma or _default_sigma(n, s)
+        sigma = sigma or next(construct._star(n, 1, s))  # the least p with p(1) = s
         fam = construct.make_hm_star_union(n, s, sigma)
     nu, _ = solvers.matching_number(fam)
     tau, _ = solvers.covering_number(fam) if len(fam) else (None, ())

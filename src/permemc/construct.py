@@ -3,41 +3,42 @@ Hilton-Milner style families, plus the two-sided isomorphism action."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from operator import eq
 
 from .core import (
     Cell,
     DimensionMismatch,
     Family,
     Perm,
+    _check_cap,
     compose,
-    enumerate_family,
-    intersects,
     inverse,
+    is_derangement,
     is_permutation,
 )
 from .counting import pointed_derangement_count
 
 
+def _star(n: int, x: int, y: int):
+    """Σ_n[(x, y)] in lexicographic order: y sits at position x and the
+    other values are permuted lexicographically around it."""
+    _check_cap(n)
+    rest = itertools.permutations(v for v in range(1, n + 1) if v != y)
+    return (q[: x - 1] + (y,) + q[x - 1 :] for q in rest)
+
+
 def make_star(n: int, cell: Cell) -> Family:
     """The star Σ_n[(x, y)]: all permutations mapping x to y; size (n-1)!."""
-    x, y = cell
-    if not (1 <= x <= n and 1 <= y <= n):
-        raise ValueError(f"cell {cell} outside [{n}]^2")
-    full = enumerate_family(n)
-    return Family._of(n, tuple(p for p in full if p[x - 1] == y))
+    return make_star_union(n, [cell]).family
 
 
 def derangement_star(n: int, cell: Cell) -> Family:
     """D_n[(x, y)]: derangements through one off-diagonal cell; size d_{n,1}."""
-    x, y = cell
-    if x == y:
-        raise ValueError("derangement star needs an off-diagonal cell")
-    if not (1 <= x <= n and 1 <= y <= n):
-        raise ValueError(f"cell {cell} outside [{n}]^2")
-    ders = enumerate_family(n, "derangements")
-    return Family._of(n, tuple(p for p in ders if p[x - 1] == y))
+    return make_star_union(n, [cell], derangement=True).family
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,10 @@ class StarUnion:
 def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     """Union of full stars (or derangement stars) with the given centers.
 
-    Also reports whether the stars are pairwise disjoint as families, which
-    for full stars happens exactly when the centers share a row with
-    distinct columns or share a column with distinct rows.
+    The stars are generated sorted and merged.  Also reports whether they
+    are pairwise disjoint as families (the union is as large as the stars
+    together), which for full stars happens exactly when the centers share
+    a row with distinct columns or share a column with distinct rows.
     """
     centers = tuple(sorted((int(x), int(y)) for x, y in cells))
     if len(set(centers)) != len(centers):
@@ -62,11 +64,9 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     for cell in centers:
         if not all(1 <= v <= n for v in cell):
             raise ValueError(f"cell {cell} outside [{n}]^2")
-    ambient = enumerate_family(n, "derangements" if derangement else "all") if centers else ()
-    hits = [sum(p[x - 1] == y for x, y in centers) for p in ambient]
-    # the stars are pairwise disjoint iff no member lies in two of them
-    fam = Family._of(n, tuple(p for p, k in zip(ambient, hits) if k))
-    return StarUnion(fam, centers, max(hits, default=0) <= 1)
+    stars = [tuple(p for p in _star(n, x, y) if not derangement or is_derangement(p)) for x, y in centers]
+    members = tuple(p for p, _ in itertools.groupby(heapq.merge(*stars)))  # merged in order, repeats dropped
+    return StarUnion(Family._of(n, members), centers, len(members) == sum(map(len, stars)))
 
 
 def make_hm(n: int, sigma: Perm) -> Family:
@@ -83,7 +83,8 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
 
     The union of the stars Σ_n[(1, i)] for i = 2..s-1 with make_hm(n, sigma);
     requires 2 <= s, s - 1 <= n and sigma(1) outside [s-1].  For s = 2 this
-    is exactly make_hm.  Size (s-1)(n-1)! - d_{n,1} + 1.
+    is exactly make_hm.  Size (s-1)(n-1)! - d_{n,1} + 1.  The blocks (pinned,
+    stars, sigma) start with 1, 2..s-1 and sigma(1) >= s, so come out sorted.
     """
     sigma = tuple(sigma)
     if s < 2:
@@ -94,9 +95,9 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
         raise ValueError(f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
-    full = enumerate_family(n)
-    members = (p for p in full if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma)))
-    return Family._of(n, tuple(members))
+    pinned = (p for p in _star(n, 1, 1) if any(map(eq, p, sigma)))
+    stars = itertools.chain.from_iterable(_star(n, 1, i) for i in range(2, s))
+    return Family._of(n, (*pinned, *stars, sigma))
 
 
 def expected_hm_star_union_size(n: int, s: int) -> int:

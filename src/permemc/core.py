@@ -294,6 +294,11 @@ def double_derangements(n: int, sigma: Perm) -> Family:
     return enumerate_family(n, "double_derangements", sigma)
 
 
+def _check_disjoint_cap(count: int) -> None:
+    if count > 1 << 17:  # max_disjoint's table of one count-bit mask per set would pass 2 GiB
+        raise ValueError(f"matching search refused for {count} sets (cap {1 << 17}: one {count}-bit mask per set)")
+
+
 def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> tuple[int, ...]:
     """Indices of a largest pairwise disjoint subcollection of cell sets.
 
@@ -304,8 +309,10 @@ def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None =
     over rows, on permutation graphs the fewest distinct images at one
     position.  ``index`` is ``cell_masks(sets)`` unless a Family passes its
     cached one.  The root loop branches on every set, so every set's
-    disjointness mask is built up front; an empty set meets only itself.
+    disjointness mask is built up front (above 2^17 sets it refuses, see
+    ``_check_disjoint_cap``); an empty set meets only itself.
     """
+    _check_disjoint_cap(len(sets))
     index = cell_masks(sets) if index is None else index
     full = (1 << len(sets)) - 1
     disjoint = [full & ~reduce(or_, (index[c] for c in cells), 1 << i) for i, cells in enumerate(sets)]

@@ -25,44 +25,46 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _content_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
+def _read_rows(text: str, path, key: str):
+    """Yield the value of the ``<key>=<int>`` header, then (line number,
+    line, integer row) for each later line; blank and ``#`` lines are
+    skipped, and every line is checked as it is read."""
+    n = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield i, line
+        if n is not None:
+            try:
+                yield line_no, line, tuple(int(tok) for tok in line.split())
+            except ValueError:
+                raise ParseError(path, line_no, f"non-integer token in {line!r}") from None
+            continue
+        if not line.startswith(f"{key}="):
+            raise ParseError(path, line_no, f"expected header '{key}=<int>'")
+        try:
+            n = int(line[2:])
+        except ValueError:
+            raise ParseError(path, line_no, f"bad {key} value {line[2:]!r}") from None
+        if n < 1:
+            raise ParseError(path, line_no, f"{key} must be positive")
+        yield n
+    if n is None:
+        raise ParseError(path, 1, f"missing '{key}=<int>' header")
 
 
 def parse_family(text: str, path: str = "<string>") -> Family:
-    n = None
-    members = []
-    seen = set()
-    for line_no, line in _content_lines(text):
-        if n is None:
-            if not line.startswith("n="):
-                raise ParseError(path, line_no, "expected header 'n=<int>'")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(path, line_no, f"bad n value {line[2:]!r}") from None
-            if n < 1:
-                raise ParseError(path, line_no, "n must be positive")
-            continue
-        try:
-            image = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer token in {line!r}") from None
+    rows = _read_rows(text, path, "n")
+    n = next(rows)
+    members = set()
+    for line_no, line, image in rows:
         if len(image) != n:
             raise ParseError(path, line_no, f"expected {n} images, got {len(image)}")
         if sorted(image) != list(range(1, n + 1)):
             raise ParseError(path, line_no, f"not a permutation of [{n}]: {line!r}")
-        if image in seen:
+        if image in members:
             warnings.warn(f"{path}:{line_no}: duplicate permutation ignored", stacklevel=2)
-            continue
-        seen.add(image)
-        members.append(image)
-    if n is None:
-        raise ParseError(path, 1, "missing 'n=<int>' header")
+        members.add(image)
     return Family._of(n, tuple(sorted(members)))  # every line was checked above
 
 
@@ -81,10 +83,12 @@ def load_family(path) -> Family:
     return parse_family(_read_text(path), str(path))
 
 
+def _format_rows(key: str, n: int, rows) -> str:
+    return "\n".join([f"{key}={n}", *(" ".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def format_family(fam: Family) -> str:
-    lines = [f"n={fam.n}"]
-    lines.extend(" ".join(str(v) for v in p) for p in fam.members)
-    return "\n".join(lines) + "\n"
+    return _format_rows("n", fam.n, fam.members)
 
 
 def save_family(fam: Family, path) -> None:
@@ -93,33 +97,18 @@ def save_family(fam: Family, path) -> None:
 
 
 def parse_matrix(text: str, path: str = "<string>") -> ZeroOneMatrix:
-    n = None
-    rows = []
-    for line_no, line in _content_lines(text):
-        if n is None:
-            if not line.startswith("N="):
-                raise ParseError(path, line_no, "expected header 'N=<int>'")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(path, line_no, f"bad N value {line[2:]!r}") from None
-            if n < 1:
-                raise ParseError(path, line_no, "N must be positive")
-            continue
-        try:
-            row = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer token in {line!r}") from None
+    rows = _read_rows(text, path, "N")
+    n = next(rows)
+    matrix = []
+    for line_no, _, row in rows:
         if len(row) != n:
             raise ParseError(path, line_no, f"expected {n} entries, got {len(row)}")
         if any(v not in (0, 1) for v in row):
             raise ParseError(path, line_no, "entries must be 0 or 1")
-        rows.append(row)
-    if n is None:
-        raise ParseError(path, 1, "missing 'N=<int>' header")
-    if len(rows) != n:
-        raise ParseError(path, 1, f"expected {n} rows, got {len(rows)}")
-    return ZeroOneMatrix(tuple(rows))
+        matrix.append(row)
+    if len(matrix) != n:
+        raise ParseError(path, 1, f"expected {n} rows, got {len(matrix)}")
+    return ZeroOneMatrix(tuple(matrix))
 
 
 def load_matrix(path) -> ZeroOneMatrix:
@@ -127,10 +116,8 @@ def load_matrix(path) -> ZeroOneMatrix:
 
 
 def save_matrix(matrix: ZeroOneMatrix, path) -> None:
-    lines = [f"N={matrix.n}"]
-    lines.extend(" ".join(str(v) for v in row) for row in matrix.rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_format_rows("N", matrix.n, matrix.rows))
 
 
 def parse_partial_permutation(literal: str, n: int | None = None) -> PartialPerm:
@@ -181,9 +168,15 @@ def save_report(report: dict, path) -> None:
 
 def family_json(fam: Family, name: str = "family") -> dict:
     """Inline up to 1,000 members; spill a larger family to
-    ``<name>.family.txt`` in the working directory and reference that file."""
+    ``<name>-<hash>.family.txt`` in the working directory and reference that
+    file.  The hash is the first 12 hex digits of the sha256 of the file's
+    text, so equal families share a file and different ones never collide."""
     if len(fam) <= 1000:
         return {"n": fam.n, "size": len(fam), "members": [list(p) for p in fam.members]}
-    path = os.path.join(os.getcwd(), f"{name}.family.txt")
-    save_family(fam, path)
+    import hashlib  # imported here: only a spill needs it
+
+    text = format_family(fam)
+    path = os.path.join(os.getcwd(), f"{name}-{hashlib.sha256(text.encode()).hexdigest()[:12]}.family.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return {"n": fam.n, "size": len(fam), "file": path}

@@ -24,6 +24,7 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
+    _check_disjoint_cap,
     cell_masks,
     is_derangement,
     max_disjoint,
@@ -39,9 +40,10 @@ E_UPPER = Fraction(27182818285, 10**10)
 
 
 def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
-    """Exact maximum number of pairwise disjoint members, with the
-    lexicographically least witness (``core.max_disjoint`` on the member
-    cells and the family's cached cell index)."""
+    """Exact maximum number of pairwise disjoint members and the lexicographically
+    least witness, by ``core.max_disjoint`` on the member cells and cached index;
+    above 2^17 members it refuses before building either (``_check_disjoint_cap``)."""
+    _check_disjoint_cap(len(fam))
     picks = max_disjoint([tuple(enumerate(p, 1)) for p in fam.members], fam.cell_masks)
     return len(picks), tuple(fam.members[j] for j in picks)
 

@@ -32,6 +32,7 @@ from .core import (
 EXACT_CELL_CAP = 24
 #: Subset enumeration guard for exhaustive spreadness checks.
 _SUBSET_BUDGET = 6_000_000
+_SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded
 
 
 def _index(obj) -> tuple[tuple[dict, dict], int]:
@@ -282,16 +283,13 @@ class ApproximationResult:
         from .io import cells_json, family_json
 
         return {
-            "supports": [cells_json(sorted_cells(s)) for s in self.supports],
+            "supports": [cells_json(s) for s in self.supports],
             "remainder": family_json(self.remainder, "remainder"),
             "branches": [
-                {
-                    "support": cells_json(sorted_cells(s)),
-                    "family": family_json(f, f"branch{i}"),
-                }
+                {"support": cells_json(s), "family": family_json(f, f"branch{i}")}
                 for i, (s, f) in enumerate(self.branches.items())
             ],
-            "stop_set": None if self.stop_set is None else cells_json(sorted_cells(self.stop_set)),
+            "stop_set": None if self.stop_set is None else cells_json(self.stop_set),
         }
 
 
@@ -443,7 +441,7 @@ def containment_probability(
     and the result is memoised.  Monte Carlo mode draws each sample from a
     counter-based Philox stream keyed by the seed, so sample i is a fixed
     function of (seed, i) and any partitioning of the work reproduces
-    identical bits.
+    identical bits; samples are drawn in blocks of ``_SAMPLE_BLOCK`` rows.
     """
     members = fam.graphs() if isinstance(fam, Family) else [frozenset(m) for m in fam]
     if not members:
@@ -465,11 +463,13 @@ def containment_probability(
 
         index = {c: i for i, c in enumerate(relevant)}
         rng = np.random.Generator(np.random.Philox(key=seed))
-        keep = rng.random((samples, len(relevant))) < float(pf)
-        hit = np.zeros(samples, dtype=bool)
-        for m in members:
-            hit |= keep[:, [index[c] for c in m]].all(axis=1)
-        k = int(np.count_nonzero(hit))
+        k = 0
+        for start in range(0, samples, _SAMPLE_BLOCK):
+            keep = rng.random((min(_SAMPLE_BLOCK, samples - start), len(relevant))) < float(pf)
+            hit = np.zeros(len(keep), dtype=bool)
+            for m in members:
+                hit |= keep[:, [index[c] for c in m]].all(axis=1)
+            k += int(np.count_nonzero(hit))
         est = k / samples
         se = (est * (1.0 - est) / samples) ** 0.5
         return ProbabilityEstimate(est, "monte_carlo", se, samples, seed)
@@ -502,15 +502,15 @@ def _containment_exact(members, relevant, p: Fraction) -> Fraction:
 
 
 def spread_lemma_bound(k: int, r, beta, delta) -> float | None:
-    """The success bound 1 - (2 / log2(r*delta))^beta * k, or None if vacuous.
+    """The success bound 1 - (2 / log2(r*delta))^beta * k as a float output.
 
-    Vacuous whenever r*delta <= 2 (the base is then at least 1) or when the
-    value is non-positive.
+    None exactly when r*delta <= 2, decided in Fractions (the base is then
+    at least 1).  Otherwise the float is returned as it comes out, possibly
+    <= 0: this is an output-only evaluator and makes no decision on it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     rd = Fraction(r) * Fraction(delta)
     if rd <= 2:
         return None
-    value = 1.0 - (2.0 / math.log2(rd)) ** float(beta) * k
-    return value if value > 0 else None
+    return 1.0 - (2.0 / math.log2(rd)) ** float(beta) * k

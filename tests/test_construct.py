@@ -1,5 +1,6 @@
 """Extremal constructors and the two-sided isomorphism action."""
 
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from permemc import (
     family,
     identity,
     intersects,
+    is_derangement,
     make_hm,
     make_hm_star_union,
     make_star,
@@ -117,50 +119,51 @@ def test_hm_star_union_reduces_to_hm():
     assert make_hm_star_union(4, 2, (2, 1, 4, 3)) == make_hm(4, (2, 1, 4, 3))
 
 
-def test_hm_star_union_matches_definition_from_one_enumeration(monkeypatch):
+def _filtered_star_union(n, centers, derangement):
+    """Members of Σ_n (or D_n) through one of the centers, and whether no
+    member lies in two of the stars, by filtering the whole ambient list."""
+    ambient = [p for p in itertools.permutations(range(1, n + 1)) if not derangement or is_derangement(p)]
+    hits = [sum(p[x - 1] == y for x, y in centers) for p in ambient]
+    return tuple(p for p, k in zip(ambient, hits) if k), max(hits, default=0) <= 1
+
+
+def test_hm_star_union_matches_filtered_definition():
     # the stars Σ_n[(1, i)], i = 2..s-1, plus the permutations fixing 1 that
-    # meet sigma, plus sigma; Σ_n is built once per call
-    import permemc.construct as construct
-
-    builds = []
-    enumerate_family = construct.enumerate_family
-    monkeypatch.setattr(construct, "enumerate_family", lambda *a: builds.append(a) or enumerate_family(*a))
-    full = symmetric_group(5).members
-    for s in (2, 3, 4):
-        for sigma in [p for p in full if p[0] >= s][::7]:
-            builds.clear()
-            stars = {p for p in full if 2 <= p[0] <= s - 1}
-            pinned = {p for p in full if p[0] == 1 and intersects(p, sigma)}
-            assert set(make_hm_star_union(5, s, sigma).members) == stars | pinned | {sigma}
-            assert len(builds) == 1
+    # meet sigma, plus sigma, in the order of a filtered Σ_n; every valid
+    # (s, sigma) for n <= 6
+    for n in range(1, 7):
+        full = list(itertools.permutations(range(1, n + 1)))
+        for s in range(2, n + 2):
+            for sigma in [p for p in full if p[0] >= s]:
+                expected = tuple(
+                    p for p in full if p == sigma or 2 <= p[0] < s or (p[0] == 1 and intersects(p, sigma))
+                )
+                assert make_hm_star_union(n, s, sigma).members == expected, (n, s, sigma)
 
 
-def test_star_union_matches_per_centre_stars_from_one_enumeration(monkeypatch):
-    # the union of the per-centre stars, with Σ_n (or D_n) built once per call
-    import permemc.construct as construct
-
-    builds = []
-    enumerate_family = construct.enumerate_family
-    monkeypatch.setattr(construct, "enumerate_family", lambda *a: builds.append(a) or enumerate_family(*a))
+def test_star_union_matches_filtered_stars():
+    # every center set of size <= 3 for n <= 5, random ones for n = 6, 7;
+    # members in order and the disjointness flag against a filtered Σ_n / D_n
     rng = random.Random(12)
-    grid = [(x, y) for x in range(1, 6) for y in range(1, 6)]
-    for derangement in (False, True):
-        cells = [c for c in grid if c[0] != c[1]] if derangement else grid
-        maker = derangement_star if derangement else make_star
-        for size in range(1, 6):
-            for _ in range(4):
-                centers = rng.sample(cells, size)
-                stars = [set(maker(5, c).members) for c in centers]
-                builds.clear()
-                union = make_star_union(5, centers, derangement)
-                assert len(builds) == 1
-                assert set(union.family.members) == set().union(*stars)
-                assert union.pairwise_disjoint == (len(union.family) == sum(map(len, stars)))
-    builds.clear()
+    for n in range(1, 8):
+        grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+        for derangement in (False, True):
+            cells = [c for c in grid if c[0] != c[1]] if derangement else grid
+            if n <= 5:
+                center_sets = [cs for k in range(4) for cs in itertools.combinations(cells, k)]
+            else:
+                center_sets = [rng.sample(cells, rng.randint(1, 4)) for _ in range(12)]
+            for centers in center_sets:
+                union = make_star_union(n, centers, derangement)
+                expected, disjoint = _filtered_star_union(n, centers, derangement)
+                assert union.family.members == expected, (n, centers, derangement)
+                assert union.pairwise_disjoint == disjoint, (n, centers, derangement)
+                if len(centers) == 1:
+                    maker = derangement_star if derangement else make_star
+                    assert maker(n, centers[0]).members == expected
     with pytest.raises(ValueError, match=r"cell \(1, 6\) outside \[5\]\^2"):
         make_star_union(5, [(1, 2), (1, 6)])
     assert make_star_union(5, []).family == family(5, [])
-    assert builds == []
 
 
 def test_hm_star_union_preconditions():

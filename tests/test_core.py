@@ -8,6 +8,7 @@ import pytest
 
 from permemc import (
     DimensionMismatch,
+    apply_isomorphism,
     cell_masks,
     compose,
     contains_cells,
@@ -307,8 +308,22 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         (lambda: symmetric_group(2).union(symmetric_group(3)), DimensionMismatch, r"different \[n\]"),
         (lambda: double_derangements(3, (1, 1, 2)), ValueError, "sigma is not a permutation"),
         (lambda: double_derangements(3, (1, 2)), ValueError, "sigma is not a permutation"),
+        (lambda: apply_isomorphism((1, 2), symmetric_group(3), (1, 2, 3)), DimensionMismatch, "isomorphism dimensions"),
+        # one 131,073-bit disjointness mask per set would take over 2 GiB
+        (
+            lambda: set_matching_number([{(1, i)} for i in range(2**17 + 1)]),
+            ValueError,
+            r"matching search refused for 131073 sets \(cap 131072",
+        ),
     ],
-    ids=["intersects-mixed-n", "union-mixed-n", "double-derangements-repeated-sigma", "double-derangements-short-sigma"],
+    ids=[
+        "intersects-mixed-n",
+        "union-mixed-n",
+        "double-derangements-repeated-sigma",
+        "double-derangements-short-sigma",
+        "isomorphism-length-mismatch",
+        "matching-over-cap",
+    ],
 )
 def test_bad_inputs_fail_cleanly(call, error, match):
     with pytest.raises(error, match=match):

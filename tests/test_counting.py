@@ -147,6 +147,12 @@ def test_permanent_ryser_vs_dp_oracle_midrange():
             assert permanent_ryser(rows) == _dp_permanent(rows)
 
 
+def test_permanent_brute_empty_and_uncached_sizes():
+    assert permanent_brute([]) == 1
+    # N = 9 runs the uncached permutation stream: perm(J - I) = d_9
+    assert permanent_brute(complement_of_identity(9)) == 133496 == derangement_count(9)
+
+
 def test_permanent_caps():
     with pytest.raises(ValueError):
         permanent_brute(all_ones_matrix(BRUTE_CAP + 1))

@@ -1,5 +1,6 @@
 """File formats, JSON encoding, and the command-line surface."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from permemc import Family, family, make_star_union, symmetric_group
+from permemc import Family, family, make_hm_star_union, make_star_union, symmetric_group
 from permemc.cli import main
 from permemc.io import (
     ParseError,
@@ -150,6 +151,10 @@ def test_save_report(tmp_path):
     assert json.loads(path.read_text()) == {"a": [1, 2], "b": 1}
 
 
+def _spill_name(name, fam):
+    return f"{name}-{hashlib.sha256(format_family(fam).encode()).hexdigest()[:12]}.family.txt"
+
+
 def test_family_json_inline_and_spill(tmp_path, monkeypatch):
     from permemc.io import family_json
 
@@ -159,8 +164,9 @@ def test_family_json_inline_and_spill(tmp_path, monkeypatch):
     assert inline["size"] == 6 and len(inline["members"]) == 6
     big = symmetric_group(7)
     spilled = family_json(big, name="big")
-    assert spilled == {"n": 7, "size": 5040, "file": str(tmp_path / "big.family.txt")}
+    assert spilled == {"n": 7, "size": 5040, "file": str(tmp_path / _spill_name("big", big))}
     assert load_family(spilled["file"]) == big
+    assert family_json(symmetric_group(7), name="big") == spilled  # equal families share one file
 
 
 def test_cli_extremal_spills_large_family_to_working_directory(tmp_path, monkeypatch, capsys):
@@ -169,9 +175,27 @@ def test_cli_extremal_spills_large_family_to_working_directory(tmp_path, monkeyp
     assert code == 0
     spilled = json.loads(out)["family"]
     assert "members" not in spilled and spilled["size"] == 1440
-    assert spilled["file"] == str(tmp_path / "family.family.txt")
-    fam = load_family(tmp_path / "family.family.txt")
-    assert fam == make_star_union(7, [(1, 1), (1, 2)]).family
+    expected = make_star_union(7, [(1, 1), (1, 2)]).family
+    assert spilled["file"] == str(tmp_path / _spill_name("family", expected))
+    assert load_family(spilled["file"]) == expected
+
+
+def test_cli_extremal_spills_of_two_runs_do_not_overwrite_each_other(tmp_path, monkeypatch, capsys):
+    # two large families spilled in one directory under the same name
+    monkeypatch.chdir(tmp_path)
+    expected = {
+        "stars": make_star_union(7, [(1, 1), (1, 2)]).family,
+        "theorem3": make_hm_star_union(7, 3, (3, 1, 2, 4, 5, 6, 7)),
+    }
+    files = {}
+    for kind in expected:
+        code, out, _ = _run(["extremal", "--kind", kind, "--n", "7", "--s", "3"], capsys)
+        assert code == 0
+        files[kind] = json.loads(out)["family"]["file"]
+    assert files["stars"] != files["theorem3"]
+    for kind, path in files.items():
+        assert load_family(path) == expected[kind], kind
+    assert len(expected["theorem3"]) == 1132
 
 
 def _run(args, capsys):

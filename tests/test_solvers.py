@@ -396,6 +396,17 @@ def test_cross_matching_three_sigma8_stars_in_bounded_memory():
     assert peak < 16 * 2**20, peak
 
 
+def test_cross_matching_of_no_families_is_empty():
+    assert cross_matching([]) == ()
+
+
+def test_matching_number_over_cap_refused_before_the_index_is_built():
+    fam = Family._of(10, tuple(itertools.islice(itertools.permutations(range(1, 11)), 2**17 + 1)))
+    with pytest.raises(ValueError, match="matching search refused for 131073 sets"):
+        matching_number(fam)
+    assert "cell_masks" not in fam.__dict__
+
+
 def test_classify_pinned_containment_both():
     single = family(4, [(2, 1, 4, 3)])
     cls = classify_cross_free_families([single, single], [(1, 2), (2, 1)])
@@ -594,6 +605,20 @@ def test_star_slack_tight_case():
     sides = star_union_slack_sides(best, symmetric_group(4), 2)
     assert sides.lhs == sides.best_union_size == 6
     assert sides.holds
+
+
+def test_star_slack_more_stars_than_cells():
+    # s - 1 = 8 exceeds the 6 cells of the ambient members: all of them are taken
+    ambient = family(3, [(1, 2, 3), (2, 3, 1)])
+    sides = star_union_slack_sides(family(3, [(1, 2, 3)]), ambient, 9)
+    assert sides.best_cells == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3))
+    assert sides.best_union_size == 2 and sides.slack == Fraction(2, 81) and sides.holds
+
+
+def test_support_sides_empty_ambient():
+    sides = support_union_bound_sides(Family(3, ()), [{(1, 1)}], Fraction(1, 2), 2)
+    assert (sides.lhs, sides.singleton_union_size, sides.max_star_size, sides.max_star_cell) == (0, 0, 0, None)
+    assert sides.rhs == 0 and sides.holds and sides.corollary_holds
 
 
 def test_star_slack_requires_containment():

@@ -680,6 +680,11 @@ def test_spread_lemma_bound_half():
     assert abs(spread_lemma_bound(5, 16, math.log2(10), 1) - 0.5) < 1e-12
 
 
+def test_spread_lemma_bound_returns_nonpositive_values():
+    # r*delta = 16 > 2, so the float comes back even though it is <= 0
+    assert spread_lemma_bound(100, 16, 1, 1) == -49.0
+
+
 def test_spread_lemma_bound_vacuous():
     assert spread_lemma_bound(4, 2, 2.0, 1) is None
     assert spread_lemma_bound(4, 1, 2.0, Fraction(1, 2)) is None
