@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Containment probabilities under random cell deletion: exact
-inclusion-exclusion against counter-based Monte Carlo, and the spread
-success bound."""
+"""Containment probabilities under random cell deletion: the exact
+Shannon expansion against seeded Monte Carlo, and the spread success
+bound."""
 
 import math
 from fractions import Fraction
@@ -25,7 +25,7 @@ est = containment_probability(symmetric_group(3), Fraction(1, 2))
 print(f"Sigma_3, p = 1/2: {est.value} = {float(est.value):.6f}")
 
 print()
-print("=== Monte Carlo with a counter-based stream ===")
+print("=== Monte Carlo from random.Random(seed) ===")
 exact = containment_probability(symmetric_group(3), Fraction(1, 2)).value
 for seed in (0, 1, 2):
     mc = containment_probability(symmetric_group(3), Fraction(1, 2), "monte_carlo", samples=200_000, seed=seed)

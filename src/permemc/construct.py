@@ -15,7 +15,6 @@ from .core import (
     Family,
     Perm,
     _check_cap,
-    compose,
     inverse,
     is_derangement,
     is_permutation,
@@ -116,7 +115,7 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     if not (is_permutation(rho) and is_permutation(pi)):
         raise ValueError(f"rho and pi must be permutations of [{fam.n}]")
     rho = tuple(map(int, rho))
-    return Family._of(fam.n, tuple(sorted(compose(compose(rho, p), pi) for p in fam.members)))
+    return Family._of(fam.n, tuple(sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members)))
 
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -438,10 +439,10 @@ def containment_probability(
     Exact mode returns a Fraction by Shannon expansion over the at most
     ``EXACT_CELL_CAP`` cells some member uses: a cell is either kept or
     deleted, each branch is solved again on the members that survive it,
-    and the result is memoised.  Monte Carlo mode draws each sample from a
-    counter-based Philox stream keyed by the seed, so sample i is a fixed
-    function of (seed, i) and any partitioning of the work reproduces
-    identical bits; samples are drawn in blocks of ``_SAMPLE_BLOCK`` rows.
+    and the result is memoised.  Monte Carlo mode draws from
+    ``random.Random(seed)``: the same (seed, samples) gives the same
+    estimate bit for bit.  Each block of at most ``_SAMPLE_BLOCK`` samples
+    draws one keep mask per relevant cell, in sorted order.
     """
     members = fam.graphs() if isinstance(fam, Family) else [frozenset(m) for m in fam]
     if not members:
@@ -457,23 +458,41 @@ def containment_probability(
     if mode == "monte_carlo":
         if samples is None or samples < 1:
             raise ValueError("monte_carlo mode needs samples >= 1")
-        if seed is None:
-            raise ValueError("monte_carlo mode needs an explicit seed")
-        import numpy as np  # imported where used: it dominates the CLI's start-up
-
-        index = {c: i for i, c in enumerate(relevant)}
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        if seed is None or seed < 0:
+            raise ValueError("monte_carlo mode needs an explicit seed >= 0")
+        rng = random.Random(seed)
         k = 0
         for start in range(0, samples, _SAMPLE_BLOCK):
-            keep = rng.random((min(_SAMPLE_BLOCK, samples - start), len(relevant))) < float(pf)
-            hit = np.zeros(len(keep), dtype=bool)
+            rows = min(_SAMPLE_BLOCK, samples - start)
+            full = (1 << rows) - 1
+            keep = {c: _keep_mask(rng, rows, pf) for c in relevant}
+            hit = 0
             for m in members:
-                hit |= keep[:, [index[c] for c in m]].all(axis=1)
-            k += int(np.count_nonzero(hit))
+                row = full
+                for c in m:
+                    row &= keep[c]
+                hit |= row
+            k += hit.bit_count()
         est = k / samples
         se = (est * (1.0 - est) / samples) ** 0.5
         return ProbabilityEstimate(est, "monte_carlo", se, samples, seed)
     raise ValueError(f"unknown mode: {mode!r}")
+
+
+def _keep_mask(rng: random.Random, rows: int, p: Fraction) -> int:
+    """``rows`` bits, each set with probability exactly p: plane k of
+    ``rng.getrandbits(rows)`` holds each row's k-th uniform binary digit,
+    compared with p's k-th digit until no row is tied."""
+    kept, tied, k = 0, (1 << rows) - 1, 0
+    while tied:
+        k += 1
+        plane = rng.getrandbits(rows)
+        if (p.numerator << k) // p.denominator & 1:  # p's k-th digit
+            kept |= tied & ~plane
+            tied &= plane
+        else:
+            tied &= ~plane
+    return kept
 
 
 def _containment_exact(members, relevant, p: Fraction) -> Fraction:

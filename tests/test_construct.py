@@ -8,6 +8,7 @@ import pytest
 
 from permemc import (
     apply_isomorphism,
+    compose,
     derangement_star,
     derangements,
     family,
@@ -182,12 +183,15 @@ def test_apply_isomorphism_identity():
 
 def test_apply_isomorphism_preserves_size():
     rng = random.Random(6)
-    ambient = symmetric_group(4)
-    for _ in range(20):
-        fam = family(4, rng.sample(list(ambient.members), rng.randint(1, 20)))
-        rho = tuple(rng.sample(range(1, 5), 4))
-        pi = tuple(rng.sample(range(1, 5), 4))
-        assert len(apply_isomorphism(rho, fam, pi)) == len(fam)
+    for n, trials in ((4, 20), (1, 1)):
+        ambient = list(symmetric_group(n).members)
+        for _ in range(trials):
+            fam = family(n, rng.sample(ambient, rng.randint(1, min(20, len(ambient)))))
+            rho = tuple(rng.sample(range(1, n + 1), n))
+            pi = tuple(rng.sample(range(1, n + 1), n))
+            image = apply_isomorphism(rho, fam, pi)
+            assert len(image) == len(fam)
+            assert list(image.members) == sorted(compose(compose(rho, p), pi) for p in fam.members)
 
 
 def test_apply_isomorphism_star_mapping():

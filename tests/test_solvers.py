@@ -590,6 +590,14 @@ def test_star_slack_sigma4():
     assert sides.best_union_size == 6
     assert sides.slack == Fraction(24, 4**4)
     assert sides.holds
+    assert sides.to_json() == {
+        "best_union_size": 6,
+        "best_cells": ["1:1"],
+        "slack": "3/32",
+        "lhs": 1,
+        "rhs": "195/32",
+        "holds": True,
+    }
 
 
 def test_star_slack_derangements5():
@@ -598,6 +606,15 @@ def test_star_slack_derangements5():
     sides = star_union_slack_sides(fam, d5, 3)
     assert sides.best_union_size == 22
     assert sides.best_cells == ((1, 2), (1, 3))
+    # |D_5| = 44, so the slack is 44/5^4 and the right side 22 + 44/625
+    assert sides.to_json() == {
+        "best_union_size": 22,
+        "best_cells": ["1:2", "1:3"],
+        "slack": "44/625",
+        "lhs": 1,
+        "rhs": "13794/625",
+        "holds": True,
+    }
 
 
 def test_star_slack_tight_case():

@@ -657,9 +657,39 @@ def test_containment_probability_monte_carlo_wide_family():
 
 
 def test_containment_probability_monte_carlo_pinned_bits():
-    # with fewer than 64 relevant cells the sampled bits must not change
+    # The same (seed, samples) must give the same estimate on every run.  The
+    # value was 0.862 while samples came from numpy's Philox stream; drawing
+    # keep masks from random.Random(seed) changed it to 0.8558.
     est = containment_probability(derangements(5), Fraction(2, 3), "monte_carlo", samples=5000, seed=11)
-    assert est.value == 0.862
+    assert est.value == 0.8558
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (3, 2), (5, 3), (1, 4), (13, 4), (1, 6)])
+def test_containment_probability_monte_carlo_keeps_dyadic_p_exactly(a, b):
+    # With one cell and one block, row i is kept exactly when its uniform,
+    # read to b binary digits from bit i of the first b planes, is below
+    # p = a/2^b: no statistics are needed.
+    for rows in (1, 7, 64, 1000, 65_536):
+        for seed in (0, 1, 99):
+            rng = random.Random(seed)
+            # bit i of each plane, as characters at index i, first plane first
+            planes = [format(rng.getrandbits(rows), f"0{rows}b")[::-1] for _ in range(b)]
+            below = sum(int("".join(digits), 2) < a for digits in zip(*planes))
+            p = Fraction(a, 2**b)
+            est = containment_probability([{(1, 1)}], p, "monte_carlo", samples=rows, seed=seed)
+            assert est.value * rows == below, (rows, seed)
+
+
+@pytest.mark.parametrize(
+    "fam, seed, expected",
+    [([frozenset(), {(1, 1)}], 3, 1.0), (symmetric_group(3), 2**200, None)],
+    ids=["empty-member-hits-every-sample", "seed-beyond-128-bits"],
+)
+def test_containment_probability_monte_carlo_edge_cases(fam, seed, expected):
+    a = containment_probability(fam, Fraction(1, 2), "monte_carlo", samples=1000, seed=seed)
+    b = containment_probability(fam, Fraction(1, 2), "monte_carlo", samples=1000, seed=seed)
+    assert a.value == b.value and 0 <= a.value <= 1
+    assert expected is None or a.value == expected
 
 
 @pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), Fraction(-1, 2)])
@@ -703,6 +733,10 @@ def test_spread_lemma_bound_vacuous():
         (lambda: max_ratio_set(symmetric_group(3), 0), "rho must be positive"),
         (lambda: max_ratio_set(symmetric_group(3), Fraction(-1, 2)), "rho must be positive"),
         (lambda: containment_probability(symmetric_group(3), Fraction(1, 2), mode="x"), "unknown mode"),
+        (
+            lambda: containment_probability(symmetric_group(3), Fraction(1, 2), "monte_carlo", samples=10, seed=-1),
+            "seed >= 0",
+        ),
         (lambda: spread_lemma_bound(0, 8, 1, 1), "k must be at least 1"),
     ],
     ids=[
@@ -712,6 +746,7 @@ def test_spread_lemma_bound_vacuous():
         "max-ratio-rho-0",
         "max-ratio-rho-negative",
         "containment-unknown-mode",
+        "containment-negative-seed",
         "lemma-bound-k0",
     ],
 )
