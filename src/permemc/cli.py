@@ -46,7 +46,7 @@ def _perm(text: str) -> tuple[int, ...]:
         image = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a permutation: {text!r}") from None
-    if not core.is_permutation(image):
+    if core.as_permutation(image, len(image)) is None:
         raise argparse.ArgumentTypeError(f"not a permutation of [1..n]: {text!r}")
     return image
 

@@ -7,7 +7,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import eq
+from operator import eq, index
 
 from .core import (
     Cell,
@@ -15,9 +15,9 @@ from .core import (
     Family,
     Perm,
     _check_cap,
+    as_permutation,
     inverse,
     is_derangement,
-    is_permutation,
 )
 from .counting import pointed_derangement_count
 
@@ -55,7 +55,13 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     together), which for full stars happens exactly when the centers share
     a row with distinct columns or share a column with distinct rows.
     """
-    centers = tuple(sorted((int(x), int(y)) for x, y in cells))
+    centers = []
+    for x, y in cells:
+        try:
+            centers.append((index(x), index(y)))
+        except TypeError:
+            raise ValueError(f"cell {(x, y)} outside [{n}]^2") from None
+    centers = tuple(sorted(centers))
     if len(set(centers)) != len(centers):
         raise ValueError("duplicate star centers")
     if derangement and any(x == y for x, y in centers):
@@ -85,12 +91,12 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
     is exactly make_hm.  Size (s-1)(n-1)! - d_{n,1} + 1.  The blocks (pinned,
     stars, sigma) start with 1, 2..s-1 and sigma(1) >= s, so come out sorted.
     """
-    sigma = tuple(sigma)
     if s < 2:
         raise ValueError("s must be at least 2")
     if s - 1 > n:
         raise ValueError("s - 1 must not exceed n")
-    if len(sigma) != n or not is_permutation(sigma):
+    sigma = as_permutation(sigma, n)
+    if sigma is None:
         raise ValueError(f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
@@ -112,9 +118,9 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     """
     if len(rho) != fam.n or len(pi) != fam.n:
         raise DimensionMismatch("isomorphism dimensions do not match the family")
-    if not (is_permutation(rho) and is_permutation(pi)):
+    rho, pi = as_permutation(rho, fam.n), as_permutation(pi, fam.n)
+    if rho is None or pi is None:
         raise ValueError(f"rho and pi must be permutations of [{fam.n}]")
-    rho = tuple(map(int, rho))
     return Family._of(fam.n, tuple(sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members)))
 
 

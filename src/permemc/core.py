@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import index, or_
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -30,6 +30,17 @@ class DimensionMismatch(ValueError):
     """Operands live over different ground sets [n]."""
 
 
+def as_permutation(image: Iterable[int], n: int) -> Perm | None:
+    """``image`` as a tuple of ints if it is a bijection of [n], else None.
+    The one validity rule for permutations: values are read with
+    ``operator.index``, so floats and strings are refused, never truncated."""
+    try:
+        perm = tuple(map(index, image))
+    except TypeError:
+        return None
+    return perm if len(perm) == n and set(perm).issuperset(range(1, n + 1)) else None
+
+
 def is_permutation(image: Sequence[int]) -> bool:
     """Check that ``image`` is a bijection of [n] with n = len(image).
 
@@ -38,8 +49,7 @@ def is_permutation(image: Sequence[int]) -> bool:
     >>> is_permutation((1, 1, 3))
     False
     """
-    n = len(image)
-    return sorted(image) == list(range(1, n + 1))
+    return as_permutation(image, len(image)) is not None
 
 
 def identity(n: int) -> Perm:
@@ -87,7 +97,10 @@ def is_partial_permutation(cells: Iterable[Cell]) -> bool:
 
 def partial_permutation(cells: Iterable[Cell], n: int | None = None) -> PartialPerm:
     """Validate and freeze a cell set into a partial permutation."""
-    cs = frozenset((int(r), int(c)) for r, c in cells)
+    try:
+        cs = frozenset((index(r), index(c)) for r, c in cells)
+    except TypeError:
+        raise ValueError("not a partial permutation: cells must be pairs of integers") from None
     if not is_partial_permutation(cs):
         raise ValueError(f"not a partial permutation (row or column clash): {sorted(cs)}")
     if n is not None:
@@ -130,13 +143,17 @@ class Family:
     _view = None  # (parent, mask) when the members are a slice of a parent family; see _slice
 
     def __post_init__(self):
-        if self.n < 1:
+        try:
+            n = index(self.n)
+        except TypeError:
+            n = 0
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        seen = sorted(set(tuple(int(v) for v in m) for m in self.members))
-        for m in seen:
-            if len(m) != self.n or not is_permutation(m):
-                raise ValueError(f"not a permutation of [{self.n}]: {m}")
-        object.__setattr__(self, "members", tuple(seen))
+        members = tuple(self.members)
+        perms = [as_permutation(m, n) for m in members]
+        if None in perms:
+            raise ValueError(f"not a permutation of [{n}]: {members[perms.index(None)]}")
+        self.__dict__.update(n=n, members=tuple(sorted(set(perms))))
 
     @classmethod
     def _of(cls, n: int, members: tuple[Perm, ...], view: tuple | None = None) -> "Family":
@@ -272,8 +289,8 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
     if kind == "double_derangements":
         if sigma is None:
             raise ValueError("kind 'double_derangements' needs sigma")
-        sigma = tuple(sigma)
-        if len(sigma) != n or not is_permutation(sigma):
+        sigma = as_permutation(sigma, n)
+        if sigma is None:
             raise ValueError(f"sigma is not a permutation of [{n}]")
         members = tuple(
             p for p in perms if is_derangement(p) and not any(x == y for x, y in zip(p, sigma))

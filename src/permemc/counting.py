@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, is_permutation, partial_permutation
+from .core import Cell, Perm, as_permutation, partial_permutation
 
 #: Caps keeping the general exact permanents at interactive speeds.
 BRUTE_CAP = 9
@@ -90,7 +90,10 @@ class ZeroOneMatrix:
         n = len(self.rows)
         norm = []
         for row in self.rows:
-            row = tuple(int(v) for v in row)
+            try:
+                row = tuple(map(operator.index, row))
+            except TypeError:
+                raise ValueError("entries must be 0 or 1") from None
             if len(row) != n:
                 raise ValueError("matrix must be square")
             if any(v not in (0, 1) for v in row):
@@ -260,8 +263,8 @@ def double_derangement_count(n: int, sigma: Perm, cells=()) -> int:
     has at most two zeros per row and column.  Returns 0 when S touches the
     diagonal or the graph of sigma.
     """
-    sigma = tuple(sigma)
-    if len(sigma) != n or not is_permutation(sigma):
+    sigma = as_permutation(sigma, n)
+    if sigma is None:
         raise ValueError(f"sigma is not a permutation of [{n}]")
     cs = partial_permutation(cells, n)
     if any(r == c or sigma[r - 1] == c for r, c in cs):

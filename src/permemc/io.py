@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Cell, Family, PartialPerm, partial_permutation
+from .core import Cell, Family, PartialPerm, as_permutation, partial_permutation
 from .counting import ZeroOneMatrix
 
 
@@ -60,7 +60,7 @@ def parse_family(text: str, path: str = "<string>") -> Family:
     for line_no, line, image in rows:
         if len(image) != n:
             raise ParseError(path, line_no, f"expected {n} images, got {len(image)}")
-        if sorted(image) != list(range(1, n + 1)):
+        if as_permutation(image, n) is None:
             raise ParseError(path, line_no, f"not a permutation of [{n}]: {line!r}")
         if image in members:
             warnings.warn(f"{path}:{line_no}: duplicate permutation ignored", stacklevel=2)

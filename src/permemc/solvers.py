@@ -173,17 +173,8 @@ def coset_certificate(fam: Family, s: int, assert_matching_bound: bool = False) 
             f"coset with {max_load} members contradicts the assumed matching bound s={s}"
         )
     bound = (s - 1) * class_count
-    return CosetCertificate(
-        n,
-        s,
-        class_count,
-        max_load,
-        dict(histogram),
-        True,
-        len(fam),
-        bound,
-        certified and len(fam) <= bound,
-    )
+    # every class is pairwise disjoint, see above
+    return CosetCertificate(n, s, class_count, max_load, dict(histogram), True, len(fam), bound, certified and len(fam) <= bound)
 
 
 def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -> list[int] | None:
@@ -335,10 +326,7 @@ def containment_implies_matching_check(
     if len(bases) != s:
         raise ValueError("exactly s upward-closed families are expected")
     frozen = [[frozenset(a) for a in basis] for basis in bases]
-    ground = set()
-    for basis in frozen:
-        for a in basis:
-            ground |= a
+    ground = set().union(*(a for basis in frozen for a in basis))
     if len(ground) > EXACT_CELL_CAP:
         raise ValueError(f"ground set capped at {EXACT_CELL_CAP} cells for exact probabilities")
     pf = Fraction(p)
@@ -393,11 +381,7 @@ def support_union_bound_sides(
     evaluated with a rational upper bound on e, so "met" is sound.
     """
     eps = Fraction(eps)
-    sets = []
-    for a in supports:
-        fs = frozenset(a)
-        if fs not in sets:
-            sets.append(fs)
+    sets = list(dict.fromkeys(map(frozenset, supports)))  # distinct, in first-seen order
     if not sets:
         raise ValueError("the support family must be nonempty")
     singles = [a for a in sets if len(a) == 1]
@@ -405,29 +389,24 @@ def support_union_bound_sides(
     trivial = l == len(sets)
     matching_ok = set_matching_number(sets) < s
 
-    maximal = True
-    violation = None
-    for a in sets:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(sorted(a), k) for k in range(len(a))
-        )
-        for b in subsets:
-            replaced = list(dict.fromkeys([x for x in sets if x != a] + [frozenset(b)]))
-            if set_matching_number(replaced) < s:
-                maximal = False
-                violation = (a, frozenset(b))
-                break
-        if not maximal:
-            break
+    # the first (member, proper subset) whose replacement leaves no s-matching
+    violation = next(
+        (
+            (a, frozenset(b))
+            for a in sets
+            for k in range(len(a))
+            for b in itertools.combinations(sorted(a), k)
+            if set_matching_number(list(dict.fromkeys([x for x in sets if x != a] + [frozenset(b)]))) < s
+        ),
+        None,
+    )
+    maximal = violation is None
 
     lhs = len(subfamily_containing_any(ambient, sets))
     singleton_union = len(subfamily_containing_any(ambient, singles))
-    star_counts = {c: m.bit_count() for c, m in ambient.cell_masks.items()}
-    if star_counts:
-        max_star = max(star_counts.values())
-        max_cell = min(c for c, v in star_counts.items() if v == max_star)
-    else:
-        max_star, max_cell = 0, None
+    # the largest star, ties going to the least cell
+    neg_star, max_cell = min(((-m.bit_count(), c) for c, m in ambient.cell_masks.items()), default=(0, None))
+    max_star = -neg_star
     rhs = singleton_union + eps * (s - 1 - l) * max_star
     cor_rhs = (s - 2 + eps) * max_star
     hypothesis = None
@@ -493,9 +472,7 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     n = ambient.n
     masks = ambient.cell_masks
     cells = sorted(masks)
-    k = s - 1
-    if k > len(cells):
-        k = len(cells)
+    k = min(s - 1, len(cells))
     if math.comb(len(cells), k) > _STAR_SEARCH_BUDGET:
         raise ValueError("cell-combination search too large; reduce s or the ambient family")
     best = -1

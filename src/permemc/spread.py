@@ -393,16 +393,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
 
     degenerate = any(len(s) == 0 for s in res.supports)
     nu = None if degenerate else set_matching_number(list(res.supports))
-    return ApproximationCheck(
-        covering_ok,
-        branch_ok,
-        tuple(details),
-        status,
-        hypothesis_checked,
-        bound,
-        nu,
-        degenerate,
-    )
+    return ApproximationCheck(covering_ok, branch_ok, tuple(details), status, hypothesis_checked, bound, nu, degenerate)
 
 
 @dataclass(frozen=True)

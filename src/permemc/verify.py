@@ -18,8 +18,6 @@ from fractions import Fraction
 from . import construct, counting, core, solvers, spread
 from .io import cells_json, fraction_json
 
-SUITES = ("counts", "spread", "approx", "solvers", "extremal", "lemma16")
-
 
 def _jsonable(value):
     if isinstance(value, Fraction):
@@ -230,14 +228,15 @@ def suite_spread(seed: int = 0) -> dict:
     rng = random.Random(seed)
 
     for n in (3, 4):
-        value, _ = spread.exact_spreadness(core.symmetric_group(n))
-        target = math.factorial(n) ** (1.0 / n)
+        full = core.symmetric_group(n)
+        value, witness = spread.exact_spreadness(full)
+        pair = (len(witness), len(core.subfamily_containing(full, witness)))  # (|X|, |F(X)|)
         s.add(
             f"exact-spreadness-sigma{n}",
             f"exhaustive spreadness of the full family equals (n!)^(1/n), n={n}",
-            abs(value - target) <= 1e-9 * target,
+            spread._compare_spreadness(len(full), pair, (n, 1)) == 0,
             lhs=value,
-            rhs=target,
+            rhs=math.factorial(n) ** (1.0 / n),
         )
 
     sigma3 = core.symmetric_group(3)
@@ -280,7 +279,7 @@ def suite_spread(seed: int = 0) -> dict:
     r = Fraction(6, 5)
     for n in (3, 4):
         full = core.symmetric_group(n)
-        need = int(float(r) ** n) + 1
+        need = math.floor(r**n) + 1
         for _ in range(10):
             fam = random_subfamily(rng, full, rng.randint(need, len(full)))
             if spread.is_r_spread(fam, r).is_spread:
@@ -307,8 +306,9 @@ def suite_spread(seed: int = 0) -> dict:
         p = Fraction(rng.randint(2, 6), 10)
         exact = spread.containment_probability(fam, p).value
         mc = spread.containment_probability(fam, p, "monte_carlo", samples=20000, seed=seed + i)
-        se = max(mc.standard_error, 1e-12)
-        ok = ok and abs(mc.value - float(exact)) <= 3 * se
+        # |k/m - exact| <= 3 standard errors, squared; for k = 0 or k = m it is k = m * exact
+        k, m = round(mc.value * mc.samples), mc.samples
+        ok = ok and (k - m * exact) ** 2 <= Fraction(9 * k * (m - k), m)
     s.add("probability-monte-carlo", "Monte Carlo agrees with exact values within 3 standard errors", ok)
 
     value = spread.spread_lemma_bound(8, 16, math.log2(16), 1)
@@ -824,7 +824,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
         failed = sum(1 for rep in suites for c in rep["checks"] if c["status"] == "fail")
         return {"suite": "all", "seed": seed, "suites": suites, "failed_checks": failed}
     if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; pick from all, {', '.join(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; pick from all, {', '.join(_SUITE_FUNCS)}")
     return _SUITE_FUNCS[name](seed)
 
 

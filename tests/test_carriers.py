@@ -38,7 +38,7 @@ from permemc import (
     verify_approximation,
 )
 from permemc.core import _root, sorted_cells
-from permemc.io import ParseError, parse_family
+from permemc.io import ParseError, format_family, parse_family
 from permemc.spread import _SUBSET_BUDGET, ApproximationResult, _compare_spreadness, _distinct_trace_counts
 
 # -- the member-list oracles -------------------------------------------------
@@ -343,6 +343,20 @@ def test_public_entry_points_still_validate():
         family(3, [(1, 2)])
     with pytest.raises(ValueError, match="n must be a positive integer"):
         Family(0, ())
+    # non-integers are refused, never truncated
+    with pytest.raises(ValueError, match=r"not a permutation of \[3\]: \(1.5, 2, 3\)"):
+        Family(3, ((1.5, 2, 3),))
+    with pytest.raises(ValueError, match=r"not a permutation of \[3\]: \(1.0, 2, 3\)"):
+        Family(3, ((1.0, 2, 3),))
+    with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
+        family(3, [("1", "2", "3")])
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        Family(2.5, ())
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        Family(3.0, ((1, 2, 3),))
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        Family("3", ())
+    assert type(Family(True, ((1,),)).n) is int
     assert family(3, [(2, 1, 3), (1, 2, 3), (2, 1, 3)]).members == ((1, 2, 3), (2, 1, 3))
     with pytest.raises(ParseError, match=r"not a permutation of \[3\]"):
         parse_family("n=3\n1 1 3\n")
@@ -350,3 +364,11 @@ def test_public_entry_points_still_validate():
         parse_family("n=3\n1 2\n")
     with pytest.warns(UserWarning, match="duplicate permutation ignored"):
         assert parse_family("n=3\n2 1 3\n2 1 3\n").members == ((2, 1, 3),)
+
+
+def test_make_hm_round_trips_through_the_family_format():
+    with pytest.raises(ValueError, match="sigma is not a permutation"):
+        make_hm(4, (2.0, 1, 4, 3))  # stored as a member, 2.0 would print as "2.0"
+    fam = make_hm(4, (2, 1, 4, 3))
+    assert parse_family(format_family(fam)) == fam
+    assert all(type(v) is int for p in fam.members for v in p)

@@ -23,6 +23,9 @@ from permemc import (
     inverse,
     is_derangement,
     is_partial_permutation,
+    is_permutation,
+    make_hm,
+    make_star,
     partial_permutation,
     set_matching_number,
     subfamily_containing,
@@ -30,7 +33,8 @@ from permemc import (
     symmetric_group,
     trace,
 )
-from permemc.core import ENUMERATION_CAP, max_disjoint
+import permemc.core
+from permemc.core import ENUMERATION_CAP, as_permutation, max_disjoint
 from permemc.verify import brute_nu
 
 
@@ -309,6 +313,14 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         (lambda: double_derangements(3, (1, 1, 2)), ValueError, "sigma is not a permutation"),
         (lambda: double_derangements(3, (1, 2)), ValueError, "sigma is not a permutation"),
         (lambda: apply_isomorphism((1, 2), symmetric_group(3), (1, 2, 3)), DimensionMismatch, "isomorphism dimensions"),
+        # non-integers are refused, never truncated
+        (lambda: double_derangements(3, (2.0, 3, 1)), ValueError, "sigma is not a permutation"),
+        (lambda: make_hm(4, (2.0, 1, 4, 3)), ValueError, "sigma is not a permutation"),
+        (lambda: apply_isomorphism((2.0, 1, 3), symmetric_group(3), (1, 2, 3)), ValueError, "must be permutations"),
+        (lambda: partial_permutation([(1.9, 2)]), ValueError, "not a partial permutation"),
+        (lambda: partial_permutation([("1", 2)], 3), ValueError, "not a partial permutation"),
+        (lambda: make_star(4, (1.5, 2)), ValueError, r"cell \(1.5, 2\) outside \[4\]\^2"),
+        (lambda: make_star(4, ("1", 2)), ValueError, r"outside \[4\]\^2"),
         # one 131,073-bit disjointness mask per set would take over 2 GiB
         (
             lambda: set_matching_number([{(1, i)} for i in range(2**17 + 1)]),
@@ -322,9 +334,44 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         "double-derangements-repeated-sigma",
         "double-derangements-short-sigma",
         "isomorphism-length-mismatch",
+        "double-derangements-float-sigma",
+        "make-hm-float-sigma",
+        "isomorphism-float-rho",
+        "partial-permutation-float-cell",
+        "partial-permutation-string-cell",
+        "star-float-center",
+        "star-string-center",
         "matching-over-cap",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_as_permutation_agrees_with_the_sorting_oracle():
+    rng = random.Random(16)
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        image = tuple(rng.randint(0, n + 1) for _ in range(rng.randint(n - 1, n + 1)))
+        oracle = len(image) == n and sorted(image) == list(range(1, n + 1))
+        assert as_permutation(image, n) == (image if oracle else None)
+        assert as_permutation(list(image), n) == (image if oracle else None)
+        assert is_permutation(image) == (sorted(image) == list(range(1, len(image) + 1)))
+    perm = tuple(rng.sample(range(1, 8), 7))
+    assert as_permutation(iter(perm), 7) == perm
+
+
+def test_as_permutation_refuses_non_integers():
+    assert as_permutation((True, 2), 2) == (1, 2)  # bool is an int
+    assert all(type(v) is int for v in as_permutation((True, 2), 2))
+    for image in [(1.0, 2), (1, "2"), ("1", "2"), (1, None), (2.5, 1)]:
+        assert as_permutation(image, 2) is None
+        assert not is_permutation(image)
+    assert as_permutation(12, 2) is None  # not iterable
+
+
+def test_core_doctests():
+    import doctest
+
+    assert doctest.testmod(permemc.core).failed == 0

@@ -427,12 +427,26 @@ def test_counts_reject_cells_outside_the_grid():
     "call, match",
     [
         (lambda: double_derangement_count(3, (1, 1, 2)), "sigma is not a permutation"),
+        (lambda: double_derangement_count(3, (2.0, 3, 1)), "sigma is not a permutation"),
+        (lambda: permanent([[0.5, 1], [1, 1]]), "entries must be 0 or 1"),
+        (lambda: ZeroOneMatrix(((1.0, 0), (0, 1))), "entries must be 0 or 1"),
+        (lambda: permanent([["1", 1], [1, 1]]), "entries must be 0 or 1"),
+        (lambda: derangement_containment_count(4, [(1.9, 2)]), "not a partial permutation"),
         (lambda: derangement_count_inclusion_exclusion(-1), "non-negative"),
         (lambda: round_factorial_over_e(0), "n >= 1"),
         (lambda: near_full_permanent_check([[1, 1, 1]] * 3), "N >= 4"),
         (lambda: cycle_cover_zero_matrix([1]), "parts must be >= 2"),
     ],
-    ids=["double-derangement-count-bad-sigma", "inclusion-exclusion-negative", "round-n0", "near-full-n3", "cycle-part-1"],
+    ids=[
+        "double-derangement-count-bad-sigma",
+        "double-derangement-count-float-sigma",
+        "permanent-half-entry",
+        "matrix-float-entry",
+        "permanent-string-entry",
+        "containment-count-float-cell",
+        "inclusion-exclusion-negative", "round-n0", "near-full-n3",
+        "cycle-part-1",
+    ],
 )
 def test_bad_inputs_fail_cleanly(call, match):
     with pytest.raises(ValueError, match=match):
