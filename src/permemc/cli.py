@@ -22,6 +22,7 @@ from .io import (
     fraction_json,
     load_family,
     load_matrix,
+    parse_integers,
     save_report,
 )
 
@@ -36,14 +37,24 @@ SUITES = ("counts", "spread", "approx", "solvers", "extremal", "lemma16")
 
 def _fraction(text: str) -> Fraction:
     try:
+        if not text.isascii() or "_" in text:  # Fraction() also takes other Unicode digits and underscores
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _int(text: str) -> int:
+    try:
+        (value,) = parse_integers(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    return value
+
+
 def _perm(text: str) -> tuple[int, ...]:
     try:
-        image = tuple(int(tok) for tok in text.replace(",", " ").split())
+        image = parse_integers(text.replace(",", " "))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a permutation: {text!r}") from None
     if core.as_permutation(image, len(image)) is None:
@@ -228,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("counts", help="derangement numbers and factorials")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("permanent", help="exact permanent of a 0/1 matrix file")
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spread", help="exact r-spread or (r,q)-spread check")
     p.add_argument("--family", required=True)
     p.add_argument("--r", type=_fraction, required=True)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--q", type=_int, default=None)
     p.add_argument("--exact", action="store_true", help="also report the exact spreadness value")
     p.set_defaults(func=cmd_spread)
 
@@ -255,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--ambient", default="sigma", help="sigma | derangements | family file")
     p.add_argument("--r", type=_fraction, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("extremal", help="emit an extremal construction with size/nu/tau")
     p.add_argument("--kind", choices=("stars", "hm", "theorem3", "derstars"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--s", type=_int, default=2)
     p.add_argument("--sigma", type=_perm, default=None)
     p.set_defaults(func=cmd_extremal)
 
@@ -272,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-spread", help="Monte Carlo containment probability")
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=_fraction, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.set_defaults(func=cmd_mc_spread)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out", default=None, help="also write the JSON report to this path")
     p.set_defaults(func=cmd_verify)
 

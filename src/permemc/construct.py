@@ -7,7 +7,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import eq, index
+from operator import eq
 
 from .core import (
     Cell,
@@ -15,8 +15,9 @@ from .core import (
     Family,
     Perm,
     _check_cap,
+    _integer,
+    as_cell,
     as_permutation,
-    inverse,
     is_derangement,
 )
 from .counting import pointed_derangement_count
@@ -55,20 +56,16 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     together), which for full stars happens exactly when the centers share
     a row with distinct columns or share a column with distinct rows.
     """
-    centers = []
-    for x, y in cells:
-        try:
-            centers.append((index(x), index(y)))
-        except TypeError:
-            raise ValueError(f"cell {(x, y)} outside [{n}]^2") from None
+    n = _integer(n)
+    given = [(x, y) for x, y in cells]
+    centers = [as_cell(cell, n) for cell in given]
+    if None in centers:
+        raise ValueError(f"cell {given[centers.index(None)]} outside [{n}]^2")
     centers = tuple(sorted(centers))
     if len(set(centers)) != len(centers):
         raise ValueError("duplicate star centers")
     if derangement and any(x == y for x, y in centers):
         raise ValueError("derangement stars need off-diagonal centers")
-    for cell in centers:
-        if not all(1 <= v <= n for v in cell):
-            raise ValueError(f"cell {cell} outside [{n}]^2")
     stars = [tuple(p for p in _star(n, x, y) if not derangement or is_derangement(p)) for x, y in centers]
     members = tuple(p for p, _ in itertools.groupby(heapq.merge(*stars)))  # merged in order, repeats dropped
     return StarUnion(Family._of(n, members), centers, len(members) == sum(map(len, stars)))
@@ -91,8 +88,8 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
     is exactly make_hm.  Size (s-1)(n-1)! - d_{n,1} + 1.  The blocks (pinned,
     stars, sigma) start with 1, 2..s-1 and sigma(1) >= s, so come out sorted.
     """
-    if s < 2:
-        raise ValueError("s must be at least 2")
+    n = _integer(n)
+    s = _integer(s, 2, "s must be at least 2")
     if s - 1 > n:
         raise ValueError("s - 1 must not exceed n")
     sigma = as_permutation(sigma, n)
@@ -126,5 +123,10 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:
     """Where apply_isomorphism(rho, -, pi) sends a star centered at ``cell``."""
-    x, y = cell
-    return (inverse(pi)[x - 1], rho[y - 1])
+    n = len(rho)
+    rho, pi, center = as_permutation(rho, n), as_permutation(pi, n), as_cell(cell, n)
+    if rho is None or pi is None:
+        raise ValueError(f"rho and pi must be permutations of [{n}]")
+    if center is None:
+        raise ValueError(f"cell {cell} outside [{n}]^2")
+    return (pi.index(center[0]) + 1, rho[center[1] - 1])

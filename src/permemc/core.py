@@ -41,6 +41,16 @@ def as_permutation(image: Iterable[int], n: int) -> Perm | None:
     return perm if len(perm) == n and set(perm).issuperset(range(1, n + 1)) else None
 
 
+def as_cell(cell, n: int | None) -> Cell | None:
+    """``cell`` as a pair of ints if it lies in [n]^2 (any pair of integers
+    when n is None), else None: the counterpart of ``as_permutation``."""
+    try:
+        r, c = map(index, cell)
+    except (TypeError, ValueError):
+        return None
+    return (r, c) if n is None or (1 <= r <= n and 1 <= c <= n) else None
+
+
 def is_permutation(image: Sequence[int]) -> bool:
     """Check that ``image`` is a bijection of [n] with n = len(image).
 
@@ -83,30 +93,27 @@ def graph(p: Perm) -> PartialPerm:
 
 
 def contains_cells(p: Perm, cells: Iterable[Cell]) -> bool:
-    """True iff every cell (r, c) satisfies p(r) = c."""
-    return all(1 <= r <= len(p) and p[r - 1] == c for r, c in cells)
+    """True iff every cell (r, c) lies in [n]^2 and satisfies p(r) = c."""
+    cells = [as_cell(cell, len(p)) for cell in cells]
+    return None not in cells and all(p[r - 1] == c for r, c in cells)
 
 
 def is_partial_permutation(cells: Iterable[Cell]) -> bool:
     """Rows pairwise distinct and columns pairwise distinct."""
     cells = list(cells)
-    rows = {r for r, _ in cells}
-    cols = {c for _, c in cells}
-    return len(rows) == len(cells) and len(cols) == len(cells)
+    return len({r for r, _ in cells}) == len({c for _, c in cells}) == len(cells)
 
 
 def partial_permutation(cells: Iterable[Cell], n: int | None = None) -> PartialPerm:
     """Validate and freeze a cell set into a partial permutation."""
-    try:
-        cs = frozenset((index(r), index(c)) for r, c in cells)
-    except TypeError:
-        raise ValueError("not a partial permutation: cells must be pairs of integers") from None
+    cs = frozenset(as_cell(cell, None) for cell in cells)
+    if None in cs:
+        raise ValueError("not a partial permutation: cells must be pairs of integers")
     if not is_partial_permutation(cs):
         raise ValueError(f"not a partial permutation (row or column clash): {sorted(cs)}")
-    if n is not None:
-        for r, c in cs:
-            if not (1 <= r <= n and 1 <= c <= n):
-                raise ValueError(f"cell ({r},{c}) outside [{n}]^2")
+    for r, c in cs:
+        if as_cell((r, c), n) is None:
+            raise ValueError(f"cell ({r},{c}) outside [{n}]^2")
     return cs
 
 
@@ -143,12 +150,7 @@ class Family:
     _view = None  # (parent, mask) when the members are a slice of a parent family; see _slice
 
     def __post_init__(self):
-        try:
-            n = index(self.n)
-        except TypeError:
-            n = 0
-        if n < 1:
-            raise ValueError("n must be a positive integer")
+        n = _integer(self.n)
         members = tuple(self.members)
         perms = [as_permutation(m, n) for m in members]
         if None in perms:
@@ -263,11 +265,23 @@ def subfamily_containing_any(fam: Family, cell_sets: Iterable[Iterable[Cell]]) -
     return _slice(root, mask & hit)
 
 
-def _check_cap(n: int) -> None:
+def _integer(value, least: int = 1, message: str = "n must be a positive integer") -> int:
+    """``value`` read with ``operator.index`` if it is an integer >= least,
+    else ValueError(message); by default, the one rule for n."""
+    try:
+        value = index(value)
+    except TypeError:
+        value = least - 1
+    if value < least:
+        raise ValueError(message)
+    return value
+
+
+def _check_cap(n: int) -> int:
+    n = _integer(n)
     if n > ENUMERATION_CAP:
         raise ValueError(f"full enumeration refused for n={n} (cap {ENUMERATION_CAP})")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    return n
 
 
 def is_derangement(p: Perm) -> bool:
@@ -280,7 +294,7 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
     ``kind`` is one of ``all``, ``derangements``, ``double_derangements``;
     the last requires ``sigma``.  n is capped at ``ENUMERATION_CAP``.
     """
-    _check_cap(n)
+    n = _check_cap(n)
     perms = itertools.permutations(range(1, n + 1))  # lexicographic, so no re-sort
     if kind == "all":
         return Family._of(n, tuple(perms))

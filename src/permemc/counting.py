@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, as_permutation, partial_permutation
+from .core import Cell, Perm, _integer, as_permutation, partial_permutation
 
 #: Caps keeping the general exact permanents at interactive speeds.
 BRUTE_CAP = 9
@@ -24,12 +24,9 @@ _PERM_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 def derangement_count(n: int) -> int:
     """d_n by the recurrence d_n = (n-1)(d_{n-1} + d_{n-2}), d_0 = 1, d_1 = 0."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    a, b = 1, 0  # d_0, d_1
-    if n == 0:
-        return a
-    for m in range(2, n + 1):
+    n = _integer(n, 0, "n must be non-negative")
+    a, b = 0, 1  # d_{-1} (any value: d_1 = 0 * (d_0 + d_{-1})), d_0
+    for m in range(1, n + 1):
         a, b = b, (m - 1) * (b + a)
     return b
 
@@ -40,8 +37,7 @@ def derangement_count_inclusion_exclusion(n: int) -> int:
     The sum must start at i = 0: the complementary sum starting at i = 1
     counts the permutations that *do* have a fixed point.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _integer(n, 0, "n must be non-negative")
     total = 0
     term = math.factorial(n)  # n!/i! at i = 0
     for i in range(n + 1):
@@ -58,8 +54,7 @@ def round_factorial_over_e(n: int) -> int:
     bracket ends round to the same integer.  Rounding is floor division in
     integers; no floating-point value of e is used.
     """
-    if n < 1:
-        raise ValueError("defined for n >= 1")
+    n = _integer(n, 1, "defined for n >= 1")
     nf = math.factorial(n)
     num, fact_i, i = 0, 1, 1  # sum_{k<=1} (-1)^k/k! = 0/1!
     prev = None
@@ -75,8 +70,7 @@ def round_factorial_over_e(n: int) -> int:
 
 def pointed_derangement_count(n: int) -> int:
     """d_{n,1} = d_{n-1} + d_{n-2}: derangements through one off-diagonal cell."""
-    if n < 2:
-        raise ValueError("defined for n >= 2")
+    n = _integer(n, 2, "defined for n >= 2")
     return derangement_count(n - 1) + derangement_count(n - 2)
 
 
@@ -283,8 +277,7 @@ def near_full_permanent_bound(n: int, case: str = "two_regular") -> Fraction:
         two_regular:    (1 - 2/N)^N * N!
         one_deficient:  (N-1)/N * (1 - 2/(N-1))^(N-1) * N!
     """
-    if n < 4:
-        raise ValueError("defined for N >= 4")
+    n = _integer(n, 4, "defined for N >= 4")
     nf = math.factorial(n)
     if case == "two_regular":
         return Fraction(n - 2, n) ** n * nf

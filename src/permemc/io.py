@@ -10,12 +10,24 @@ comma-separated ``row:col`` pairs.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from fractions import Fraction
 from typing import Iterable
 
 from .core import Cell, Family, PartialPerm, as_permutation, partial_permutation
 from .counting import ZeroOneMatrix
+
+
+_INTEGERS = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*)?")
+
+
+def parse_integers(text: str) -> tuple[int, ...]:
+    """The whitespace-separated integers of ``text``, each an optional sign and ASCII
+    digits, checked by one pattern; anything else, even digits ``int()`` takes, is a ValueError."""
+    if _INTEGERS.fullmatch(text) is None:
+        raise ValueError(f"not integers: {text!r}")
+    return tuple(map(int, text.split()))
 
 
 class ParseError(ValueError):
@@ -36,14 +48,14 @@ def _read_rows(text: str, path, key: str):
             continue
         if n is not None:
             try:
-                yield line_no, line, tuple(int(tok) for tok in line.split())
+                yield line_no, line, parse_integers(line)
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer token in {line!r}") from None
             continue
         if not line.startswith(f"{key}="):
             raise ParseError(path, line_no, f"expected header '{key}=<int>'")
         try:
-            n = int(line[2:])
+            (n,) = parse_integers(line[2:])
         except ValueError:
             raise ParseError(path, line_no, f"bad {key} value {line[2:]!r}") from None
         if n < 1:
@@ -132,9 +144,10 @@ def parse_partial_permutation(literal: str, n: int | None = None) -> PartialPerm
         if len(parts) != 2:
             raise ValueError(f"bad cell literal {token!r}; expected 'row:col'")
         try:
-            cells.append((int(parts[0]), int(parts[1])))
+            (r,), (c,) = map(parse_integers, parts)
         except ValueError:
             raise ValueError(f"bad cell literal {token!r}; expected integers") from None
+        cells.append((r, c))
     return partial_permutation(cells, n)
 
 
@@ -147,14 +160,8 @@ def cells_json(cells: Iterable[Cell]) -> list[str]:
 
 
 def fraction_json(value):
-    """Fractions as exact "p/q" strings; None and floats pass through."""
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return value
+    """Fractions as exact "p/q" strings ("p" for an integer); None and floats pass through."""
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def save_report(report: dict, path) -> None:

@@ -25,6 +25,8 @@ from .core import (
     Family,
     Perm,
     _check_disjoint_cap,
+    _integer,
+    as_cell,
     cell_masks,
     is_derangement,
     max_disjoint,
@@ -32,6 +34,7 @@ from .core import (
     subfamily_containing_any,
 )
 from .counting import pointed_derangement_count
+from .io import cells_json, fraction_json
 from .spread import EXACT_CELL_CAP, containment_probability
 
 #: Rational upper bound on e; using an upper bound keeps "hypothesis met"
@@ -273,9 +276,9 @@ def classify_cross_free_families(
     for fam, cell in zip(families, cells):
         if fam.n != n:
             raise DimensionMismatch("families over different [n]")
-        x, y = cell
-        if not (1 <= x <= n and 1 <= y <= n):
+        if (checked := as_cell(cell, n)) is None:
             raise ValueError(f"cell {cell} outside [{n}]^2")
+        x, y = checked
         if x == y:
             raise ValueError(f"cell {cell} lies on the diagonal")
         for p in fam.members:
@@ -413,21 +416,8 @@ def support_union_bound_sides(
     if r is not None and q is not None:
         hypothesis = eps * Fraction(r) >= 8 * E_UPPER * (s - 1) * q
     return SupportBoundSides(
-        trivial,
-        maximal,
-        violation,
-        l,
-        matching_ok,
-        lhs,
-        singleton_union,
-        max_star,
-        max_cell,
-        rhs,
-        Fraction(lhs) <= rhs,
-        cor_rhs,
-        Fraction(lhs) <= cor_rhs,
-        not trivial,
-        hypothesis,
+        trivial, maximal, violation, l, matching_ok, lhs, singleton_union, max_star, max_cell,
+        rhs, Fraction(lhs) <= rhs, cor_rhs, Fraction(lhs) <= cor_rhs, not trivial, hypothesis,
     )
 
 
@@ -443,8 +433,6 @@ class StarSlackSides:
     holds: bool
 
     def to_json(self) -> dict:
-        from .io import cells_json, fraction_json
-
         return {
             "best_union_size": self.best_union_size,
             "best_cells": cells_json(self.best_cells),
@@ -467,8 +455,7 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     """
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
-    if s < 2:
-        raise ValueError("s must be at least 2")
+    s = _integer(s, 2, "s must be at least 2")
     n = ambient.n
     masks = ambient.cell_masks
     cells = sorted(masks)

@@ -21,6 +21,7 @@ from .core import (
     Cell,
     Family,
     PartialPerm,
+    _integer,
     _root,
     cell_masks,
     set_matching_number,
@@ -28,6 +29,7 @@ from .core import (
     subfamily_containing,
     subfamily_containing_any,
 )
+from .io import cells_json, family_json, fraction_json
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
 EXACT_CELL_CAP = 24
@@ -87,8 +89,6 @@ class SpreadReport:
     exact_spreadness: float | None = None
 
     def to_json(self) -> dict:
-        from .io import cells_json, fraction_json
-
         return {
             "is_spread": self.is_spread,
             "witness": None if self.witness is None else cells_json(self.witness),
@@ -202,8 +202,7 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     index, full = _index(fam)
     if not full:
         raise ValueError("spreadness is undefined for the empty family")
-    if q_cells < 0:
-        raise ValueError("q must be non-negative")
+    q_cells = _integer(q_cells, 0, "q must be non-negative")
     table = _trace_counts(index, full, frozenset(), q_cells)
     for sub in [(), *sorted(table, key=lambda s: (len(s), s))]:
         carrier = functools.reduce(int.__and__, (index[0][c] for c in sub), full)
@@ -281,8 +280,6 @@ class ApproximationResult:
     stop_set: PartialPerm | None = None
 
     def to_json(self) -> dict:
-        from .io import cells_json, family_json
-
         return {
             "supports": [cells_json(s) for s in self.supports],
             "remainder": family_json(self.remainder, "remainder"),
@@ -307,8 +304,7 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
     r = Fraction(r)
     if r <= 0:
         raise ValueError("r must be positive")
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    q = _integer(q, 1, "q must be at least 1")
     rho = r / 2
     branches: dict[PartialPerm, Family] = {}
     current = fam  # F^i and its branches are slices of F, walked over F's one index
@@ -340,8 +336,6 @@ class ApproximationCheck:
         return self.covering_ok and self.branch_traces_spread and self.remainder_status != "fail"
 
     def to_json(self) -> dict:
-        from .io import fraction_json
-
         return {
             "covering_ok": self.covering_ok,
             "branch_traces_spread": self.branch_traces_spread,
@@ -405,10 +399,8 @@ class ProbabilityEstimate:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        from .io import fraction_json
-
         return {
-            "value": fraction_json(self.value) if isinstance(self.value, Fraction) else self.value,
+            "value": fraction_json(self.value),
             "mode": self.mode,
             "standard_error": self.standard_error,
             "samples": self.samples,
@@ -447,10 +439,8 @@ def containment_probability(
             raise ValueError(f"exact mode capped at {EXACT_CELL_CAP} distinct cells")
         return ProbabilityEstimate(_containment_exact(members, relevant, pf), "exact")
     if mode == "monte_carlo":
-        if samples is None or samples < 1:
-            raise ValueError("monte_carlo mode needs samples >= 1")
-        if seed is None or seed < 0:
-            raise ValueError("monte_carlo mode needs an explicit seed >= 0")
+        samples = _integer(samples, 1, "monte_carlo mode needs samples >= 1")
+        seed = _integer(seed, 0, "monte_carlo mode needs an explicit seed >= 0")
         rng = random.Random(seed)
         k = 0
         for start in range(0, samples, _SAMPLE_BLOCK):
@@ -518,8 +508,7 @@ def spread_lemma_bound(k: int, r, beta, delta) -> float | None:
     at least 1).  Otherwise the float is returned as it comes out, possibly
     <= 0: this is an output-only evaluator and makes no decision on it.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _integer(k, 1, "k must be at least 1")
     rd = Fraction(r) * Fraction(delta)
     if rd <= 2:
         return None

@@ -16,17 +16,15 @@ import time
 from fractions import Fraction
 
 from . import construct, counting, core, solvers, spread
-from .io import cells_json, fraction_json
+from .io import cells_json, format_family, fraction_json, load_family, parse_family, save_family
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return fraction_json(value)
     if isinstance(value, (frozenset, set)):
         return cells_json(value)
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
-    return value
+    return fraction_json(value)
 
 
 class _Suite:
@@ -198,8 +196,6 @@ def suite_counts(seed: int = 0) -> dict:
     import os
     import tempfile
 
-    from .io import format_family, load_family, parse_family, save_family
-
     fam = random_subfamily(rng, core.symmetric_group(4), 7)
     ok = parse_family(format_family(fam)) == fam
     fd, path = tempfile.mkstemp(suffix=".family.txt")
@@ -312,7 +308,8 @@ def suite_spread(seed: int = 0) -> dict:
     s.add("probability-monte-carlo", "Monte Carlo agrees with exact values within 3 standard errors", ok)
 
     value = spread.spread_lemma_bound(8, 16, math.log2(16), 1)
-    s.add("spread-lemma-half", "r*delta = 16 with beta = log2(2k) yields exactly 1/2", value == 0.5, lhs=value, rhs=0.5)
+    exact = 1 - Fraction(2, (16).bit_length() - 1) ** 4 * 8  # log2(16) = beta = 4, so the bound is rational
+    s.add("spread-lemma-half", "r*delta = 16 with beta = log2(2k) yields exactly 1/2", exact == Fraction(1, 2), lhs=value, rhs=0.5)
     s.add("spread-lemma-vacuous-edge", "r*delta = 2 is vacuous", spread.spread_lemma_bound(4, 2, 2.0, 1) is None)
     ok = True
     for n in range(3, 11):

@@ -364,6 +364,17 @@ def test_public_entry_points_still_validate():
         parse_family("n=3\n1 2\n")
     with pytest.warns(UserWarning, match="duplicate permutation ignored"):
         assert parse_family("n=3\n2 1 3\n2 1 3\n").members == ((2, 1, 3),)
+    # integers in text are an optional sign and ASCII digits: no other Unicode digit, no "_"
+    with pytest.raises(ParseError, match=r"<string>:2: non-integer token in '\u0661 2 3'"):
+        parse_family("n=3\n\u0661 2 3\n2 1 3\n")
+    with pytest.raises(ParseError, match="<string>:1: bad n value '1_0'"):
+        parse_family("n=1_0\n")
+    with pytest.raises(ParseError, match="non-integer token"):
+        parse_family("n=3\n1 2 3_0\n")
+    assert parse_family("n=+3\n +2 1 03 \n").members == ((2, 1, 3),)
+    for call in (lambda: symmetric_group(2.5), lambda: make_star(3.0, (1, 1))):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            call()
 
 
 def test_make_hm_round_trips_through_the_family_format():

@@ -25,16 +25,19 @@ from permemc import (
     is_partial_permutation,
     is_permutation,
     make_hm,
+    make_hm_star_union,
     make_star,
+    make_star_union,
     partial_permutation,
     set_matching_number,
     subfamily_containing,
+    star_center_image,
     subfamily_containing_any,
     symmetric_group,
     trace,
 )
 import permemc.core
-from permemc.core import ENUMERATION_CAP, as_permutation, max_disjoint
+from permemc.core import ENUMERATION_CAP, as_cell, as_permutation, max_disjoint
 from permemc.verify import brute_nu
 
 
@@ -321,6 +324,20 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         (lambda: partial_permutation([("1", 2)], 3), ValueError, "not a partial permutation"),
         (lambda: make_star(4, (1.5, 2)), ValueError, r"cell \(1.5, 2\) outside \[4\]\^2"),
         (lambda: make_star(4, ("1", 2)), ValueError, r"outside \[4\]\^2"),
+        # n follows one rule too: a positive integer
+        (lambda: symmetric_group(2.5), ValueError, "n must be a positive integer"),
+        (lambda: derangements(3.0), ValueError, "n must be a positive integer"),
+        (lambda: make_star(3.0, (1, 1)), ValueError, "n must be a positive integer"),
+        (lambda: make_star_union(2.5, []), ValueError, "n must be a positive integer"),
+        (lambda: make_star_union(0, []), ValueError, "n must be a positive integer"),
+        (lambda: make_hm(3.0, (2, 1, 3)), ValueError, "n must be a positive integer"),
+        (lambda: make_hm_star_union(5, 2.5, (3, 1, 2, 4, 5)), ValueError, "s must be at least 2"),
+        # star centers are checked like any cell, and rho and pi like any permutation
+        (lambda: star_center_image((2, 3, 1), (0, 1), (3, 1, 2)), ValueError, r"cell \(0, 1\) outside \[3\]\^2"),
+        (lambda: star_center_image((2, 3, 1), (1, 4), (3, 1, 2)), ValueError, r"cell \(1, 4\) outside \[3\]\^2"),
+        (lambda: star_center_image((2, 3, 1), (1.0, 2), (3, 1, 2)), ValueError, r"outside \[3\]\^2"),
+        (lambda: star_center_image((1, 1, 3), (1, 1), (3, 1, 2)), ValueError, "must be permutations"),
+        (lambda: partial_permutation([(1, 2, 3)]), ValueError, "cells must be pairs of integers"),
         # one 131,073-bit disjointness mask per set would take over 2 GiB
         (
             lambda: set_matching_number([{(1, i)} for i in range(2**17 + 1)]),
@@ -341,6 +358,18 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         "partial-permutation-string-cell",
         "star-float-center",
         "star-string-center",
+        "symmetric-group-float-n",
+        "derangements-float-n",
+        "star-float-n",
+        "star-union-float-n-no-centers",
+        "star-union-n0-no-centers",
+        "make-hm-float-n",
+        "make-hm-star-union-float-s",
+        "star-image-cell-row-0",
+        "star-image-cell-column-4",
+        "star-image-float-cell",
+        "star-image-repeated-rho",
+        "partial-permutation-triple",
         "matching-over-cap",
     ],
 )
@@ -360,6 +389,33 @@ def test_as_permutation_agrees_with_the_sorting_oracle():
         assert is_permutation(image) == (sorted(image) == list(range(1, len(image) + 1)))
     perm = tuple(rng.sample(range(1, 8), 7))
     assert as_permutation(iter(perm), 7) == perm
+
+
+def test_as_cell_agrees_with_the_range_oracle():
+    rng = random.Random(17)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        cell = (rng.randint(-1, n + 1), rng.randint(-1, n + 1))
+        r, c = cell
+        assert as_cell(cell, n) == (cell if 1 <= r <= n and 1 <= c <= n else None)
+        assert as_cell(list(cell), None) == cell
+    for cell in [(1.0, 1), (1, "1"), (1,), (1, 1, 1), 11, None, "11"]:
+        assert as_cell(cell, 3) is None and as_cell(cell, None) is None
+    assert type(as_cell((True, 1), 1)[0]) is int
+
+
+def test_star_center_image_matches_apply_isomorphism():
+    rho, pi = (2, 3, 1, 4), (3, 1, 4, 2)
+    for x, y in itertools.product(range(1, 5), repeat=2):
+        image = apply_isomorphism(rho, make_star(4, (x, y)), pi)
+        assert image == make_star(4, star_center_image(rho, (x, y), pi))
+
+
+def test_contains_cells_reads_a_non_cell_as_false():
+    p = (2, 3, 1)
+    assert contains_cells(p, [(1, 2), (3, 1)])
+    for cells in ([(1.0, 2)], [(0, 3)], [(4, 1)], [(1, 2), 5], [(1, 2, 3)]):
+        assert not contains_cells(p, cells)
 
 
 def test_as_permutation_refuses_non_integers():

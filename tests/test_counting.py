@@ -433,6 +433,9 @@ def test_counts_reject_cells_outside_the_grid():
         (lambda: permanent([["1", 1], [1, 1]]), "entries must be 0 or 1"),
         (lambda: derangement_containment_count(4, [(1.9, 2)]), "not a partial permutation"),
         (lambda: derangement_count_inclusion_exclusion(-1), "non-negative"),
+        (lambda: derangement_count(2.5), "non-negative"),
+        (lambda: pointed_derangement_count(4.0), "n >= 2"),
+        (lambda: near_full_permanent_bound(6.0), "N >= 4"),
         (lambda: round_factorial_over_e(0), "n >= 1"),
         (lambda: near_full_permanent_check([[1, 1, 1]] * 3), "N >= 4"),
         (lambda: cycle_cover_zero_matrix([1]), "parts must be >= 2"),
@@ -444,7 +447,8 @@ def test_counts_reject_cells_outside_the_grid():
         "matrix-float-entry",
         "permanent-string-entry",
         "containment-count-float-cell",
-        "inclusion-exclusion-negative", "round-n0", "near-full-n3",
+        "inclusion-exclusion-negative", "derangement-count-float-n", "pointed-count-float-n", "near-full-bound-float-n",
+        "round-n0", "near-full-n3",
         "cycle-part-1",
     ],
 )

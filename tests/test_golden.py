@@ -1,0 +1,88 @@
+"""Golden outputs: the sha256 of the CLI's standard output on fixed inputs.
+
+A change that should leave outputs alone must leave every digest alone.  An
+intended output change updates the digest it moves and says why.  The
+inputs are written with the library's own ``save_family``/``save_matrix``,
+every family stays under the 1,000-member spill limit (a spill would put a
+path into the output), and ``verify`` is hashed with its ``elapsed_ms``
+values set to 0.  Floats are hashed as CPython prints them (shortest
+round-trip repr); Monte Carlo draws from ``random.Random``, whose stream
+is fixed for a given seed across CPython versions.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from permemc import (
+    complement_of_identity,
+    derangement_star,
+    derangements,
+    family,
+    make_star_union,
+    symmetric_group,
+)
+from permemc.cli import main
+from permemc.counting import ZeroOneMatrix
+from permemc.io import save_family, save_matrix
+
+GOLDEN = {
+    "counts": "16ef9a3cbd4d9dcebf51bec8c3ea005468455d5108d56efa05e1a7edb5819833",
+    "permanent": "5e17d29f5f581fdaf97b8171d87397c964bd30a7bd8a1fbaf8b212f6fe547212",
+    "nu": "1913b0843c3bdd3232f3ff17421deed318f0f4281d9b281082ec856ece8429bf",
+    "tau": "3e15a13ee7b88bef8def7fc30bbd18606a81f0784239b101283723748638d5b7",
+    "spread": "dc2a23e1cfd9a44c98298c3997eb4585ae93d2c106accf7aa6da0a468032c75c",
+    "spread-rq": "9b8eabefa551f308872ba0f1b20718e3539ff6a2f5d0a016fbc9b0c7ef4908a4",
+    "approx": "075ac1111fe13b009437314cbae1f535ff06f84e397c5f38e6f4d23dcca3b494",
+    "extremal": "b94550b1a674414280228f6faadcd92e1bc245617b0f60b81cb96709ef0f3ab0",
+    "crossmatch": "548286c1b581492eae699656e9b20270885e1b77a1bb3b03335c76b207581eda",
+    "mc-spread": "7a96262ddadf420e4482cdb9434ea2de931854653cfaf23fd064608002efaa51",
+    "verify": "de28b907480c3c4d2ac97da66ea4302952ea232ab940482a65e87de5ead1e3ef",
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    sigma4 = symmetric_group(4).members
+    fams = {
+        "d5": derangements(5),  # 44 members
+        "sub4": family(4, sigma4[::3]),  # 8 members of Σ_4
+        "stars5": make_star_union(5, [(1, 1), (1, 2)]).family,  # 48 members
+        "dstar12": derangement_star(5, (1, 2)),
+        "dstar21": derangement_star(5, (2, 1)),
+    }
+    paths = {}
+    for name, fam in fams.items():
+        paths[name] = str(root / f"{name}.txt")
+        save_family(fam, paths[name])
+    paths["matrix"] = str(root / "matrix.txt")
+    save_matrix(ZeroOneMatrix(tuple(map(tuple, complement_of_identity(7)))), paths["matrix"])
+    return paths
+
+
+def _commands(f):
+    return {
+        "counts": ["counts", "--n", "23"],
+        "permanent": ["permanent", "--matrix", f["matrix"]],
+        "nu": ["nu", "--family", f["d5"]],
+        "tau": ["tau", "--family", f["sub4"]],
+        "spread": ["spread", "--family", f["sub4"], "--r", "3/2", "--exact"],
+        "spread-rq": ["spread", "--family", f["stars5"], "--r", "6/5", "--q", "2"],
+        "approx": ["approx", "--family", f["stars5"], "--ambient", "sigma", "--r", "5/2", "--q", "4"],
+        "extremal": ["extremal", "--kind", "theorem3", "--n", "5", "--s", "3"],
+        "crossmatch": ["crossmatch", "--families", f["dstar12"], f["dstar21"], f["stars5"]],
+        "mc-spread": ["mc-spread", "--family", f["sub4"], "--p", "2/3", "--samples", "3000", "--seed", "17"],
+        "verify": ["verify", "--suite", "all", "--seed", "0"],
+    }
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_stdout_matches_golden_digest(name, files, capsys):
+    code = main(_commands(files)[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    if name == "verify":
+        out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]

@@ -23,6 +23,7 @@ from permemc.io import (
     load_family,
     load_matrix,
     parse_family,
+    parse_integers,
     parse_matrix,
     parse_partial_permutation,
     save_family,
@@ -104,8 +105,27 @@ def test_matrix_parse_errors():
         (parse_matrix, "1 0\n0 1\n", ParseError, "expected header"),
         (parse_matrix, "# no header\n", ParseError, "missing 'N=<int>' header"),
         (parse_partial_permutation, "1:x", ValueError, "expected integers"),
+        (parse_matrix, "N=1_0\n", ParseError, "bad N value '1_0'"),
+        (parse_matrix, "N=\u0662\n1 0\n0 1\n", ParseError, "bad N value"),
+        (parse_matrix, "N=2\n1 0\n0 \u0661\n", ParseError, "non-integer token"),
+        (parse_partial_permutation, "1_0:1", ValueError, "expected integers"),
+        (parse_partial_permutation, "\u0661:2", ValueError, "expected integers"),
+        (parse_partial_permutation, "1 2:3", ValueError, "expected integers"),
     ],
-    ids=["matrix-bad-N", "matrix-N-0", "matrix-non-integer", "matrix-header-not-first", "matrix-no-header", "cell-non-integer"],
+    ids=[
+        "matrix-bad-N",
+        "matrix-N-0",
+        "matrix-non-integer",
+        "matrix-header-not-first",
+        "matrix-no-header",
+        "cell-non-integer",
+        "matrix-underscore-N",
+        "matrix-arabic-indic-N",
+        "matrix-arabic-indic-entry",
+        "cell-underscore",
+        "cell-arabic-indic",
+        "cell-two-integers-in-a-row",
+    ],
 )
 def test_bad_inputs_fail_cleanly(parse, text, error, match, tmp_path, capsys):
     with pytest.raises(error, match=match):
@@ -115,6 +135,53 @@ def test_bad_inputs_fail_cleanly(parse, text, error, match, tmp_path, capsys):
         path.write_text(text)
         code, out, err = _run(["permanent", "--matrix", str(path)], capsys)
         assert code == 3 and out == "" and match in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["counts", "--n", "\u0661\u0660"], "--n: not an integer: '\u0661\u0660'"),
+        (["counts", "--n", "1_0"], "--n: not an integer: '1_0'"),
+        (["extremal", "--kind", "hm", "--n", "4", "--sigma", "\u0662 1 4 3"], "--sigma: not a permutation"),
+        (["extremal", "--kind", "hm", "--n", "4", "--s", "\uff12"], "--s: not an integer"),
+        (["mc-spread", "--family", "f.txt", "--p", "1/2", "--samples", "1_000", "--seed", "0"], "--samples: not an integer"),
+        (["mc-spread", "--family", "f.txt", "--p", "1/2", "--samples", "10", "--seed", "\u0667"], "--seed: not an integer"),
+        (["spread", "--family", "f.txt", "--r", "\u0661/\u0662"], "--r: not a rational number"),
+        (["spread", "--family", "f.txt", "--r", "1_0/3"], "--r: not a rational number"),
+        (["verify", "--seed", "\u0660"], "--seed: not an integer"),
+    ],
+    ids=["n-arabic-indic", "n-underscore", "sigma-arabic-indic", "s-fullwidth", "samples-underscore", "seed-arabic-indic", "r-arabic-indic", "r-underscore", "verify-seed"],
+)
+def test_cli_refuses_integers_that_are_not_ascii_digits(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and flag in err and "Traceback" not in err
+
+
+def test_parse_integers_agrees_with_int_on_ascii_text():
+    rng = random.Random(17)
+    for _ in range(5000):
+        text = "".join(rng.choice("0123456789+- \t\x0bx._") for _ in range(rng.randint(0, 8)))
+        try:
+            expected = None if "_" in text else tuple(int(tok) for tok in text.split())  # int() takes "1_0"
+        except ValueError:
+            expected = None
+        try:
+            assert parse_integers(text) == expected, text
+        except ValueError:
+            assert expected is None, text
+    for digit in "\u0661\u0967\uff11\U0001d7cf":  # Arabic-Indic, Devanagari, fullwidth, mathematical one
+        assert int(digit) == 1
+        with pytest.raises(ValueError, match="not integers"):
+            parse_integers(f"2 {digit}")
+
+
+def test_cli_reads_signed_and_padded_ascii_integers(capsys):
+    code, out, _ = _run(["counts", "--n", "+07"], capsys)
+    assert code == 0 and json.loads(out)["n"] == 7
+    code, out, _ = _run(["extremal", "--kind", "hm", "--n", " 4 ", "--sigma", "2,1,4,3"], capsys)
+    assert code == 0 and json.loads(out)["sigma"] == [2, 1, 4, 3]
 
 
 def test_verify_unknown_suite_fails_cleanly(capsys):
@@ -514,9 +581,9 @@ def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys):
     def fam():
         return _fuzz_file(rng, tmp_path / f"{rng.randrange(10**9)}.txt", "family")
 
-    ints = ["-7", "-1", "0", "1", "2", "3", "6", "x", "", "1.5", "1e3"]
-    fracs = ["1e400", "-1", "0", "1/0", "abc", "2", "3/2", "1e-400", "-2/3"]
-    qs = ["-3", "-1", "0", "1", "2", "4", "x"]
+    ints = ["-7", "-1", "0", "1", "2", "3", "6", "x", "", "1.5", "1e3", "\u0661", "1_0"]
+    fracs = ["1e400", "-1", "0", "1/0", "abc", "2", "3/2", "1e-400", "-2/3", "\u0661", "1_0"]
+    qs = ["-3", "-1", "0", "1", "2", "4", "x", "\u0661", "1_0"]
     codes = set()
     for case in range(400):
         cmd = rng.choice(["counts", "permanent", "nu", "tau", "spread", "approx", "extremal", "crossmatch", "mc-spread"])
@@ -536,13 +603,13 @@ def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys):
         elif cmd == "extremal":
             kind = rng.choice(["stars", "hm", "theorem3", "derstars", "x"])
             argv = [cmd, "--kind", kind, "--n", rng.choice(ints), "--s", rng.choice(["-2", "0", "1", "3", "50", "x"])]
-            argv += rng.choice([[], ["--sigma", rng.choice(["2 1 3", "1 2 3 4 5 6", "1 1", "x"])]])
+            argv += rng.choice([[], ["--sigma", rng.choice(["2 1 3", "1 2 3 4 5 6", "1 1", "x", "\u0662 1 3"])]])
         elif cmd == "crossmatch":
             argv = [cmd, "--families"] + [fam() for _ in range(rng.randint(1, 3))]
         else:
             argv = [cmd, "--family", fam(), "--p", rng.choice(["0", "1", "1/2", "-1", "3/2", "1e-9", "x"])]
-            argv += ["--samples", rng.choice(["-1", "0", "1", "100", "x"])]
-            argv += ["--seed", rng.choice(["-1", "0", str(2**70), "7", "x"])]
+            argv += ["--samples", rng.choice(["-1", "0", "1", "100", "x", "1_0"])]
+            argv += ["--seed", rng.choice(["-1", "0", str(2**70), "7", "x", "\u0661"])]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed values with exit 2

@@ -681,10 +681,19 @@ def test_classify_bad_inputs_fail_cleanly(families, cells, error, match):
         (lambda: containment_implies_matching_check([[{(1, 1)}]], 2, Fraction(1, 10)), "exactly s"),
         (lambda: support_union_bound_sides(symmetric_group(3), [], 1, 2), "must be nonempty"),
         (lambda: star_union_slack_sides(symmetric_group(3), symmetric_group(3), 1), "s must be at least 2"),
+        (lambda: star_union_slack_sides(symmetric_group(3), symmetric_group(3), 2.5), "s must be at least 2"),
+        (lambda: classify_cross_free_families([derangement_star(4, (1, 2))], [(1.0, 2)]), r"cell \(1.0, 2\) outside"),
         # C(36, 8) cell combinations of Σ_6 against a budget of 2,000,000
         (lambda: star_union_slack_sides(symmetric_group(6), symmetric_group(6), 9), "too large"),
     ],
-    ids=["upclosed-wrong-count", "support-sides-no-supports", "star-slack-s1", "star-slack-over-budget"],
+    ids=[
+        "upclosed-wrong-count",
+        "support-sides-no-supports",
+        "star-slack-s1",
+        "star-slack-float-s",
+        "classify-float-cell",
+        "star-slack-over-budget",
+    ],
 )
 def test_bad_inputs_fail_cleanly(call, match):
     with pytest.raises(ValueError, match=match):

@@ -737,7 +737,18 @@ def test_spread_lemma_bound_vacuous():
             lambda: containment_probability(symmetric_group(3), Fraction(1, 2), "monte_carlo", samples=10, seed=-1),
             "seed >= 0",
         ),
+        (
+            lambda: containment_probability(symmetric_group(3), Fraction(1, 2), "monte_carlo", samples=10, seed=1.5),
+            "seed >= 0",
+        ),
+        (
+            lambda: containment_probability(symmetric_group(3), Fraction(1, 2), "monte_carlo", samples=10.5, seed=1),
+            "samples >= 1",
+        ),
         (lambda: spread_lemma_bound(0, 8, 1, 1), "k must be at least 1"),
+        (lambda: spread_lemma_bound(1.5, 8, 1, 1), "k must be at least 1"),
+        (lambda: is_rq_spread(symmetric_group(3), 2, 1.5), "q must be non-negative"),
+        (lambda: spread_approximate(symmetric_group(3), symmetric_group(3), 2, 2.5), "q must be at least 1"),
     ],
     ids=[
         "spreadness-empty-family",
@@ -747,7 +758,12 @@ def test_spread_lemma_bound_vacuous():
         "max-ratio-rho-negative",
         "containment-unknown-mode",
         "containment-negative-seed",
+        "containment-float-seed",
+        "containment-float-samples",
         "lemma-bound-k0",
+        "lemma-bound-float-k",
+        "rq-spread-float-q",
+        "approximate-float-q",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, match):
