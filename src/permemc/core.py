@@ -117,11 +117,6 @@ def partial_permutation(cells: Iterable[Cell], n: int | None = None) -> PartialP
     return cs
 
 
-def sorted_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
-    """Row-major canonical order."""
-    return tuple(sorted(cells))
-
-
 def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
     """Map each cell to the bitmask of the indices of the sets containing it.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, _integer, as_permutation, partial_permutation
+from .core import Cell, Perm, _integer, as_permutation, identity, partial_permutation
 
 #: Caps keeping the general exact permanents at interactive speeds.
 BRUTE_CAP = 9
@@ -225,27 +225,27 @@ def _rook_permanent(size: int, zeros) -> int:
     return sum((-1) ** k * r * math.factorial(size - k) for k, r in enumerate(rooks))
 
 
-def _reduced_forbidden_matrix(n: int, cells, forbidden) -> set[Cell]:
+def _reduced_forbidden_matrix(n: int, cells, sigma: Perm) -> set[Cell]:
     """Zero cells left once the fixed cells' rows and columns are deleted.
 
-    Each surviving row r forbids the surviving columns in ``forbidden(r)``;
+    Each surviving row r forbids the surviving columns among {r, sigma(r)};
     the cells keep their labels in [n].
     """
     fixed_rows = {r for r, _ in cells}
     fixed_cols = {c for _, c in cells}
-    return {(r, c) for r in range(1, n + 1) if r not in fixed_rows for c in forbidden(r) if c not in fixed_cols}
+    return {(r, c) for r in range(1, n + 1) if r not in fixed_rows for c in (r, sigma[r - 1]) if c not in fixed_cols}
 
 
 def derangement_containment_count(n: int, cells) -> int:
     """Number of derangements of [n] whose graph contains the given cells.
 
-    Zero when some cell sits on the diagonal.  Computed in closed form as
-    the permanent of the reduced board that forbids the surviving diagonal.
+    Derangements are the permutations disjoint from the identity, so this
+    is ``double_derangement_count`` with sigma the identity, whose forbidden
+    set {r, sigma(r)} is the diagonal cell {r} alone.  Zero when some cell
+    sits on the diagonal.
     """
-    cs = partial_permutation(cells, n)
-    if any(r == c for r, c in cs):
-        return 0
-    return _rook_permanent(n - len(cs), _reduced_forbidden_matrix(n, cs, lambda r: (r,)))
+    n = _integer(n, 0, "n must be non-negative")
+    return double_derangement_count(n, identity(n), cells)
 
 
 def double_derangement_count(n: int, sigma: Perm, cells=()) -> int:
@@ -257,13 +257,14 @@ def double_derangement_count(n: int, sigma: Perm, cells=()) -> int:
     has at most two zeros per row and column.  Returns 0 when S touches the
     diagonal or the graph of sigma.
     """
+    n = _integer(n, 0, "n must be non-negative")
     sigma = as_permutation(sigma, n)
     if sigma is None:
         raise ValueError(f"sigma is not a permutation of [{n}]")
     cs = partial_permutation(cells, n)
     if any(r == c or sigma[r - 1] == c for r, c in cs):
         return 0
-    return _rook_permanent(n - len(cs), _reduced_forbidden_matrix(n, cs, lambda r: (r, sigma[r - 1])))
+    return _rook_permanent(n - len(cs), _reduced_forbidden_matrix(n, cs, sigma))
 
 
 def near_full_permanent_bound(n: int, case: str = "two_regular") -> Fraction:

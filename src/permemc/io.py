@@ -151,10 +151,6 @@ def parse_partial_permutation(literal: str, n: int | None = None) -> PartialPerm
     return partial_permutation(cells, n)
 
 
-def format_cells(cells: Iterable[Cell]) -> str:
-    return ",".join(f"{r}:{c}" for r, c in sorted(cells))
-
-
 def cells_json(cells: Iterable[Cell]) -> list[str]:
     return [f"{r}:{c}" for r, c in sorted(cells)]
 

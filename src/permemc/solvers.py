@@ -151,7 +151,7 @@ def coset_representative(p: Perm) -> Perm:
     return tuple(p[(i + k) % n] for i in range(n))
 
 
-def coset_certificate(fam: Family, s: int, assert_matching_bound: bool = False) -> CosetCertificate:
+def coset_certificate(fam: Family, s: int) -> CosetCertificate:
     """Per-coset member counts of the family, with the (s-1)(n-1)! check.
 
     Σ_n splits into (n-1)! cosets, one per representative fixing 1.  Two
@@ -159,10 +159,8 @@ def coset_certificate(fam: Family, s: int, assert_matching_bound: bool = False) 
     fixes one, and no shift power 0 < j < n has a fixed point, so every
     class is pairwise disjoint; only the family's members are visited.
     Reports whether each class holds at most s-1 members of the family.
-    When the caller knows the family has no s-matching,
-    ``assert_matching_bound`` turns an overloaded coset into an error
-    instead of a report.
     """
+    s = _integer(s, 1, "s must be at least 1")
     n = fam.n
     class_count = math.factorial(n - 1)
     loads = Counter(coset_representative(p) for p in fam.members)
@@ -171,10 +169,6 @@ def coset_certificate(fam: Family, s: int, assert_matching_bound: bool = False) 
     if class_count > len(loads):
         histogram[0] = class_count - len(loads)
     certified = max_load <= s - 1
-    if assert_matching_bound and not certified:
-        raise ValueError(
-            f"coset with {max_load} members contradicts the assumed matching bound s={s}"
-        )
     bound = (s - 1) * class_count
     # every class is pairwise disjoint, see above
     return CosetCertificate(n, s, class_count, max_load, dict(histogram), True, len(fam), bound, certified and len(fam) <= bound)
@@ -326,6 +320,7 @@ def containment_implies_matching_check(
     basis representatives is run; the report states whether the implication
     (hypothesis => representatives exist) held, never the converse.
     """
+    s = _integer(s, 0, "s must be non-negative")
     if len(bases) != s:
         raise ValueError("exactly s upward-closed families are expected")
     frozen = [[frozenset(a) for a in basis] for basis in bases]
@@ -383,6 +378,7 @@ def support_union_bound_sides(
     given.  When r and q are supplied the hypothesis eps*r >= 8e(s-1)q is
     evaluated with a rational upper bound on e, so "met" is sound.
     """
+    s = _integer(s, 1, "s must be at least 1")
     eps = Fraction(eps)
     sets = list(dict.fromkeys(map(frozenset, supports)))  # distinct, in first-seen order
     if not sets:

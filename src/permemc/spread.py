@@ -25,7 +25,6 @@ from .core import (
     _root,
     cell_masks,
     set_matching_number,
-    sorted_cells,
     subfamily_containing,
     subfamily_containing_any,
 )
@@ -50,35 +49,35 @@ def _index(obj) -> tuple[tuple[dict, dict], int]:
     return (cell_masks(members), cell_masks([len(m)] for m in members)), (1 << len(members)) - 1
 
 
-def _trace_counts(index, carrier: int, skip=frozenset(), max_size: int | None = None, floor: int = 1):
-    """Counts |F(X)| >= floor for every distinct nonempty X of at most
-    max_size cells inside some member of F, the trace by A = ``skip`` of the
-    members in ``carrier`` (all of which contain A), by a depth-first walk
-    over the index with A's cells left out: X grows only by row-major later
-    cells, so each X is met once, its carriers are the AND of its cells'
-    masks, and since a subset of X has as many carriers, a branch below the
-    floor ends.  Refused if F has over ``_SUBSET_BUDGET`` subsets in all."""
+def _walk(index, carrier: int, skip=frozenset(), max_size: int | None = None, floor: int = 1):
+    """Yields (X, the bitmask of X's carriers) for every distinct nonempty X
+    of at most max_size cells inside some member of F with |F(X)| >= floor,
+    where F is the trace by A = ``skip`` of the members in ``carrier`` (all
+    of which contain A), by a depth-first walk over the index with A's cells
+    left out: X grows only by row-major later cells, so each X is met once,
+    in lexicographic order, its carriers are the AND of its cells' masks,
+    and since a subset of X has as many carriers, a branch below the floor
+    ends.  Refused when called if F has over ``_SUBSET_BUDGET`` subsets in
+    all."""
     masks, sizes = index
     if sum((m & carrier).bit_count() * 2 ** (s - len(skip)) for s, m in sizes.items() if m & carrier) > _SUBSET_BUDGET:
         raise ValueError("family too large for exhaustive subset enumeration")
-    counts: dict[tuple, int] = {}
 
-    def walk(prefix: tuple, branches: list) -> None:
+    def walk(prefix: tuple, branches: list):
         if max_size is not None and len(prefix) >= max_size:
             return
         while branches:
             cell, carriers = branches.pop(0)
             sub = prefix + (cell,)
-            counts[sub] = carriers.bit_count()
-            walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
+            yield sub, carriers
+            yield from walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
 
-    walk((), [(c, both) for c, m in sorted(masks.items()) if c not in skip and (both := m & carrier).bit_count() >= floor])
-    return counts
+    return walk((), [(c, both) for c, m in sorted(masks.items()) if c not in skip and (both := m & carrier).bit_count() >= floor])
 
 
 def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
-    """``_trace_counts`` of a list of cell sets, every member a carrier."""
-    return _trace_counts(*_index(members), frozenset(), max_size, floor)
+    """{X: |F(X)|} over ``_walk`` of a list of cell sets, every member a carrier."""
+    return {sub: carriers.bit_count() for sub, carriers in _walk(*_index(members), frozenset(), max_size, floor)}
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> i
 def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = None) -> tuple[tuple, int] | None:
     """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|}, exactly, ties
     going to the lexicographically least X, where F is the trace of the
-    carrier by ``skip`` as in ``_trace_counts``; None if no X is kept.
+    carrier by ``skip`` as in ``_walk``; None if no X is kept.
 
     The walk keeps every X that ranks with the best single cell or ahead of
     it, as the worst offender does: with c that cell's count, an X of k <= K
@@ -127,14 +126,16 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     if r is not None:
         floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
     kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
-    counts = _trace_counts((kept, index[1]), carrier, skip, None, floor)
-    if not counts:
-        return None
-    # every X of one pair (|X|, |F(X)|) has the same value
-    pairs = set(zip(map(len, counts), counts.values()))
-    best = min(pairs, key=functools.cmp_to_key(lambda a, b: _compare_spreadness(total, a, b)))
-    tied = {pair for pair in pairs if _compare_spreadness(total, pair, best) == 0}
-    return min((sub, cnt) for sub, cnt in counts.items() if (len(sub), cnt) in tied)
+    # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
+    # X in lexicographic order, so only a pair's first X can take the lead
+    best, seen = None, set()
+    for sub, carriers in _walk((kept, index[1]), carrier, skip, None, floor):
+        pair = (len(sub), carriers.bit_count())
+        if pair not in seen:
+            seen.add(pair)
+            if best is None or _compare_spreadness(total, pair, (len(best[0]), best[1])) < 0:
+                best = (sub, pair[1])
+    return best
 
 
 def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> SpreadReport:
@@ -203,9 +204,9 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     if not full:
         raise ValueError("spreadness is undefined for the empty family")
     q_cells = _integer(q_cells, 0, "q must be non-negative")
-    table = _trace_counts(index, full, frozenset(), q_cells)
-    for sub in [(), *sorted(table, key=lambda s: (len(s), s))]:
-        carrier = functools.reduce(int.__and__, (index[0][c] for c in sub), full)
+    # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
+    restrictions = sorted(_walk(index, full, frozenset(), q_cells), key=lambda t: len(t[0]))
+    for sub, carrier in [((), full), *restrictions]:
         rep = _spread_report(index, carrier, frozenset(sub), r)
         if not rep.is_spread:
             return RestrictedSpreadReport(False, sub, rep)
@@ -221,7 +222,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     smallest qualifying multi-cell extension (minimal size, then
     lexicographic) is taken instead, so the result is maximal against
     *every* superset and its trace is therefore rho-spread.  The extensions
-    are read off ``_trace_counts`` of the members containing X, so a jump
+    are read off ``_walk`` of the members containing X, so a jump
     over more than ``_SUBSET_BUDGET`` subsets raises ``ValueError``.
     """
     index, carrier = _index(fam)  # ``carrier`` is kept as the bitmask of the members containing X
@@ -251,14 +252,16 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         # every extension with a nonempty trace lies inside some carrier, and one
         # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
         least = min((-(-bar // num_s) for num_s, bar in scale[len(chosen) + 2 :]), default=1)
-        jumps = [
-            (len(ext), ext)
-            for ext, cnt in _trace_counts(index, carrier, chosen, None, least).items()
-            if len(ext) >= 2 and qualifies(cnt, len(chosen) + len(ext))
-        ]
-        if not jumps:
+        _, jump = min(
+            (
+                (len(ext), ext)
+                for ext, carriers in _walk(index, carrier, chosen, None, least)
+                if len(ext) >= 2 and qualifies(carriers.bit_count(), len(chosen) + len(ext))
+            ),
+            default=(0, None),
+        )
+        if jump is None:
             return frozenset(chosen)
-        jump = min(jumps)[1]
         chosen.update(jump)
         for c in jump:
             carrier &= masks[c]
@@ -324,7 +327,6 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
 class ApproximationCheck:
     covering_ok: bool
     branch_traces_spread: bool
-    branch_details: tuple
     remainder_status: str  # "pass" | "conditional" | "fail"
     remainder_hypothesis_checked: bool
     remainder_bound: Fraction
@@ -361,15 +363,14 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     of being fed to the matching solver.
     """
     r = Fraction(r)
+    q = _integer(q, 1, "q must be at least 1")
     removed = fam.difference(res.remainder)
     covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
 
-    details = []
     branch_ok = True
     for support, branch in res.branches.items():
         # the trace F[S](S) is walked as the members of F[S] containing S, with S's cells skipped
         rep = _spread_report(*_index(subfamily_containing(branch, support)), frozenset(support), r / 2)
-        details.append((sorted_cells(support), rep.is_spread))
         branch_ok = branch_ok and rep.is_spread
 
     bound = Fraction(len(ambient), 2 ** (q + 1))
@@ -387,7 +388,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
 
     degenerate = any(len(s) == 0 for s in res.supports)
     nu = None if degenerate else set_matching_number(list(res.supports))
-    return ApproximationCheck(covering_ok, branch_ok, tuple(details), status, hypothesis_checked, bound, nu, degenerate)
+    return ApproximationCheck(covering_ok, branch_ok, status, hypothesis_checked, bound, nu, degenerate)
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,9 @@ def test_counts_reject_cells_outside_the_grid():
         (lambda: round_factorial_over_e(0), "n >= 1"),
         (lambda: near_full_permanent_check([[1, 1, 1]] * 3), "N >= 4"),
         (lambda: cycle_cover_zero_matrix([1]), "parts must be >= 2"),
+        (lambda: derangement_containment_count(4.0, [(1, 2)]), "n must be non-negative"),
+        (lambda: double_derangement_count(4.0, (2, 1, 4, 3)), "n must be non-negative"),
+        (lambda: derangement_containment_count(-1, []), "n must be non-negative"),
     ],
     ids=[
         "double-derangement-count-bad-sigma",
@@ -450,6 +453,9 @@ def test_counts_reject_cells_outside_the_grid():
         "inclusion-exclusion-negative", "derangement-count-float-n", "pointed-count-float-n", "near-full-bound-float-n",
         "round-n0", "near-full-n3",
         "cycle-part-1",
+        "containment-count-float-n",
+        "double-derangement-count-float-n",
+        "containment-count-negative-n",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, match):

@@ -17,7 +17,6 @@ from permemc.cli import main
 from permemc.io import (
     ParseError,
     cells_json,
-    format_cells,
     format_family,
     fraction_json,
     load_family,
@@ -199,7 +198,6 @@ def test_partial_permutation_literal():
     cells = parse_partial_permutation("1:2,3:4")
     assert cells == frozenset({(1, 2), (3, 4)})
     assert parse_partial_permutation("") == frozenset()
-    assert format_cells(cells) == "1:2,3:4"
     with pytest.raises(ValueError):
         parse_partial_permutation("1:2,1:3")
     with pytest.raises(ValueError):

@@ -284,7 +284,7 @@ def test_coset_certificate_beyond_enumeration_cap():
 
 def test_coset_star_union_equality_instance():
     union = make_star_union(5, [(1, 1), (1, 2)]).family
-    cert = coset_certificate(union, s=3, assert_matching_bound=True)
+    cert = coset_certificate(union, s=3)
     assert cert.family_size == 48 == cert.bound
     assert cert.max_load == 2
     assert cert.certified
@@ -293,12 +293,6 @@ def test_coset_star_union_equality_instance():
 def test_coset_empty_family():
     cert = coset_certificate(Family(4, ()), s=2)
     assert cert.certified and cert.max_load == 0
-
-
-def test_coset_assert_matching_bound_raises():
-    # the full family has n pairwise disjoint members per coset
-    with pytest.raises(ValueError):
-        coset_certificate(symmetric_group(4), s=2, assert_matching_bound=True)
 
 
 def test_cross_matching_pinned_witness():
@@ -685,6 +679,12 @@ def test_classify_bad_inputs_fail_cleanly(families, cells, error, match):
         (lambda: classify_cross_free_families([derangement_star(4, (1, 2))], [(1.0, 2)]), r"cell \(1.0, 2\) outside"),
         # C(36, 8) cell combinations of Σ_6 against a budget of 2,000,000
         (lambda: star_union_slack_sides(symmetric_group(6), symmetric_group(6), 9), "too large"),
+        (lambda: containment_implies_matching_check([[{(1, 1)}], [{(2, 2)}]], 2.0, Fraction(1, 10)), "non-negative"),
+        (lambda: containment_implies_matching_check([[{(1, 1)}], [{(2, 2)}]], "2", Fraction(1, 10)), "non-negative"),
+        (lambda: coset_certificate(symmetric_group(3), 2.5), "s must be at least 1"),
+        (lambda: coset_certificate(symmetric_group(3), 0), "s must be at least 1"),
+        (lambda: support_union_bound_sides(symmetric_group(3), [{(1, 1)}], 1, 2.0), "s must be at least 1"),
+        (lambda: support_union_bound_sides(symmetric_group(3), [{(1, 1)}], 1, 0), "s must be at least 1"),
     ],
     ids=[
         "upclosed-wrong-count",
@@ -693,6 +693,12 @@ def test_classify_bad_inputs_fail_cleanly(families, cells, error, match):
         "star-slack-float-s",
         "classify-float-cell",
         "star-slack-over-budget",
+        "upclosed-float-s",
+        "upclosed-string-s",
+        "coset-float-s",
+        "coset-s0",
+        "support-sides-float-s",
+        "support-sides-s0",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, match):

@@ -169,7 +169,7 @@ def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
     total = carrier.bit_count()
     top = max(k for k, m in index[1].items() if m & carrier) - len(skip)
     floor = total * r.denominator**top // r.numerator**top + 1
-    counts = spread._trace_counts(index, carrier, skip, None, floor)
+    counts = {sub: carriers.bit_count() for sub, carriers in spread._walk(index, carrier, skip, None, floor)}
     if not counts:
         return None
     rank = functools.cmp_to_key(lambda a, b: spread._compare_spreadness(total, a, b))
@@ -749,6 +749,18 @@ def test_spread_lemma_bound_vacuous():
         (lambda: spread_lemma_bound(1.5, 8, 1, 1), "k must be at least 1"),
         (lambda: is_rq_spread(symmetric_group(3), 2, 1.5), "q must be non-negative"),
         (lambda: spread_approximate(symmetric_group(3), symmetric_group(3), 2, 2.5), "q must be at least 1"),
+        (
+            lambda: verify_approximation(
+                spread_approximate(symmetric_group(3), symmetric_group(3), 2, 1), symmetric_group(3), symmetric_group(3), 2, 2.5
+            ),
+            "q must be at least 1",
+        ),
+        (
+            lambda: verify_approximation(
+                spread_approximate(symmetric_group(3), symmetric_group(3), 2, 1), symmetric_group(3), symmetric_group(3), 2, 0
+            ),
+            "q must be at least 1",
+        ),
     ],
     ids=[
         "spreadness-empty-family",
@@ -764,6 +776,8 @@ def test_spread_lemma_bound_vacuous():
         "lemma-bound-float-k",
         "rq-spread-float-q",
         "approximate-float-q",
+        "verify-approximation-float-q",
+        "verify-approximation-q0",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, match):
