@@ -13,10 +13,11 @@ pairwise distinct columns, i.e. a subset of some full permutation's graph.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import index, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 Cell = tuple[int, int]
@@ -123,13 +124,16 @@ def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
     Bit i of ``cell_masks(sets)[c]`` is set iff the i-th set contains c, so
     the sets containing a whole cell set X are the AND of its cells' masks
     and their number is that AND's popcount.  Cells in no set are absent.
+    Each mask is filled in as a little-endian byte bitmap and read as one
+    integer at the end, so the build is linear in the total size of the sets.
     """
-    masks: dict[Cell, int] = {}
+    sets = list(sets)
+    bitmaps: defaultdict[Cell, bytearray] = defaultdict(partial(bytearray, (len(sets) + 7) >> 3))
     for i, cells in enumerate(sets):
-        bit = 1 << i
+        byte, bit = i >> 3, 1 << (i & 7)
         for c in cells:
-            masks[c] = masks.get(c, 0) | bit
-    return masks
+            bitmaps[c][byte] |= bit
+    return {c: int.from_bytes(bitmap, "little") for c, bitmap in bitmaps.items()}
 
 
 @dataclass(frozen=True)
@@ -320,53 +324,136 @@ def double_derangements(n: int, sigma: Perm) -> Family:
     return enumerate_family(n, "double_derangements", sigma)
 
 
-def _check_disjoint_cap(count: int) -> None:
-    if count > 1 << 17:  # max_disjoint's table of one count-bit mask per set would pass 2 GiB
-        raise ValueError(f"matching search refused for {count} sets (cap {1 << 17}: one {count}-bit mask per set)")
+class _Meets(dict):
+    """Meet masks read off a cell index on demand: ``meets[j]`` is the OR of
+    ``index[c]`` over the cells of set j, plus bit j, i.e. the sets sharing a
+    cell with set j and j itself (so an empty set meets only itself).  A mask
+    is computed the first time j is asked for and kept while the owner runs,
+    so no N x N table is built."""
+
+    def __init__(self, index: dict[Cell, int], cells_of: Callable[[int], Iterable[Cell]]):
+        self.index, self.cells_of = index, cells_of
+
+    def __missing__(self, j: int) -> int:
+        mask = self[j] = reduce(or_, map(self.index.__getitem__, self.cells_of(j)), 1 << j)
+        return mask
 
 
-def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> tuple[int, ...]:
-    """Indices of a largest pairwise disjoint subcollection of cell sets.
+def _live_rows(cand: int, rows: list, room: int) -> tuple[list, list | None] | None:
+    """Each row's cell masks that meet ``cand``, with its mask of the sets
+    having no cell in the row, and the masks of the row with the least
+    bound (None when no cell meets ``cand``); or None as soon as a row
+    shows that at most ``room`` candidates are pairwise disjoint.
 
-    Include-first branch and bound in index order, so the first maximum
-    found is the lexicographically least.  Disjoint sets use distinct cells
-    of a row, so at most (row cells meeting the candidates) + (candidates
-    without a cell in the row) can join; the bound is the least such sum
-    over rows, on permutation graphs the fewest distinct images at one
-    position.  ``index`` is ``cell_masks(sets)`` unless a Family passes its
-    cached one.  The root loop branches on every set, so every set's
-    disjointness mask is built up front (above 2^17 sets it refuses, see
-    ``_check_disjoint_cap``); an empty set meets only itself.
+    Disjoint sets use distinct cells of a row, so at most (row cells meeting
+    the candidates) + (candidates without a cell in the row) join; on
+    permutation graphs that is the fewest distinct images at one position.
+    Rows left with no such cell are dropped: their bound is the candidate
+    count, which the callers check first.
     """
-    _check_disjoint_cap(len(sets))
-    index = cell_masks(sets) if index is None else index
-    full = (1 << len(sets)) - 1
-    disjoint = [full & ~reduce(or_, (index[c] for c in cells), 1 << i) for i, cells in enumerate(sets)]
+    live_rows, least, pick = [], 0, None
+    for masks, missing in rows:
+        live = [m for m in masks if m & cand]
+        bound = len(live) + (cand & missing).bit_count()
+        if bound <= room:
+            return None
+        if live:
+            live_rows.append((live, missing))
+            if pick is None or bound < least:
+                least, pick = bound, live
+    return live_rows, pick
+
+
+def _matching_value(full: int, rows: list, meets: _Meets, best: int) -> int:
+    """The largest number of pairwise disjoint sets in ``full``, given that
+    ``best`` of them are, by an explicit-stack branch and bound.
+
+    A node takes the row with the least bound and, in it, the cell with the
+    fewest candidates: either one of those candidates j joins (its child
+    drops every set meeting j) or none does (its child drops the cell's
+    sets).  Once no cell meets the candidates, all of them are empty sets
+    and join together.
+    """
+    stack = [(full, 0, rows)]
+    while stack:
+        cand, size, rows = stack.pop()
+        room = best - size  # prune once the bound cannot beat best
+        if cand.bit_count() <= room:
+            continue
+        found = _live_rows(cand, rows, room)
+        if found is None:
+            continue
+        rows, pick = found
+        if pick is None:
+            best = size + cand.bit_count()
+            continue
+        cell = min((m & cand for m in pick), key=int.bit_count)
+        stack.append((cand & ~cell, size, rows))
+        while cell:  # pushed from the top, so the lowest candidate is tried first
+            top = cell.bit_length() - 1
+            cell ^= 1 << top
+            stack.append((cand & ~meets[top], size + 1, rows))
+    return best
+
+
+def _first_packing(full: int, rows: list, meets: _Meets, size: int) -> tuple[int, ...]:
+    """The first ``size`` pairwise disjoint sets of ``full`` that an
+    include-first search in index order reaches, i.e. the lexicographically
+    least, by an explicit stack pruned by the row bound; ``size`` must be
+    reachable."""
+    chosen: list[int] = []
+    frames: list[tuple[int, list]] = []  # per pick: the candidates still to try there, and the live rows
+    cand = full
+    while len(chosen) < size:
+        need = size - len(chosen)
+        found = _live_rows(cand, rows, need - 1) if cand.bit_count() >= need else None
+        if found is None:
+            while True:  # back up to the last pick with enough candidates left
+                cand, rows = frames[-1]
+                chosen.pop()
+                if cand.bit_count() >= size - len(chosen):
+                    break
+                frames.pop()
+            frames.pop()
+        else:
+            rows = found[0]
+        j = (cand & -cand).bit_length() - 1
+        frames.append((cand & (cand - 1), rows))
+        chosen.append(j)
+        cand &= ~meets[j]  # meets[j] holds j, the lowest candidate
+    return tuple(chosen)
+
+
+def _max_disjoint(count: int, index: dict[Cell, int], meets: _Meets) -> tuple[int, ...]:
+    """``max_disjoint`` of ``count`` sets whose cell index and meet masks are given."""
+    full = cand = (1 << count) - 1
+    greedy = []  # the greedy packing in index order: the include-first search's first leaf
+    while cand:
+        greedy.append((cand & -cand).bit_length() - 1)
+        cand &= ~meets[greedy[-1]]
     by_row: dict[int, list[int]] = {}
     for (r, _), mask in index.items():
         by_row.setdefault(r, []).append(mask)
     rows = [(masks, ~reduce(or_, masks)) for masks in by_row.values()]
-    best: list[int] = []
-    chosen: list[int] = []
+    nu = _matching_value(full, rows, meets, len(greedy))
+    return tuple(greedy) if nu == len(greedy) else _first_packing(full, rows, meets, nu)
 
-    def rec(cand: int) -> None:
-        if len(chosen) > len(best):
-            best[:] = chosen
-        room = len(best) - len(chosen)  # prune once the bound cannot beat best
-        if cand.bit_count() <= room:
-            return
-        for masks, missing in rows:
-            if (cand & missing).bit_count() + len([m for m in masks if m & cand]) <= room:
-                return
-        while cand:
-            j = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            chosen.append(j)
-            rec(cand & disjoint[j])
-            chosen.pop()
 
-    rec(full)
-    return tuple(best)
+def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> tuple[int, ...]:
+    """Indices of a largest pairwise disjoint subcollection of cell sets,
+    the lexicographically least one.
+
+    A greedy packing in index order seeds a row-branching search for the
+    size ν (``_matching_value``); when the greedy packing is not already of
+    size ν, an include-first search in index order finds the first
+    pairwise disjoint ν sets (``_first_packing``).  Both use explicit
+    stacks and read a set's meet mask (``_Meets``) only when they try it,
+    so no N x N table is built and ν is not limited by recursion depth.
+    ``index`` is ``cell_masks(sets)`` unless a Family passes its cached
+    one.  An empty set meets only itself.
+    """
+    index = cell_masks(sets) if index is None else index
+    return _max_disjoint(len(sets), index, _Meets(index, sets.__getitem__))
 
 
 def set_matching_number(sets: Sequence[Iterable[Cell]]) -> int:

@@ -15,8 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -24,12 +22,12 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
-    _check_disjoint_cap,
     _integer,
+    _max_disjoint,
+    _Meets,
     as_cell,
     cell_masks,
     is_derangement,
-    max_disjoint,
     set_matching_number,
     subfamily_containing_any,
 )
@@ -44,11 +42,12 @@ E_UPPER = Fraction(27182818285, 10**10)
 
 def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
     """Exact maximum number of pairwise disjoint members and the lexicographically
-    least witness, by ``core.max_disjoint`` on the member cells and cached index;
-    above 2^17 members it refuses before building either (``_check_disjoint_cap``)."""
-    _check_disjoint_cap(len(fam))
-    picks = max_disjoint([tuple(enumerate(p, 1)) for p in fam.members], fam.cell_masks)
-    return len(picks), tuple(fam.members[j] for j in picks)
+    least witness, by ``core.max_disjoint``'s searches over the cached cell
+    index.  No member cell list or N x N table is built: a member's cells are
+    read off its image sequence when its meet mask is first needed."""
+    members, index = fam.members, fam.cell_masks
+    picks = _max_disjoint(len(fam), index, _Meets(index, lambda j: enumerate(members[j], 1)))
+    return len(picks), tuple(members[j] for j in picks)
 
 
 def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
@@ -73,16 +72,13 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     masks = [cell_mask[c] for c in cells]
     position = {c: i for i, c in enumerate(cells)}
     full = (1 << len(fam)) - 1
-    meets: dict[int, int] = {}
+    meets = _Meets(cell_mask, lambda j: enumerate(members[j], 1))
 
     def packing(uncovered: int) -> int:
         """Size of a greedy pairwise disjoint set of the uncovered members."""
         count = 0
         while uncovered:
-            j = (uncovered & -uncovered).bit_length() - 1
-            if j not in meets:
-                meets[j] = reduce(or_, (cell_mask[c] for c in enumerate(members[j], 1)))
-            uncovered &= ~meets[j]
+            uncovered &= ~meets[(uncovered & -uncovered).bit_length() - 1]
             count += 1
         return count
 
@@ -185,8 +181,7 @@ def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -
     built.
     """
     flat = [cells for coll in collections for cells in coll]
-    index = cell_masks(flat)
-    meets: dict[int, int] = {}
+    meets = _Meets(cell_masks(flat), flat.__getitem__)
     starts = list(itertools.accumulate(map(len, collections), initial=0))
     order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
     picks = [0] * len(collections)
@@ -200,8 +195,6 @@ def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -
             j = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             picks[i] = j - starts[i]
-            if j not in meets:
-                meets[j] = reduce(or_, (index[c] for c in flat[j]), 1 << j)
             if rec(level + 1, allowed & ~meets[j]):
                 return True
         return False

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -308,6 +310,112 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         assert picks == least
 
 
+def _or_loop_cell_masks(sets):
+    """The quadratic cell index: each set's bit ORed into its cells' masks."""
+    masks = {}
+    for i, cells in enumerate(sets):
+        bit = 1 << i
+        for c in cells:
+            masks[c] = masks.get(c, 0) | bit
+    return masks
+
+
+def _table_max_disjoint(sets):
+    """A recursive include-first branch and bound over a table of N
+    disjointness masks: the oracle for ``max_disjoint``'s table-free
+    searches."""
+    index = _or_loop_cell_masks(sets)
+    full = (1 << len(sets)) - 1
+    disjoint = [full & ~reduce(or_, (index[c] for c in cells), 1 << i) for i, cells in enumerate(sets)]
+    by_row = {}
+    for (r, _), mask in index.items():
+        by_row.setdefault(r, []).append(mask)
+    rows = [(masks, ~reduce(or_, masks)) for masks in by_row.values()]
+    best = []
+    chosen = []
+
+    def rec(cand):
+        if len(chosen) > len(best):
+            best[:] = chosen
+        room = len(best) - len(chosen)  # prune once the bound cannot beat best
+        if cand.bit_count() <= room:
+            return
+        for masks, missing in rows:
+            if (cand & missing).bit_count() + len([m for m in masks if m & cand]) <= room:
+                return
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            chosen.append(j)
+            rec(cand & disjoint[j])
+            chosen.pop()
+
+    rec(full)
+    return tuple(best)
+
+
+def _general_cell_sets(rng):
+    """Up to 16 cell sets in a grid of 2 to 6 rows and columns: empty sets,
+    duplicates, row or column clashes and sets missing from most rows."""
+    side = rng.randint(2, 6)
+    sets = []
+    for _ in range(rng.randint(0, 16)):
+        roll = rng.random()
+        if roll < 0.08:
+            sets.append(frozenset())
+        elif roll < 0.2 and sets:
+            sets.append(rng.choice(sets))
+        else:
+            sets.append(frozenset((rng.randint(1, side), rng.randint(1, side)) for _ in range(rng.randint(1, 4))))
+    return sets
+
+
+def test_max_disjoint_matches_the_table_oracle():
+    rng = random.Random(19)
+    shapes = {"none": 0, "empty": 0, "duplicate": 0, "clash": 0, "missing_row": 0, "beyond_greedy": 0}
+    for _ in range(2400):
+        sets = _general_cell_sets(rng)
+        picks = max_disjoint(sets)
+        assert picks == _table_max_disjoint(sets), sets
+        rows = {r for cells in sets for r, _ in cells}
+        shapes["none"] += not sets
+        shapes["empty"] += frozenset() in sets
+        shapes["duplicate"] += len(set(sets)) < len(sets)
+        shapes["clash"] += any(not is_partial_permutation(s) for s in sets)
+        shapes["missing_row"] += any({r for r, _ in cells} < rows for cells in sets if cells)
+        taken, greedy = set(), 0  # the greedy packing in index order
+        for cells in sets:
+            if not cells & taken:
+                taken |= cells
+                greedy += 1
+        shapes["beyond_greedy"] += greedy < len(picks)
+    assert all(v >= 50 for v in shapes.values()), shapes
+    for ambient in [symmetric_group(k) for k in (3, 4, 5, 6)] + [derangements(7)]:
+        for _ in range(60):
+            fam = family(ambient.n, rng.sample(ambient.members, rng.randint(1, min(len(ambient), 120))))
+            assert max_disjoint(fam.graphs(), fam.cell_masks) == _table_max_disjoint(fam.graphs())
+
+
+def test_cell_masks_match_the_or_loop():
+    rng = random.Random(20)
+    for _ in range(400):
+        sets = _general_cell_sets(rng) + [[(rng.randint(1, 9), 1)] * 2 for _ in range(rng.randint(0, 12))]
+        masks = cell_masks(sets)
+        assert masks == _or_loop_cell_masks(sets)
+        assert list(masks) == list(_or_loop_cell_masks(sets))  # first-occurrence order
+        assert cell_masks(iter(sets)) == masks
+    assert cell_masks([]) == {}
+
+
+def test_matching_number_deeper_than_the_recursion_limit():
+    # deeper than the interpreter's default recursion limit of 1,000
+    assert set_matching_number([{(1, i)} for i in range(1, 1201)]) == 1200
+    # greedy takes the two-cell set first and stops at 1200; the include-first
+    # witness search must then descend 1201 levels
+    sets = [{(1, 1), (1, 2)}] + [{(1, i)} for i in range(1, 1202)]
+    assert max_disjoint(sets) == tuple(range(1, 1202))
+
+
 @pytest.mark.parametrize(
     "call, error, match",
     [
@@ -338,12 +446,6 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         (lambda: star_center_image((2, 3, 1), (1.0, 2), (3, 1, 2)), ValueError, r"outside \[3\]\^2"),
         (lambda: star_center_image((1, 1, 3), (1, 1), (3, 1, 2)), ValueError, "must be permutations"),
         (lambda: partial_permutation([(1, 2, 3)]), ValueError, "cells must be pairs of integers"),
-        # one 131,073-bit disjointness mask per set would take over 2 GiB
-        (
-            lambda: set_matching_number([{(1, i)} for i in range(2**17 + 1)]),
-            ValueError,
-            r"matching search refused for 131073 sets \(cap 131072",
-        ),
     ],
     ids=[
         "intersects-mixed-n",
@@ -370,7 +472,6 @@ def test_max_disjoint_witness_is_disjoint_and_lex_least():
         "star-image-float-cell",
         "star-image-repeated-rho",
         "partial-permutation-triple",
-        "matching-over-cap",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, error, match):

@@ -394,11 +394,10 @@ def test_cross_matching_of_no_families_is_empty():
     assert cross_matching([]) == ()
 
 
-def test_matching_number_over_cap_refused_before_the_index_is_built():
-    fam = Family._of(10, tuple(itertools.islice(itertools.permutations(range(1, 11)), 2**17 + 1)))
-    with pytest.raises(ValueError, match="matching search refused for 131073 sets"):
-        matching_number(fam)
-    assert "cell_masks" not in fam.__dict__
+def test_matching_number_beyond_the_old_table_cap():
+    # more than 2^17 members, all of them mapping 1 to 1, so nu = 1
+    members = tuple(itertools.islice(itertools.permutations(range(1, 11)), 2**17 + 1))
+    assert matching_number(Family._of(10, members)) == (1, (members[0],))
 
 
 def test_classify_pinned_containment_both():
