@@ -114,15 +114,7 @@ def cmd_spread(args) -> int:
         _emit(payload, f"is {fraction_json(args.r)}-spread: {report.is_spread}")
     else:
         report = spread.is_rq_spread(fam, args.r, args.q)
-        payload = {
-            "n": fam.n,
-            "size": len(fam),
-            "r": fraction_json(args.r),
-            "q": args.q,
-            "is_spread": report.is_spread,
-            "restriction": None if report.restriction is None else cells_json(report.restriction),
-            "inner": None if report.inner is None else report.inner.to_json(),
-        }
+        payload = {"n": fam.n, "size": len(fam), "r": fraction_json(args.r), "q": args.q, **report.to_json()}
         _emit(payload, f"is ({fraction_json(args.r)},{args.q})-spread: {report.is_spread}")
     return EXIT_OK
 
@@ -216,14 +208,14 @@ def cmd_verify(args) -> int:
     from . import verify  # imported here, so that parsing and the other commands do not load it
 
     report = verify.run_suite(args.suite, args.seed)
-    failed = verify.report_failed(report)
     if args.out:
         save_report(report, args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
-    suites = report.get("suites", [report])
-    for rep in suites:
+    failed = 0
+    for rep in report.get("suites", [report]):
         for chk in rep["checks"]:
             mark = {"pass": "ok", "fail": "FAIL", "conditional": "cond", "vacuous": "vac"}[chk["status"]]
+            failed += chk["status"] == "fail"
             print(f"[{mark:>4}] {rep['suite']}/{chk['id']}", file=sys.stderr)
     print(f"failed checks: {failed}", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED

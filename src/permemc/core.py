@@ -424,22 +424,36 @@ def _first_packing(full: int, rows: list, meets: _Meets, size: int) -> tuple[int
     return tuple(chosen)
 
 
+def _greedy_packing(cand: int, meets: _Meets) -> int:
+    """The mask of the sets of ``cand`` that a greedy packing in index order
+    takes: the lowest candidate joins and every candidate meeting it leaves."""
+    packed = 0
+    while cand:
+        low = cand & -cand
+        packed |= low
+        cand &= ~meets[low.bit_length() - 1]
+    return packed
+
+
 def _max_disjoint(count: int, index: dict[Cell, int], meets: _Meets) -> tuple[int, ...]:
     """``max_disjoint`` of ``count`` sets whose cell index and meet masks are given."""
-    full = cand = (1 << count) - 1
-    greedy = []  # the greedy packing in index order: the include-first search's first leaf
-    while cand:
-        greedy.append((cand & -cand).bit_length() - 1)
-        cand &= ~meets[greedy[-1]]
+    full = (1 << count) - 1
+    packed = _greedy_packing(full, meets)  # the include-first search's first leaf
     by_row: dict[int, list[int]] = {}
     for (r, _), mask in index.items():
         by_row.setdefault(r, []).append(mask)
     rows = [(masks, ~reduce(or_, masks)) for masks in by_row.values()]
-    nu = _matching_value(full, rows, meets, len(greedy))
-    return tuple(greedy) if nu == len(greedy) else _first_packing(full, rows, meets, nu)
+    nu = _matching_value(full, rows, meets, packed.bit_count())
+    if nu > packed.bit_count():
+        return _first_packing(full, rows, meets, nu)
+    greedy = []  # the packing's ν bits, read lowest first
+    while packed:
+        greedy.append((packed & -packed).bit_length() - 1)
+        packed &= packed - 1
+    return tuple(greedy)
 
 
-def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None = None) -> tuple[int, ...]:
+def max_disjoint(sets: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
     """Indices of a largest pairwise disjoint subcollection of cell sets,
     the lexicographically least one.
 
@@ -449,10 +463,9 @@ def max_disjoint(sets: Sequence[Iterable[Cell]], index: dict[Cell, int] | None =
     pairwise disjoint ν sets (``_first_packing``).  Both use explicit
     stacks and read a set's meet mask (``_Meets``) only when they try it,
     so no N x N table is built and ν is not limited by recursion depth.
-    ``index`` is ``cell_masks(sets)`` unless a Family passes its cached
-    one.  An empty set meets only itself.
+    An empty set meets only itself.
     """
-    index = cell_masks(sets) if index is None else index
+    index = cell_masks(sets)
     return _max_disjoint(len(sets), index, _Meets(index, sets.__getitem__))
 
 

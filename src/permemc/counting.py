@@ -293,7 +293,6 @@ class NearFullCheck:
     bound: Fraction
     permanent: int
     holds: bool
-    saturated_zeros: tuple[Cell, ...]
 
 
 def near_full_permanent_check(matrix) -> NearFullCheck:
@@ -316,20 +315,16 @@ def near_full_permanent_check(matrix) -> NearFullCheck:
 
     input_zeros = {(i + 1, j + 1) for i in range(n) for j in range(n) if rows[i][j] == 0}
     zeros = set(input_zeros)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
+    # one pass saturates: after row i's scan every column is full or already
+    # zero in row i, and later scans only fill columns and other rows
+    for i in range(n):
+        for j in range(n):
             if row_deg[i] >= 2:
-                continue
-            for j in range(n):
-                if col_deg[j] < 2 and (i + 1, j + 1) not in zeros:
-                    zeros.add((i + 1, j + 1))
-                    row_deg[i] += 1
-                    col_deg[j] += 1
-                    changed = True
-                    if row_deg[i] >= 2:
-                        break
+                break
+            if col_deg[j] < 2 and (i + 1, j + 1) not in zeros:
+                zeros.add((i + 1, j + 1))
+                row_deg[i] += 1
+                col_deg[j] += 1
     if all(d == 2 for d in row_deg) and all(d == 2 for d in col_deg):
         case = "two_regular"
     else:
@@ -341,7 +336,7 @@ def near_full_permanent_check(matrix) -> NearFullCheck:
         case = "one_deficient"
     bound = near_full_permanent_bound(n, case)
     value = _rook_permanent(n, input_zeros)
-    return NearFullCheck(case, bound, value, Fraction(value) >= bound, tuple(sorted(zeros)))
+    return NearFullCheck(case, bound, value, Fraction(value) >= bound)
 
 
 def all_ones_matrix(n: int) -> list[list[int]]:

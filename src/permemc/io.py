@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -158,6 +159,26 @@ def cells_json(cells: Iterable[Cell]) -> list[str]:
 def fraction_json(value):
     """Fractions as exact "p/q" strings ("p" for an integer); None and floats pass through."""
     return str(value) if isinstance(value, Fraction) else value
+
+
+def _result_json(result) -> dict:
+    """A result dataclass as its JSON object, one field at a time in field
+    order: a Fraction becomes "p/q" (``fraction_json``); a tuple or frozenset
+    becomes sorted "r:c" strings (``cells_json``), since every such field of
+    a result is a cell collection; a dict gets str keys in key order; a
+    nested result becomes its own object; None and any other value pass
+    through.  Results take it as their ``to_json`` method."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, (tuple, frozenset)):
+            value = cells_json(value)
+        elif isinstance(value, dict):
+            value = {str(k): v for k, v in sorted(value.items())}
+        elif is_dataclass(value):
+            value = _result_json(value)
+        out[f.name] = fraction_json(value)
+    return out
 
 
 def save_report(report: dict, path) -> None:

@@ -22,6 +22,7 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
+    _greedy_packing,
     _integer,
     _max_disjoint,
     _Meets,
@@ -32,7 +33,7 @@ from .core import (
     subfamily_containing_any,
 )
 from .counting import pointed_derangement_count
-from .io import cells_json, fraction_json
+from .io import _result_json
 from .spread import EXACT_CELL_CAP, containment_probability
 
 #: Rational upper bound on e; using an upper bound keeps "hypothesis met"
@@ -74,19 +75,11 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     full = (1 << len(fam)) - 1
     meets = _Meets(cell_mask, lambda j: enumerate(members[j], 1))
 
-    def packing(uncovered: int) -> int:
-        """Size of a greedy pairwise disjoint set of the uncovered members."""
-        count = 0
-        while uncovered:
-            uncovered &= ~meets[(uncovered & -uncovered).bit_length() - 1]
-            count += 1
-        return count
-
     def search(start: int, covered: int, left: int) -> tuple[Cell, ...] | None:
         uncovered = full & ~covered
         if not uncovered:
             return ()
-        if packing(uncovered) > left:
+        if _greedy_packing(uncovered, meets).bit_count() > left:
             return None
         low = members[(uncovered & -uncovered).bit_length() - 1]
         for i in range(start, position[(n, low[-1])] + 1):
@@ -95,7 +88,7 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
                 return (cells[i], *rest)
         return None
 
-    for t in range(packing(full), n + 1):
+    for t in range(_greedy_packing(full, meets).bit_count(), n + 1):
         cover = search(0, 0, t)
         if cover is not None:
             return t, cover
@@ -121,18 +114,7 @@ class CosetCertificate:
     bound: int
     certified: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "class_count": self.class_count,
-            "max_load": self.max_load,
-            "load_histogram": {str(k): v for k, v in sorted(self.load_histogram.items())},
-            "classes_pairwise_disjoint": self.classes_pairwise_disjoint,
-            "family_size": self.family_size,
-            "bound": self.bound,
-            "certified": self.certified,
-        }
+    to_json = _result_json
 
 
 def coset_representative(p: Perm) -> Perm:
@@ -178,28 +160,29 @@ def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -
     of ``itertools.product`` over the collections in that order.  A pick's
     meet mask (the sets it shares a cell with, itself included) is read off
     the cell index the first time the pick is tried, so no N x N table is
-    built.
+    built.  The search keeps an explicit stack, so the number of
+    collections is not limited by recursion depth.
     """
     flat = [cells for coll in collections for cells in coll]
     meets = _Meets(cell_masks(flat), flat.__getitem__)
     starts = list(itertools.accumulate(map(len, collections), initial=0))
     order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
     picks = [0] * len(collections)
-
-    def rec(level: int, allowed: int) -> bool:
-        if level == len(order):
-            return True
-        i = order[level]
+    frames: list[tuple[int, int]] = []  # per level: its untried candidates, and the allowed mask before its pick
+    allowed = (1 << len(flat)) - 1
+    while len(frames) < len(order):
+        i = order[len(frames)]
         rest = allowed & ((1 << starts[i + 1]) - (1 << starts[i]))
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            picks[i] = j - starts[i]
-            if rec(level + 1, allowed & ~meets[j]):
-                return True
-        return False
-
-    return picks if rec(0, (1 << len(flat)) - 1) else None
+        while not rest:  # back up to the last level with a candidate left
+            if not frames:
+                return None
+            rest, allowed = frames.pop()
+            i = order[len(frames)]
+        j = (rest & -rest).bit_length() - 1
+        frames.append((rest & (rest - 1), allowed))
+        picks[i] = j - starts[i]
+        allowed &= ~meets[j]
+    return picks
 
 
 def cross_matching(families: Sequence[Family]):
@@ -421,15 +404,7 @@ class StarSlackSides:
     rhs: Fraction
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "best_union_size": self.best_union_size,
-            "best_cells": cells_json(self.best_cells),
-            "slack": fraction_json(self.slack),
-            "lhs": self.lhs,
-            "rhs": fraction_json(self.rhs),
-            "holds": self.holds,
-        }
+    to_json = _result_json
 
 
 _STAR_SEARCH_BUDGET = 2_000_000

@@ -28,7 +28,7 @@ from .core import (
     subfamily_containing,
     subfamily_containing_any,
 )
-from .io import cells_json, family_json, fraction_json
+from .io import _result_json, cells_json, family_json
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
 EXACT_CELL_CAP = 24
@@ -87,13 +87,7 @@ class SpreadReport:
     witness_ratio: Fraction | None = None  # |F(witness)| / |F|
     exact_spreadness: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "is_spread": self.is_spread,
-            "witness": None if self.witness is None else cells_json(self.witness),
-            "witness_ratio": fraction_json(self.witness_ratio),
-            "exact_spreadness": self.exact_spreadness,
-        }
+    to_json = _result_json
 
 
 def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -190,6 +184,8 @@ class RestrictedSpreadReport:
     is_spread: bool
     restriction: tuple[Cell, ...] | None = None
     inner: SpreadReport | None = None
+
+    to_json = _result_json
 
 
 def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
@@ -337,16 +333,7 @@ class ApproximationCheck:
     def ok(self) -> bool:
         return self.covering_ok and self.branch_traces_spread and self.remainder_status != "fail"
 
-    def to_json(self) -> dict:
-        return {
-            "covering_ok": self.covering_ok,
-            "branch_traces_spread": self.branch_traces_spread,
-            "remainder_status": self.remainder_status,
-            "remainder_hypothesis_checked": self.remainder_hypothesis_checked,
-            "remainder_bound": fraction_json(self.remainder_bound),
-            "nu_supports": self.nu_supports,
-            "degenerate_empty_support": self.degenerate_empty_support,
-        }
+    to_json = _result_json
 
 
 def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family, r, q: int) -> ApproximationCheck:
@@ -399,14 +386,7 @@ class ProbabilityEstimate:
     samples: int | None = None
     seed: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "value": fraction_json(self.value),
-            "mode": self.mode,
-            "standard_error": self.standard_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+    to_json = _result_json
 
 
 def containment_probability(

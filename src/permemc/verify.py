@@ -823,9 +823,3 @@ def run_suite(name: str, seed: int = 0) -> dict:
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; pick from all, {', '.join(_SUITE_FUNCS)}")
     return _SUITE_FUNCS[name](seed)
-
-
-def report_failed(report: dict) -> int:
-    if "suites" in report:
-        return report["failed_checks"]
-    return sum(1 for c in report["checks"] if c["status"] == "fail")

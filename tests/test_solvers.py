@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -392,6 +393,27 @@ def test_cross_matching_three_sigma8_stars_in_bounded_memory():
 
 def test_cross_matching_of_no_families_is_empty():
     assert cross_matching([]) == ()
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_disjoint_representatives_deeper_than_the_recursion_limit():
+    # 300 collections under a recursion limit of 100 frames past the caller's
+    shifts = [family(300, [tuple((i + k) % 300 + 1 for i in range(300))]) for k in range(300)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        witness = cross_matching(shifts)
+        report = containment_implies_matching_check([[frozenset()]] * 300, 300, Fraction(1, 10**4))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert witness == tuple(f.members[0] for f in shifts)
+    assert report.representatives == (frozenset(),) * 300 and report.implication_held
 
 
 def test_matching_number_beyond_the_old_table_cap():

@@ -83,7 +83,12 @@ def test_exact_tie_across_sizes_goes_to_least_witness():
     assert report.witness == pair
     assert report.witness_ratio == Fraction(5, 125)
     assert report.exact_spreadness == 5.0
-    assert is_r_spread(members, 5).is_spread
+    assert report.to_json() == {
+        "is_spread": False, "witness": ["1:1", "2:2"], "witness_ratio": "1/25", "exact_spreadness": 5.0
+    }
+    passing = is_r_spread(members, 5)
+    assert passing.is_spread
+    assert passing.to_json() == {"is_spread": True, "witness": None, "witness_ratio": None, "exact_spreadness": None}
 
 
 def _oracle_counts(members, max_size=None):
@@ -239,7 +244,9 @@ def test_subfamily_spreadness_scaling():
 
 
 def test_rq_spread_sigma4():
-    assert is_rq_spread(symmetric_group(4), Fraction(6, 5), 2).is_spread
+    report = is_rq_spread(symmetric_group(4), Fraction(6, 5), 2)
+    assert report.is_spread
+    assert report.to_json() == {"is_spread": True, "restriction": None, "inner": None}
 
 
 def test_rq_spread_failure_carries_restriction():
@@ -434,6 +441,7 @@ def test_containment_probability_single_member():
 def test_containment_probability_sigma2():
     est = containment_probability(symmetric_group(2), Fraction(1, 2))
     assert est.value == Fraction(7, 16)
+    assert est.to_json() == {"value": "7/16", "mode": "exact", "standard_error": None, "samples": None, "seed": None}
 
 
 def _containment_member_ie(members, p):
