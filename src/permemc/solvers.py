@@ -10,6 +10,8 @@ so results are independent of any internal scheduling.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -58,13 +60,18 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     others).  Sizes t are tried in increasing order from a floor, each by a
     depth-first search over t-sets of cells in row-major lexicographic
     order, so the witness returned is the lexicographically least minimum
-    cover.  Two prunings drop only branches holding no cover: the next cell
-    comes no later than the last cell of the lowest uncovered member (later
-    cells all miss it), and a branch ends when more greedily found pairwise
-    disjoint uncovered members remain than cells are left, since each needs
-    a cell of its own.  The same greedy count on the whole family is the
-    floor.  A member's meet mask (the members it shares a cell with) is read
-    off the cell index only for the members the greedy count picks.
+    cover.  Three prunings drop only branches holding no cover: the next
+    cell comes no later than the last cell of the lowest uncovered member
+    (later cells all miss it); a branch ends when the ``left`` cells still
+    to pick, all after the last pick, cannot reach every uncovered member
+    even counted apart (the ``left`` largest counts of uncovered members on
+    one such cell sum to less than the uncovered count); and it ends when
+    more greedily found pairwise disjoint uncovered members remain than
+    cells are left, since each needs a cell of its own.  The same greedy
+    count on the whole family is the floor.  A member's meet mask (the
+    members it shares a cell with) is read off the cell index only for the
+    members the greedy count picks.  The search keeps an explicit stack, so
+    τ is not limited by recursion depth.
     """
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
@@ -75,23 +82,45 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     full = (1 << len(fam)) - 1
     meets = _Meets(cell_mask, lambda j: enumerate(members[j], 1))
 
-    def search(start: int, covered: int, left: int) -> tuple[Cell, ...] | None:
-        uncovered = full & ~covered
-        if not uncovered:
-            return ()
-        if _greedy_packing(uncovered, meets).bit_count() > left:
-            return None
-        low = members[(uncovered & -uncovered).bit_length() - 1]
-        for i in range(start, position[(n, low[-1])] + 1):
-            rest = search(i + 1, covered | masks[i], left - 1)
-            if rest is not None:
-                return (cells[i], *rest)
-        return None
+    def viable(uncovered: int, start: int, left: int) -> bool:
+        """Whether ``left`` cells of ``cells[start:]`` may cover ``uncovered``;
+        the counting scan stops as soon as the values seen reach the need."""
+        if not left:
+            return False
+        need, largest, total = uncovered.bit_count(), [], 0  # the ``left`` largest values seen, and their sum
+        for mask in itertools.islice(masks, start, None):
+            value = (mask & uncovered).bit_count()
+            if len(largest) < left:
+                heapq.heappush(largest, value)
+                total += value
+            elif value > largest[0]:
+                total += value - heapq.heapreplace(largest, value)
+            else:
+                continue
+            if total >= need:
+                return _greedy_packing(uncovered, meets).bit_count() <= left
+        return False
 
     for t in range(_greedy_packing(full, meets).bit_count(), n + 1):
-        cover = search(0, 0, t)
-        if cover is not None:
-            return t, cover
+        picks: list[int] = []  # the positions picked, the deepest one still being advanced
+        frames: list[tuple[int, int]] = []  # per pick: its last allowed position, and the cover before it
+        covered = start = 0
+        while True:
+            uncovered = full & ~covered
+            if not uncovered:
+                return t, tuple(cells[i] for i in picks)
+            if viable(uncovered, start, t - len(picks)):
+                low = members[(uncovered & -uncovered).bit_length() - 1]
+                frames.append((position[(n, low[-1])], covered))
+                picks.append(start - 1)
+            while frames and picks[-1] >= frames[-1][0]:  # back up past exhausted picks
+                frames.pop()
+                picks.pop()
+            if not frames:
+                break
+            picks[-1] += 1
+            covered = frames[-1][1] | masks[picks[-1]]
+            start = picks[-1] + 1
     raise AssertionError("a family is always covered by the n cells of one row")
 
 
@@ -124,9 +153,8 @@ def coset_representative(p: Perm) -> Perm:
     i.e. the rotations of p's image sequence, so the representative is the
     rotation that starts at the position k with p(k+1) = 1.
     """
-    n = len(p)
     k = p.index(1)
-    return tuple(p[(i + k) % n] for i in range(n))
+    return p[k:] + p[:k]
 
 
 def coset_certificate(fam: Family, s: int) -> CosetCertificate:
@@ -414,28 +442,50 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     """Evaluate |F| <= |Y| + n^{-4} |X| for F inside the ambient family X.
 
     |Y| is the largest number of ambient members containing one of s-1
-    fixed cells, found by exhaustive search over cell combinations (ties
-    broken lexicographically).
+    fixed cells, the first such combination of cells in
+    ``itertools.combinations`` order over row-major sorted cells.  The
+    combinations are walked depth first in that order, and a branch ends
+    when the members its picks cover plus the ``need`` largest star sizes
+    among the cells it may still pick are at most the best union found,
+    so only branches that cannot beat it are cut and ties keep the first
+    combination.  Refused up front when there are over
+    ``_STAR_SEARCH_BUDGET`` combinations.
     """
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
     s = _integer(s, 2, "s must be at least 2")
     n = ambient.n
-    masks = ambient.cell_masks
-    cells = sorted(masks)
+    index = ambient.cell_masks
+    cells = sorted(index)
     k = min(s - 1, len(cells))
     if math.comb(len(cells), k) > _STAR_SEARCH_BUDGET:
         raise ValueError("cell-combination search too large; reduce s or the ambient family")
-    best = -1
-    best_cells: tuple[Cell, ...] = ()
-    for combo in itertools.combinations(cells, k):
-        covered = 0
-        for c in combo:
-            covered |= masks[c]
-        size = covered.bit_count()
-        if size > best:
-            best = size
-            best_cells = combo
+    masks = [index[c] for c in cells]
+    # tops[i][j]: the sum of the j largest star sizes among cells[i:], for j <= min(k, len(cells) - i)
+    tops, largest = [[0]], []  # largest: the k largest sizes of the suffix, negated and sorted
+    for mask in reversed(masks):
+        bisect.insort(largest, -mask.bit_count())
+        del largest[k:]
+        tops.append([0, *itertools.accumulate(-size for size in largest)])
+    tops.reverse()
+    best, picks, covers = -1, [], [0]  # covers[d]: the members covered by the first d picks
+    best_picks: list[int] = []
+    start = 0
+    while True:
+        need, covered = k - len(picks), covers[-1]
+        if not need:
+            if covered.bit_count() > best:
+                best, best_picks = covered.bit_count(), picks[:]
+        elif start <= len(cells) - need and covered.bit_count() + tops[start][need] > best:
+            picks.append(start)
+            covers.append(covered | masks[start])
+            start += 1
+            continue
+        # a leaf, or a bound that fails here and so at every later start (suffix sums only fall): back up
+        if not picks:
+            break
+        start = picks.pop() + 1
+        covers.pop()
     slack = Fraction(len(ambient), n**4)
     rhs = best + slack
-    return StarSlackSides(best, best_cells, slack, len(fam), rhs, Fraction(len(fam)) <= rhs)
+    return StarSlackSides(best, tuple(cells[i] for i in best_picks), slack, len(fam), rhs, Fraction(len(fam)) <= rhs)

@@ -200,9 +200,12 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     if not full:
         raise ValueError("spreadness is undefined for the empty family")
     q_cells = _integer(q_cells, 0, "q must be non-negative")
+    restrictions = _walk(index, full, frozenset(), q_cells)  # charged against the budget now, walked below
+    rep = _spread_report(index, full, frozenset(), r)
+    if not rep.is_spread:
+        return RestrictedSpreadReport(False, (), rep)
     # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
-    restrictions = sorted(_walk(index, full, frozenset(), q_cells), key=lambda t: len(t[0]))
-    for sub, carrier in [((), full), *restrictions]:
+    for sub, carrier in sorted(restrictions, key=lambda t: len(t[0])):
         rep = _spread_report(index, carrier, frozenset(sub), r)
         if not rep.is_spread:
             return RestrictedSpreadReport(False, sub, rep)

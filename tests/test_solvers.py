@@ -38,7 +38,7 @@ from permemc import (
     symmetric_group,
 )
 from permemc.core import max_disjoint
-from permemc.solvers import _disjoint_representatives, coset_representative
+from permemc.solvers import StarSlackSides, _disjoint_representatives, coset_representative
 from permemc.verify import brute_nu, brute_tau
 
 
@@ -416,6 +416,18 @@ def test_disjoint_representatives_deeper_than_the_recursion_limit():
     assert report.representatives == (frozenset(),) * 300 and report.implication_held
 
 
+def test_tau_deeper_than_the_recursion_limit():
+    # the 300 cyclic shifts are pairwise disjoint, so every cover takes 300 cells
+    shifts = family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in range(300)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        tau, cover = covering_number(shifts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tau == 300 and cover == tuple((1, c) for c in range(1, 301))
+
+
 def test_matching_number_beyond_the_old_table_cap():
     # more than 2^17 members, all of them mapping 1 to 1, so nu = 1
     members = tuple(itertools.islice(itertools.permutations(range(1, 11)), 2**17 + 1))
@@ -645,6 +657,50 @@ def test_star_slack_more_stars_than_cells():
     sides = star_union_slack_sides(family(3, [(1, 2, 3)]), ambient, 9)
     assert sides.best_cells == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3))
     assert sides.best_union_size == 2 and sides.slack == Fraction(2, 81) and sides.holds
+
+
+def _combinations_star_slack(fam, ambient, s):
+    """The exhaustive star-union search: every (s-1)-combination of the
+    ambient's cells in row-major order, the first largest union kept."""
+    masks = ambient.cell_masks
+    best, best_cells = -1, ()
+    for combo in itertools.combinations(sorted(masks), min(s - 1, len(masks))):
+        size = functools.reduce(int.__or__, (masks[c] for c in combo), 0).bit_count()
+        if size > best:
+            best, best_cells = size, combo
+    slack = Fraction(len(ambient), ambient.n**4)
+    return StarSlackSides(best, best_cells, slack, len(fam), best + slack, len(fam) <= best + slack).to_json()
+
+
+def test_star_union_branch_and_bound_matches_combinations_oracle():
+    rng = random.Random(21)
+    cases = [(family(3, [(1, 2, 3)]), family(3, [(1, 2, 3), (2, 3, 1)]), 9)]  # s - 1 beyond the cell count
+    ambients = [
+        (symmetric_group(5), (1, 2, 3, 8, 30, 120)),  # the whole Σ_n: every union of s-1 stars in a row ties
+        (symmetric_group(6), (1, 4, 12, 40, 720)),
+        (symmetric_group(7), (3, 12, 60)),
+        (derangements(6), (2, 9, 30, 265)),
+        (derangements(7), (2, 9, 30)),
+    ]
+    for ambient, sizes in ambients:
+        for size in sizes:
+            sub = _random_subfamily(rng, ambient, size)
+            fam = _random_subfamily(rng, sub, rng.randint(0, len(sub)))
+            for s in range(2, 6 if len(sub) < 60 else 5):
+                cases.append((fam, sub, s))
+        cases.append((family(ambient.n, ambient.members[:1]), family(ambient.n, ambient.members[:1]), ambient.n + 3))
+    for fam, ambient, s in cases:
+        assert star_union_slack_sides(fam, ambient, s).to_json() == _combinations_star_slack(fam, ambient, s)
+    # all 49 stars of Σ_7 tie at 720 members, and four cells of one row cover the most
+    sides = star_union_slack_sides(symmetric_group(7), symmetric_group(7), 5)
+    assert sides.to_json() == {
+        "best_union_size": 2880,
+        "best_cells": ["1:1", "1:2", "1:3", "1:4"],
+        "slack": "720/343",
+        "lhs": 5040,
+        "rhs": "988560/343",
+        "holds": False,
+    }
 
 
 def test_support_sides_empty_ambient():
