@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import spread
 from .core import (
     Cell,
     DimensionMismatch,
@@ -435,9 +436,6 @@ class StarSlackSides:
     to_json = _result_json
 
 
-_STAR_SEARCH_BUDGET = 2_000_000
-
-
 def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSides:
     """Evaluate |F| <= |Y| + n^{-4} |X| for F inside the ambient family X.
 
@@ -448,8 +446,10 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     when the members its picks cover plus the ``need`` largest star sizes
     among the cells it may still pick are at most the best union found,
     so only branches that cannot beat it are cut and ties keep the first
-    combination.  Refused up front when there are over
-    ``_STAR_SEARCH_BUDGET`` combinations.
+    combination; once the best union covers every ambient member the walk
+    stops, since later combinations could only tie.  Each prefix extended
+    is charged against ``spread._SUBSET_BUDGET``, and a walk past it raises
+    ``ValueError``.
     """
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
@@ -458,8 +458,6 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     index = ambient.cell_masks
     cells = sorted(index)
     k = min(s - 1, len(cells))
-    if math.comb(len(cells), k) > _STAR_SEARCH_BUDGET:
-        raise ValueError("cell-combination search too large; reduce s or the ambient family")
     masks = [index[c] for c in cells]
     # tops[i][j]: the sum of the j largest star sizes among cells[i:], for j <= min(k, len(cells) - i)
     tops, largest = [[0]], []  # largest: the k largest sizes of the suffix, negated and sorted
@@ -470,13 +468,18 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     tops.reverse()
     best, picks, covers = -1, [], [0]  # covers[d]: the members covered by the first d picks
     best_picks: list[int] = []
-    start = 0
+    start = extended = 0
     while True:
         need, covered = k - len(picks), covers[-1]
         if not need:
             if covered.bit_count() > best:
                 best, best_picks = covered.bit_count(), picks[:]
+                if best == len(ambient):
+                    break
         elif start <= len(cells) - need and covered.bit_count() + tops[start][need] > best:
+            extended += 1
+            if extended > spread._SUBSET_BUDGET:
+                raise ValueError("cell-combination search too large; reduce s or the ambient family")
             picks.append(start)
             covers.append(covered | masks[start])
             start += 1

@@ -32,40 +32,46 @@ from .io import _result_json, cells_json, family_json
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
 EXACT_CELL_CAP = 24
-#: Subset enumeration guard for exhaustive spreadness checks.
+#: The one search budget: sets one spreadness walk visits, or prefixes one
+#: star-union search extends (``solvers.star_union_slack_sides``), before it refuses.
 _SUBSET_BUDGET = 6_000_000
 _SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded
 
 
-def _index(obj) -> tuple[tuple[dict, dict], int]:
+def _index(obj) -> tuple[tuple[dict, int], int]:
     """The one index the spreadness kernels walk, (cell -> members holding
-    it, size -> members of that size) as bitmasks over the members of a
-    Family's parent (its cached ``cell_masks``, see ``core._root``) or of a
-    list of cell collections, and the bitmask of the members walked."""
+    it as bitmasks, K) over the members of a Family's parent (its cached
+    ``cell_masks``, see ``core._root``) or of a list of cell collections,
+    with K at least every member's size (n, or the longest member), and the
+    bitmask of the members walked."""
     if isinstance(obj, Family):
         root, mask = _root(obj)
-        return (root.cell_masks, {root.n: (1 << len(root)) - 1}), mask
+        return (root.cell_masks, root.n), mask
     members = [frozenset(m) for m in obj]
-    return (cell_masks(members), cell_masks([len(m)] for m in members)), (1 << len(members)) - 1
+    return (cell_masks(members), max(map(len, members), default=0)), (1 << len(members)) - 1
 
 
-def _walk(index, carrier: int, skip=frozenset(), max_size: int | None = None, floor: int = 1):
+def _walk(masks: dict, carrier: int, skip=frozenset(), max_size: int | None = None, floor: int = 1):
     """Yields (X, the bitmask of X's carriers) for every distinct nonempty X
     of at most max_size cells inside some member of F with |F(X)| >= floor,
     where F is the trace by A = ``skip`` of the members in ``carrier`` (all
-    of which contain A), by a depth-first walk over the index with A's cells
-    left out: X grows only by row-major later cells, so each X is met once,
-    in lexicographic order, its carriers are the AND of its cells' masks,
-    and since a subset of X has as many carriers, a branch below the floor
-    ends.  Refused when called if F has over ``_SUBSET_BUDGET`` subsets in
-    all."""
-    masks, sizes = index
-    if sum((m & carrier).bit_count() * 2 ** (s - len(skip)) for s, m in sizes.items() if m & carrier) > _SUBSET_BUDGET:
-        raise ValueError("family too large for exhaustive subset enumeration")
+    of which contain A), by a depth-first walk over the cell masks with A's
+    cells left out: X grows only by row-major later cells, so each X is met
+    once, in lexicographic order, its carriers are the AND of its cells'
+    masks, and since a subset of X has as many carriers, a branch below the
+    floor ends.  Nothing runs until the walk is iterated.  A level's branch
+    list holds exactly the X the level yields, and its length is charged as
+    the level starts: past ``_SUBSET_BUDGET`` sets in one walk, the walk
+    raises ``ValueError``."""
+    charged = 0
 
     def walk(prefix: tuple, branches: list):
+        nonlocal charged
         if max_size is not None and len(prefix) >= max_size:
             return
+        charged += len(branches)
+        if charged > _SUBSET_BUDGET:
+            raise ValueError("family too large for exhaustive subset enumeration")
         while branches:
             cell, carriers = branches.pop(0)
             sub = prefix + (cell,)
@@ -77,7 +83,8 @@ def _walk(index, carrier: int, skip=frozenset(), max_size: int | None = None, fl
 
 def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
     """{X: |F(X)|} over ``_walk`` of a list of cell sets, every member a carrier."""
-    return {sub: carriers.bit_count() for sub, carriers in _walk(*_index(members), frozenset(), max_size, floor)}
+    (masks, _), carrier = _index(members)
+    return {sub: carriers.bit_count() for sub, carriers in _walk(masks, carrier, frozenset(), max_size, floor)}
 
 
 @dataclass(frozen=True)
@@ -105,16 +112,16 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
 
     The walk keeps every X that ranks with the best single cell or ahead of
     it, as the worst offender does: with c that cell's count, an X of k <= K
-    cells (K the largest member size) does iff |F(X)| >= c^k/|F|^(k-1) >=
-    c^K/|F|^(K-1).  Given r, it keeps of those only the X that could violate
+    cells (K the index's bound on member sizes, less |A|) does iff |F(X)| >=
+    c^k/|F|^(k-1) >= c^K/|F|^(K-1).  Given r, it keeps of those only the X that could violate
     r-spreadness: X of k <= K cells violates iff |F(X)| num^k > |F| den^k,
     and then X and all its subsets have |F(X)| > |F| (den/num)^K; for r <= 1
     none violates.  So if any X violates, so does the worst offender, which
     passes both floors; if none does, the report reads spread either way."""
+    masks, top = index[0], index[1] - len(skip)
     total = carrier.bit_count()
-    top = max(k for k, m in index[1].items() if m & carrier) - len(skip)
-    # each cell's carriers, read once for c and handed to the walk as its index
-    singles = {cell: both for cell, m in index[0].items() if cell not in skip and (both := m & carrier)}
+    # each cell's carriers, read once for c and handed to the walk as its masks
+    singles = {cell: both for cell, m in masks.items() if cell not in skip and (both := m & carrier)}
     c = max(map(int.bit_count, singles.values()), default=1)
     floor = -(-(c**top) // total ** max(top - 1, 0))
     if r is not None:
@@ -123,7 +130,7 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
     # X in lexicographic order, so only a pair's first X can take the lead
     best, seen = None, set()
-    for sub, carriers in _walk((kept, index[1]), carrier, skip, None, floor):
+    for sub, carriers in _walk(kept, carrier, skip, None, floor):
         pair = (len(sub), carriers.bit_count())
         if pair not in seen:
             seen.add(pair)
@@ -200,12 +207,11 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     if not full:
         raise ValueError("spreadness is undefined for the empty family")
     q_cells = _integer(q_cells, 0, "q must be non-negative")
-    restrictions = _walk(index, full, frozenset(), q_cells)  # charged against the budget now, walked below
     rep = _spread_report(index, full, frozenset(), r)
     if not rep.is_spread:
         return RestrictedSpreadReport(False, (), rep)
     # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
-    for sub, carrier in sorted(restrictions, key=lambda t: len(t[0])):
+    for sub, carrier in sorted(_walk(index[0], full, frozenset(), q_cells), key=lambda t: len(t[0])):
         rep = _spread_report(index, carrier, frozenset(sub), r)
         if not rep.is_spread:
             return RestrictedSpreadReport(False, sub, rep)
@@ -221,8 +227,8 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     smallest qualifying multi-cell extension (minimal size, then
     lexicographic) is taken instead, so the result is maximal against
     *every* superset and its trace is therefore rho-spread.  The extensions
-    are read off ``_walk`` of the members containing X, so a jump
-    over more than ``_SUBSET_BUDGET`` subsets raises ``ValueError``.
+    are read off ``_walk`` of the members containing X, so a jump whose walk
+    visits more than ``_SUBSET_BUDGET`` sets raises ``ValueError``.
     """
     index, carrier = _index(fam)  # ``carrier`` is kept as the bitmask of the members containing X
     if not carrier:
@@ -230,8 +236,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    masks, total = index[0], carrier.bit_count()
-    top = max(k for k, m in index[1].items() if m & carrier)
+    (masks, top), total = index, carrier.bit_count()
     # |F(X)| * rho^s >= |F| as |F(X)| * num^s >= |F| * den^s, one pair per size s
     scale = [(rho.numerator**s, total * rho.denominator**s) for s in range(top + 2)]
 
@@ -254,7 +259,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         _, jump = min(
             (
                 (len(ext), ext)
-                for ext, carriers in _walk(index, carrier, chosen, None, least)
+                for ext, carriers in _walk(masks, carrier, chosen, None, least)
                 if len(ext) >= 2 and qualifies(carriers.bit_count(), len(chosen) + len(ext))
             ),
             default=(0, None),

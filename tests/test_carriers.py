@@ -1,6 +1,6 @@
 """Derived families as carrier masks over one parent index.
 
-The spread kernels walk one ``(cell_masks, member sizes)`` index from a
+The spread kernels walk one ``(cell_masks, K)`` index from a
 carrier bitmask, and filtered slices of a family skip re-validation and
 view their parent's index.  Both are checked here against the member-list
 code they replaced, kept as test-local oracles: a residue list per
@@ -37,9 +37,10 @@ from permemc import (
     symmetric_group,
     verify_approximation,
 )
+from permemc import spread
 from permemc.core import _root
 from permemc.io import ParseError, format_family, parse_family
-from permemc.spread import _SUBSET_BUDGET, ApproximationResult, _compare_spreadness, _distinct_trace_counts
+from permemc.spread import ApproximationResult, _compare_spreadness, _distinct_trace_counts
 
 # -- the member-list oracles -------------------------------------------------
 
@@ -213,37 +214,25 @@ def test_empty_branch_trace_still_raises():
         verify_approximation(res, symmetric_group(3), symmetric_group(3), 2, 1)
 
 
-def _budget_family(extra):
-    """Members {c0} ∪ R_i with disjoint residues R_i of sizes k_i, where the
-    2^k_i sum to ``_SUBSET_BUDGET``; ``extra`` more members are just {c0}."""
-    sizes = [k for k in range(_SUBSET_BUDGET.bit_length()) if _SUBSET_BUDGET >> k & 1]
-    members, row = [], 2
-    for k in sizes:
-        members.append(frozenset({(1, 1)} | {(row + i // 20, i % 20) for i in range(k)}))
-        row += 2
-    return members + [frozenset({(1, 1)})] * extra
-
-
-def test_subset_budget_is_charged_on_the_carrier_at_the_boundary():
-    # At rho = 1 only (1, 1) qualifies as a single cell, so the jump walks the
-    # carrier of {(1, 1)} with a floor no other cell reaches.  Its budget is
-    # Σ 2^(|m| - 1), exactly _SUBSET_BUDGET here: the whole family's Σ 2^|m| is
-    # twice that and is not what is charged.
-    at = _budget_family(0)
-    assert sum(2 ** (len(m) - 1) for m in at) == _SUBSET_BUDGET
-    assert sum(2 ** len(m) for m in at) > _SUBSET_BUDGET
-    assert max_ratio_set(at, 1) == _list_max_ratio_set(at, 1)[0] == frozenset({(1, 1)})
-    over = _budget_family(1)  # one more member adds 2^0
+def test_subset_budget_is_charged_on_the_carrier_at_the_boundary(monkeypatch):
+    # At rho = 2 over 8 members, (1, 1) qualifies alone (4 carriers), no cell
+    # qualifies next to it (1 carrier against 8 / 2^2), and three cells do
+    # (8 / 2^3).  So the jump walks the carrier of {(1, 1)} with (1, 1)
+    # skipped and a floor of 1: the 2^6 - 1 nonempty subsets of the other
+    # six cells of ``wide``, where the whole family has 2^7 - 1 + 4.
+    wide = frozenset({(1, 1)} | {(2, c) for c in range(1, 7)})
+    members = [wide] + [frozenset({(1, 1)})] * 3 + [frozenset({(3, c)}) for c in range(1, 5)]
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 1)
+    assert max_ratio_set(members, 2) == _list_max_ratio_set(members, 2)[0] == wide
+    with pytest.raises(ValueError, match="too large"):
+        exact_spreadness(members)
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
     for kernel in (max_ratio_set, _list_max_ratio_set):
         with pytest.raises(ValueError, match="too large"):
-            kernel(over, 1)
-    # is_rq_spread charges the whole family once, before any restriction
-    halves = [m - {(1, 1)} for m in at]
-    assert is_rq_spread(halves, 1, 1).is_spread and _list_is_rq_spread(halves, 1, 1)[0]
-    with pytest.raises(ValueError, match="too large"):
-        is_rq_spread(halves + [frozenset()], 1, 1)
-    with pytest.raises(ValueError, match="too large"):
-        _list_is_rq_spread(halves + [frozenset()], 1, 1)
+            kernel(members, 2)
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**7 + 3)
+    assert len(_distinct_trace_counts(members)) == 2**7 + 3
+    assert exact_spreadness(members)[1] == tuple(sorted(wide))
 
 
 # -- trusted construction ---------------------------------------------------------

@@ -320,6 +320,17 @@ def test_cli_spread(tmp_path, capsys):
     assert json.loads(out)["is_spread"] is True
 
 
+def test_cli_spread_over_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # the walk is refused while it runs, inside the command, not when it is called
+    path = tmp_path / "fam.txt"
+    save_family(symmetric_group(4), path)
+    monkeypatch.setattr(permemc.spread, "_SUBSET_BUDGET", 10)
+    for extra in (["--exact"], ["--q", "1"]):
+        code, out, err = _run(["spread", "--family", str(path), "--r", "2", *extra], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: family too large for exhaustive subset enumeration\n"
+
+
 def test_cli_approx(tmp_path, capsys):
     path = tmp_path / "star.txt"
     from permemc import make_star

@@ -37,6 +37,7 @@ from permemc import (
     support_union_bound_sides,
     symmetric_group,
 )
+from permemc import spread
 from permemc.core import max_disjoint
 from permemc.solvers import StarSlackSides, _disjoint_representatives, coset_representative
 from permemc.verify import brute_nu, brute_tau
@@ -703,6 +704,32 @@ def test_star_union_branch_and_bound_matches_combinations_oracle():
     }
 
 
+def test_star_union_answers_beyond_the_combination_count():
+    # C(49, 6) is over 2,000,000 combinations, but the bound leaves few
+    # prefixes to extend
+    s7 = symmetric_group(7)
+    sides = star_union_slack_sides(s7, s7, 7)
+    assert sides.best_union_size == 4320 and sides.best_cells == tuple((1, c) for c in range(1, 7))
+
+
+def test_star_union_budget_charges_each_prefix_extended(monkeypatch):
+    # Σ_3, s = 3: (1,1) then (1,2) cover 4 of 6; every star holds 2, so no
+    # other prefix can pass 4: 2 prefixes.  s = 4: (1,1), (1,2), (1,3) cover
+    # all 6: 3 prefixes.  Σ_6, s = 9: the first eight cells cover all 720
+    # members and the walk stops there: 8 prefixes.  {123, 213, 312}, s = 2:
+    # the stars of (1,1), (1,2) and (1,3) hold one member, (2,1)'s holds two
+    # and no star holds three: 4 prefixes.
+    s3 = symmetric_group(3)
+    three = family(3, [(1, 2, 3), (2, 1, 3), (3, 1, 2)])
+    cases = ((s3, 3, 2, 4), (s3, 4, 3, 6), (symmetric_group(6), 9, 8, 720), (three, 2, 4, 2))
+    for ambient, s, extended, best in cases:
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended)
+        assert star_union_slack_sides(ambient, ambient, s).best_union_size == best
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended - 1)
+        with pytest.raises(ValueError, match="cell-combination search too large"):
+            star_union_slack_sides(ambient, ambient, s)
+
+
 def test_support_sides_empty_ambient():
     sides = support_union_bound_sides(Family(3, ()), [{(1, 1)}], Fraction(1, 2), 2)
     assert (sides.lhs, sides.singleton_union_size, sides.max_star_size, sides.max_star_cell) == (0, 0, 0, None)
@@ -754,8 +781,6 @@ def test_classify_bad_inputs_fail_cleanly(families, cells, error, match):
         (lambda: star_union_slack_sides(symmetric_group(3), symmetric_group(3), 1), "s must be at least 2"),
         (lambda: star_union_slack_sides(symmetric_group(3), symmetric_group(3), 2.5), "s must be at least 2"),
         (lambda: classify_cross_free_families([derangement_star(4, (1, 2))], [(1.0, 2)]), r"cell \(1.0, 2\) outside"),
-        # C(36, 8) cell combinations of Σ_6 against a budget of 2,000,000
-        (lambda: star_union_slack_sides(symmetric_group(6), symmetric_group(6), 9), "too large"),
         (lambda: containment_implies_matching_check([[{(1, 1)}], [{(2, 2)}]], 2.0, Fraction(1, 10)), "non-negative"),
         (lambda: containment_implies_matching_check([[{(1, 1)}], [{(2, 2)}]], "2", Fraction(1, 10)), "non-negative"),
         (lambda: coset_certificate(symmetric_group(3), 2.5), "s must be at least 1"),
@@ -769,7 +794,6 @@ def test_classify_bad_inputs_fail_cleanly(families, cells, error, match):
         "star-slack-s1",
         "star-slack-float-s",
         "classify-float-cell",
-        "star-slack-over-budget",
         "upclosed-float-s",
         "upclosed-string-s",
         "coset-float-s",

@@ -30,7 +30,7 @@ from permemc import (
     verify_approximation,
 )
 from permemc import spread
-from permemc.spread import _SUBSET_BUDGET, _distinct_trace_counts
+from permemc.spread import _distinct_trace_counts
 
 
 def _random_subfamily(rng, ambient, size):
@@ -171,10 +171,10 @@ def test_witness_ranking_matches_exact_oracle():
 def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
     """The worst-offender walk with the r-floor alone: every X that could
     violate r-spreadness, ranked exactly, ties going to the least X."""
+    masks, top = index[0], index[1] - len(skip)
     total = carrier.bit_count()
-    top = max(k for k, m in index[1].items() if m & carrier) - len(skip)
     floor = total * r.denominator**top // r.numerator**top + 1
-    counts = {sub: carriers.bit_count() for sub, carriers in spread._walk(index, carrier, skip, None, floor)}
+    counts = {sub: carriers.bit_count() for sub, carriers in spread._walk(masks, carrier, skip, None, floor)}
     if not counts:
         return None
     rank = functools.cmp_to_key(lambda a, b: spread._compare_spreadness(total, a, b))
@@ -266,14 +266,45 @@ def test_rq_spread_q_zero_is_plain_r_spread():
         assert is_rq_spread(fam, r, 0).is_spread == is_r_spread(fam, r).is_spread
 
 
-def test_subset_budget_refuses_before_enumerating():
-    # one 23-cell set has 2^23 > _SUBSET_BUDGET subsets; the guard fires first
-    wide = [[(1, c) for c in range(1, 24)]]
-    assert 2**23 > _SUBSET_BUDGET
+def test_subset_budget_charges_each_set_walked(monkeypatch):
+    # one k-cell set: every one of its 2^k - 1 nonempty subsets has count 1,
+    # so both floors are 1 and the walk visits them all; cut at 2 cells, it
+    # visits the k + C(k, 2) sets of at most 2 cells
+    for k in (1, 6, 12):
+        wide = [[(1, c) for c in range(1, k + 1)]]
+        cut = k + k * (k - 1) // 2
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", cut)
+        assert len(_distinct_trace_counts(wide, 2)) == cut
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", cut - 1)
+        with pytest.raises(ValueError, match="too large"):
+            _distinct_trace_counts(wide, 2)
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**k - 1)
+        assert len(_distinct_trace_counts(wide)) == 2**k - 1
+        report = is_r_spread(wide, 2)
+        assert (report.is_spread, report.witness, report.witness_ratio) == (False, ((1, 1),), 1)
+        assert exact_spreadness(wide) == (1.0, ((1, 1),))
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**k - 2)
+        for call in (lambda: _distinct_trace_counts(wide), lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide)):
+            with pytest.raises(ValueError, match="too large"):
+                call()
+
+
+def test_r_spread_sigma8_is_walked_under_the_floor():
+    # Σ_8 has 10.3 M member subsets, but the r-floor cuts all but a few
+    # thousand of them, so the walk stays far inside the budget
+    assert is_r_spread(symmetric_group(8), 2).is_spread
+
+
+def test_rq_spread_reports_input_errors_before_refusing(monkeypatch):
+    # both the whole walk (255 sets) and the restriction walk (8 + 28) are over 10
+    wide = [[(1, c) for c in range(1, 9)]]
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 10)
     with pytest.raises(ValueError, match="too large"):
-        is_r_spread(wide, 2)
-    with pytest.raises(ValueError, match="too large"):
-        exact_spreadness(wide)
+        is_rq_spread(wide, 2, 2)
+    with pytest.raises(ValueError, match="r must be positive"):
+        is_rq_spread(wide, 0, 2)
+    with pytest.raises(ValueError, match="q must be non-negative"):
+        is_rq_spread(wide, 2, -1)
 
 
 def test_derangement_trace_proof_inequality_size_at_most_one():
@@ -629,10 +660,13 @@ def test_max_ratio_set_matches_per_size_jump_oracle():
     assert jumps >= 20, jumps
 
 
-def test_max_ratio_set_jump_respects_subset_budget():
-    # no single cell qualifies, so the jump would enumerate 2^23 subsets
-    with pytest.raises(ValueError, match="too large"):
-        max_ratio_set([[(1, c) for c in range(1, 24)]], Fraction(1, 2))
+def test_max_ratio_set_jump_respects_subset_budget(monkeypatch):
+    # no single cell qualifies, and a jump needs a count of at least 4, so
+    # the jump's walk ends at its first level: none of the 2^23 subsets is
+    # charged, even against a budget of 0
+    wide = [[(1, c) for c in range(1, 24)]]
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 0)
+    assert max_ratio_set(wide, Fraction(1, 2)) == frozenset()
 
 
 def test_containment_probability_monte_carlo_matches_exact():
