@@ -150,6 +150,14 @@ def cmd_approx(args) -> int:
     return EXIT_OK if check.ok else EXIT_CHECK_FAILED
 
 
+def _least_through(n: int, y: int):
+    """The least permutation of [n] with p(1) = y, ``extremal``'s default sigma."""
+    sigma = next(construct._star(n, 1, y))  # checks n first
+    if y > n:
+        raise ValueError(f"no permutation of [{n}] maps 1 to {y}")
+    return sigma
+
+
 def cmd_extremal(args) -> int:
     n, s = args.n, args.s
     sigma = args.sigma
@@ -161,10 +169,10 @@ def cmd_extremal(args) -> int:
         union = construct.make_star_union(n, [(1, c + 1) for c in range(1, s)], derangement=True)
         fam, disjoint = union.family, union.pairwise_disjoint
     elif args.kind == "hm":
-        sigma = sigma or next(construct._star(n, 1, 2))  # the least p with p(1) = 2
+        sigma = sigma or _least_through(n, 2)
         fam = construct.make_hm(n, sigma)
     else:  # theorem3
-        sigma = sigma or next(construct._star(n, 1, s))  # the least p with p(1) = s
+        sigma = sigma or _least_through(n, s)
         fam = construct.make_hm_star_union(n, s, sigma)
     nu, _ = solvers.matching_number(fam)
     tau, _ = solvers.covering_number(fam) if len(fam) else (None, ())

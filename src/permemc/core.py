@@ -26,6 +26,12 @@ PartialPerm = frozenset  # frozenset[Cell]
 #: Full enumeration of all n! permutations is refused above this n.
 ENUMERATION_CAP = 10
 
+#: ``_ROW_BITS[v]`` translates a row of images, one byte per member, to the
+#: ASCII bits of cell (row, v): ``1`` where the image is v, ``0`` elsewhere.
+_ROW_BITS = [b"0" * v + b"1" + b"0" * (255 - v) for v in range(256)]
+#: Translates ASCII ``0``/``1`` to the bytes 0/1, selectors for ``itertools.compress``.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class DimensionMismatch(ValueError):
     """Operands live over different ground sets [n]."""
@@ -181,9 +187,20 @@ class Family:
         """``cell_masks`` of the member graphs, indexed like ``members``.
 
         Built on first use and kept, since families are immutable; every
-        caller shares the one dict, so it must not be modified.
+        caller shares the one dict, so it must not be modified.  Each member
+        has one cell per row, so for n <= 255 the index is built row by row:
+        a row's images are one byte string, and cell (r, v)'s mask is that
+        string translated to bits and read, reversed, as one base-2 integer.
+        Keys then come in row-major order.  Larger n, whose images do not
+        fit in a byte, takes the general ``cell_masks`` build.
         """
-        return cell_masks(enumerate(p, 1) for p in self.members)
+        if self.n > 255:
+            return cell_masks(enumerate(p, 1) for p in self.members)
+        masks = {}
+        for r, row in enumerate(map(bytes, zip(*self.members)), 1):
+            for v in sorted(set(row)):
+                masks[r, v] = int(row.translate(_ROW_BITS[v])[::-1], 2)
+        return masks
 
     def graphs(self) -> list[PartialPerm]:
         return [graph(p) for p in self.members]
@@ -221,8 +238,9 @@ def _containing(fam: Family, cells: Iterable[Cell]) -> int:
 
 
 def _selected(fam: Family, mask: int) -> tuple[Perm, ...]:
-    """The members whose index bits are set in ``mask``, in member order."""
-    return tuple(p for p, bit in zip(fam.members, bin(mask)[:1:-1]) if bit == "1")
+    """The members whose index bits are set in ``mask``, in member order.
+    Masks here are never negative, so ``bin`` gives only the bits."""
+    return tuple(itertools.compress(fam.members, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)))
 
 
 def _root(fam: Family) -> tuple[Family, int]:

@@ -246,12 +246,14 @@ def max_ratio_set(fam, rho) -> PartialPerm:
 
     chosen: set = set()
     while True:
-        single = sorted(
-            c for c, m in masks.items() if c not in chosen and qualifies((m & carrier).bit_count(), len(chosen) + 1)
+        num_s, bar = scale[len(chosen) + 1]
+        need = -(-bar // num_s)  # the least count that qualifies one cell more
+        single = min(
+            (c for c, m in masks.items() if c not in chosen and (m & carrier).bit_count() >= need), default=None
         )
-        if single:
-            chosen.add(single[0])
-            carrier &= masks[single[0]]
+        if single is not None:
+            chosen.add(single)
+            carrier &= masks[single]
             continue
         # every extension with a nonempty trace lies inside some carrier, and one
         # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with

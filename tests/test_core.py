@@ -39,7 +39,7 @@ from permemc import (
     trace,
 )
 import permemc.core
-from permemc.core import ENUMERATION_CAP, as_cell, as_permutation, max_disjoint
+from permemc.core import ENUMERATION_CAP, _selected, as_cell, as_permutation, max_disjoint
 from permemc.verify import brute_nu
 
 
@@ -201,6 +201,74 @@ def test_cell_index_agrees_with_direct_scan():
                 sets = rng.sample(restrictions, k)
                 through = tuple(p for p in f.members if any(contains_cells(p, x) for x in sets))
                 assert subfamily_containing_any(f, sets).members == through
+
+
+def _general_index(f):
+    return cell_masks(enumerate(p, 1) for p in f.members)
+
+
+def test_row_wise_index_agrees_with_the_general_build():
+    # Family.cell_masks reads a family with n <= 255 row by row, one byte per
+    # image; larger n and lists take the general byte-bitmap build.
+    rng = random.Random(23)
+    for n in range(1, 10):
+        ambient = symmetric_group(n) if n <= 7 else None
+        for _ in range(12 if n <= 7 else 3):
+            if ambient is None:
+                members = [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(0, 300))]
+            else:
+                members = rng.sample(ambient.members, rng.randint(0, len(ambient)))
+            f = family(n, members)
+            assert f.cell_masks == _general_index(f)
+    for f in (family(4, []), symmetric_group(6), derangements(6), symmetric_group(8), derangements(8)):
+        masks = f.cell_masks
+        assert masks == _general_index(f)
+        assert list(masks) == sorted(masks)  # row-major
+    for n in (255, 256):  # one on each side of the byte switch
+        f = family(n, [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(2, 9))])
+        assert f.cell_masks == _general_index(f)
+    shifts = family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in (0, 1, 299)])
+    assert shifts.cell_masks == _general_index(shifts)
+    assert [shifts.cell_masks[c] for c in ((1, 1), (1, 2), (1, 300), (300, 1))] == [0b001, 0b010, 0b100, 0b010]
+
+
+def _zip_selected(fam, mask):
+    """The member slice read bit by bit from ``bin``, one comparison per member."""
+    return tuple(p for p, bit in zip(fam.members, bin(mask)[:1:-1]) if bit == "1")
+
+
+def test_selected_agrees_with_the_bit_string_reading():
+    rng = random.Random(29)
+    for f in (family(3, []), family(3, [(1, 2, 3)]), symmetric_group(4), derangements(6), symmetric_group(6)):
+        size = len(f)
+        full = (1 << size) - 1
+        masks = [0, full, full << 3 | 5, 1 << (size + 40)]
+        masks += [1 << i for i in range(size)]
+        masks += [rng.getrandbits(size) for _ in range(40)]
+        masks += [rng.getrandbits(size + 70) for _ in range(10)]  # wider than the family
+        for mask in masks:
+            assert _selected(f, mask) == _zip_selected(f, mask), (f.n, mask)
+    assert _selected(symmetric_group(4), 0b1001) == ((1, 2, 3, 4), (1, 3, 4, 2))  # bit i is member i
+
+
+def test_slices_of_slices_agree_with_filtering_the_members():
+    rng = random.Random(31)
+    ambient = symmetric_group(6)
+    grid = [(x, y) for x in range(1, 7) for y in range(1, 7)]
+    for _ in range(40):
+        f = family(6, rng.sample(ambient.members, rng.randint(1, len(ambient))))
+        members = set(f.members)
+        g = f
+        for _ in range(rng.randint(1, 5)):
+            x = rng.sample(grid, rng.randint(0, 2))
+            if rng.random() < 0.5:
+                g = subfamily_containing(g, x)
+                members = {p for p in members if contains_cells(p, x)}
+            else:
+                g = g.difference(subfamily_containing(f, x))
+                members = {p for p in members if not contains_cells(p, x)}
+            assert g.members == tuple(sorted(members))
+            assert g._view[0] is f  # every slice views the first parent
 
 
 def test_membership_rejects_non_members_and_wrong_lengths():

@@ -390,6 +390,20 @@ def test_cli_extremal(capsys):
     assert payload["size"] == 22 and payload["nu"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "theorem3", "--n", "4", "--s", "5"], "error: no permutation of [4] maps 1 to 5\n"),
+        (["--kind", "theorem3", "--n", "3", "--s", "7"], "error: no permutation of [3] maps 1 to 7\n"),
+        (["--kind", "hm", "--n", "1"], "error: no permutation of [1] maps 1 to 2\n"),
+    ],
+)
+def test_cli_extremal_default_sigma_names_the_missing_permutation(argv, message, capsys):
+    # no sigma was given, so the error is about the default one that cannot exist
+    code, out, err = _run(["extremal"] + argv, capsys)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_cli_crossmatch(tmp_path, capsys):
     from permemc import derangement_star
 
