@@ -9,7 +9,6 @@ parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -17,6 +16,7 @@ from fractions import Fraction
 from . import construct, core, counting, solvers, spread
 from .io import (
     ParseError,
+    _json_text,
     cells_json,
     family_json,
     fraction_json,
@@ -63,7 +63,7 @@ def _perm(text: str) -> tuple[int, ...]:
 
 
 def _emit(payload: dict, summary: str) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     print(summary, file=sys.stderr)
 
 
@@ -218,14 +218,11 @@ def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.seed)
     if args.out:
         save_report(report, args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    failed = 0
-    for rep in report.get("suites", [report]):
-        for chk in rep["checks"]:
-            mark = {"pass": "ok", "fail": "FAIL", "conditional": "cond", "vacuous": "vac"}[chk["status"]]
-            failed += chk["status"] == "fail"
-            print(f"[{mark:>4}] {rep['suite']}/{chk['id']}", file=sys.stderr)
-    print(f"failed checks: {failed}", file=sys.stderr)
+    marks = {"pass": "ok", "fail": "FAIL", "conditional": "cond", "vacuous": "vac"}
+    checks = [(rep["suite"], chk) for rep in report.get("suites", [report]) for chk in rep["checks"]]
+    failed = sum(chk["status"] == "fail" for _, chk in checks)
+    lines = [f"[{marks[chk['status']]:>4}] {suite}/{chk['id']}" for suite, chk in checks]
+    _emit(report, "\n".join([*lines, f"failed checks: {failed}"]))
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 

@@ -130,8 +130,8 @@ def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
     Bit i of ``cell_masks(sets)[c]`` is set iff the i-th set contains c, so
     the sets containing a whole cell set X are the AND of its cells' masks
     and their number is that AND's popcount.  Cells in no set are absent.
-    Each mask is filled in as a little-endian byte bitmap and read as one
-    integer at the end, so the build is linear in the total size of the sets.
+    Keys come sorted (row-major), as in every index here.  Masks are filled
+    in as little-endian byte bitmaps read as integers: one linear pass, one key sort.
     """
     sets = list(sets)
     bitmaps: defaultdict[Cell, bytearray] = defaultdict(partial(bytearray, (len(sets) + 7) >> 3))
@@ -139,7 +139,7 @@ def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
         byte, bit = i >> 3, 1 << (i & 7)
         for c in cells:
             bitmaps[c][byte] |= bit
-    return {c: int.from_bytes(bitmap, "little") for c, bitmap in bitmaps.items()}
+    return {c: int.from_bytes(bitmaps[c], "little") for c in sorted(bitmaps)}
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,10 @@ class Family:
         return iter(self.members)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self._member_set
+        try:  # the one permutation rule, read on hits only: floats, strings, non-iterables are no members
+            return (perm := tuple(p)) in self._member_set and all(map(index, perm))
+        except TypeError:
+            return False
 
     @cached_property
     def _member_set(self) -> frozenset:
@@ -191,8 +194,8 @@ class Family:
         has one cell per row, so for n <= 255 the index is built row by row:
         a row's images are one byte string, and cell (r, v)'s mask is that
         string translated to bits and read, reversed, as one base-2 integer.
-        Keys then come in row-major order.  Larger n, whose images do not
-        fit in a byte, takes the general ``cell_masks`` build.
+        Larger n, whose images do not fit in a byte, takes the general
+        ``cell_masks`` build.  Either way the keys come in row-major order.
         """
         if self.n > 255:
             return cell_masks(enumerate(p, 1) for p in self.members)

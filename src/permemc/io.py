@@ -9,6 +9,7 @@ comma-separated ``row:col`` pairs.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import warnings
@@ -181,13 +182,14 @@ def _result_json(result) -> dict:
     return out
 
 
-def save_report(report: dict, path) -> None:
-    """Write a JSON report with stable key order."""
-    import json
+def _json_text(payload: dict) -> str:  # the one JSON layout of the CLI's output and of saved reports
+    return json.dumps(payload, indent=2, sort_keys=True)
 
+
+def save_report(report: dict, path) -> None:
+    """Write a JSON report as the CLI prints it."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(report) + "\n")
 
 
 def family_json(fam: Family, name: str = "family") -> dict:

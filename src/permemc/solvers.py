@@ -77,8 +77,7 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
     n, members, cell_mask = fam.n, fam.members, fam.cell_masks
-    cells = sorted(cell_mask)
-    masks = [cell_mask[c] for c in cells]
+    cells, masks = list(cell_mask), list(cell_mask.values())  # row-major, as the index is built
     position = {c: i for i, c in enumerate(cells)}
     full = (1 << len(fam)) - 1
     meets = _Meets(cell_mask, lambda j: enumerate(members[j], 1))
@@ -408,9 +407,9 @@ def support_union_bound_sides(
 
     lhs = len(subfamily_containing_any(ambient, sets))
     singleton_union = len(subfamily_containing_any(ambient, singles))
-    # the largest star, ties going to the least cell
-    neg_star, max_cell = min(((-m.bit_count(), c) for c, m in ambient.cell_masks.items()), default=(0, None))
-    max_star = -neg_star
+    # the largest star, ties going to the first, i.e. least, cell of the row-major index
+    max_cell, star = max(ambient.cell_masks.items(), key=lambda item: item[1].bit_count(), default=(None, 0))
+    max_star = star.bit_count()
     rhs = singleton_union + eps * (s - 1 - l) * max_star
     cor_rhs = (s - 2 + eps) * max_star
     hypothesis = None
@@ -441,7 +440,7 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
 
     |Y| is the largest number of ambient members containing one of s-1
     fixed cells, the first such combination of cells in
-    ``itertools.combinations`` order over row-major sorted cells.  The
+    ``itertools.combinations`` order over the row-major cells.  The
     combinations are walked depth first in that order, and a branch ends
     when the members its picks cover plus the ``need`` largest star sizes
     among the cells it may still pick are at most the best union found,
@@ -456,9 +455,8 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     s = _integer(s, 2, "s must be at least 2")
     n = ambient.n
     index = ambient.cell_masks
-    cells = sorted(index)
+    cells, masks = list(index), list(index.values())  # row-major, as the index is built
     k = min(s - 1, len(cells))
-    masks = [index[c] for c in cells]
     # tops[i][j]: the sum of the j largest star sizes among cells[i:], for j <= min(k, len(cells) - i)
     tops, largest = [[0]], []  # largest: the k largest sizes of the suffix, negated and sorted
     for mask in reversed(masks):

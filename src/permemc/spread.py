@@ -51,18 +51,18 @@ def _index(obj) -> tuple[tuple[dict, int], int]:
     return (cell_masks(members), max(map(len, members), default=0)), (1 << len(members)) - 1
 
 
-def _walk(masks: dict, carrier: int, skip=frozenset(), max_size: int | None = None, floor: int = 1):
+def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1):
     """Yields (X, the bitmask of X's carriers) for every distinct nonempty X
-    of at most max_size cells inside some member of F with |F(X)| >= floor,
-    where F is the trace by A = ``skip`` of the members in ``carrier`` (all
-    of which contain A), by a depth-first walk over the cell masks with A's
-    cells left out: X grows only by row-major later cells, so each X is met
-    once, in lexicographic order, its carriers are the AND of its cells'
-    masks, and since a subset of X has as many carriers, a branch below the
-    floor ends.  Nothing runs until the walk is iterated.  A level's branch
-    list holds exactly the X the level yields, and its length is charged as
-    the level starts: past ``_SUBSET_BUDGET`` sets in one walk, the walk
-    raises ``ValueError``."""
+    of at most max_size cells of ``masks`` inside some member of F with
+    |F(X)| >= floor, where F is the members in ``carrier`` (a trace by A is
+    walked as the members containing A, over masks without A's cells), by a
+    depth-first walk in the masks' row-major key order: X grows only by later
+    cells, so each X is met once, in lexicographic order, its carriers are
+    the AND of its cells' masks, and since a subset of X has as many
+    carriers, a branch below the floor ends.  Nothing runs until the walk is
+    iterated.  A level's branch list holds exactly the X the level yields,
+    and its length is charged as the level starts: past ``_SUBSET_BUDGET``
+    sets in one walk, the walk raises ``ValueError``."""
     charged = 0
 
     def walk(prefix: tuple, branches: list):
@@ -78,13 +78,13 @@ def _walk(masks: dict, carrier: int, skip=frozenset(), max_size: int | None = No
             yield sub, carriers
             yield from walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
 
-    return walk((), [(c, both) for c, m in sorted(masks.items()) if c not in skip and (both := m & carrier).bit_count() >= floor])
+    return walk((), [(c, both) for c, m in masks.items() if (both := m & carrier).bit_count() >= floor])
 
 
 def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
     """{X: |F(X)|} over ``_walk`` of a list of cell sets, every member a carrier."""
     (masks, _), carrier = _index(members)
-    return {sub: carriers.bit_count() for sub, carriers in _walk(masks, carrier, frozenset(), max_size, floor)}
+    return {sub: carriers.bit_count() for sub, carriers in _walk(masks, carrier, max_size, floor)}
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> i
 
 def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = None) -> tuple[tuple, int] | None:
     """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|}, exactly, ties
-    going to the lexicographically least X, where F is the trace of the
-    carrier by ``skip`` as in ``_walk``; None if no X is kept.
+    going to the lexicographically least X, where F is the trace by A =
+    ``skip`` of the members in ``carrier``; None if no X is kept.
 
     The walk keeps every X that ranks with the best single cell or ahead of
     it, as the worst offender does: with c that cell's count, an X of k <= K
@@ -130,7 +130,7 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
     # X in lexicographic order, so only a pair's first X can take the lead
     best, seen = None, set()
-    for sub, carriers in _walk(kept, carrier, skip, None, floor):
+    for sub, carriers in _walk(kept, carrier, None, floor):
         pair = (len(sub), carriers.bit_count())
         if pair not in seen:
             seen.add(pair)
@@ -211,7 +211,7 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     if not rep.is_spread:
         return RestrictedSpreadReport(False, (), rep)
     # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
-    for sub, carrier in sorted(_walk(index[0], full, frozenset(), q_cells), key=lambda t: len(t[0])):
+    for sub, carrier in sorted(_walk(index[0], full, q_cells), key=lambda t: len(t[0])):
         rep = _spread_report(index, carrier, frozenset(sub), r)
         if not rep.is_spread:
             return RestrictedSpreadReport(False, sub, rep)
@@ -248,9 +248,8 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     while True:
         num_s, bar = scale[len(chosen) + 1]
         need = -(-bar // num_s)  # the least count that qualifies one cell more
-        single = min(
-            (c for c, m in masks.items() if c not in chosen and (m & carrier).bit_count() >= need), default=None
-        )
+        free = {c: m for c, m in masks.items() if c not in chosen}
+        single = next((c for c, m in free.items() if (m & carrier).bit_count() >= need), None)
         if single is not None:
             chosen.add(single)
             carrier &= masks[single]
@@ -258,13 +257,13 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         # every extension with a nonempty trace lies inside some carrier, and one
         # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
         least = min((-(-bar // num_s) for num_s, bar in scale[len(chosen) + 2 :]), default=1)
-        _, jump = min(
+        jump = min(  # the walk is lexicographic, so the first of the least size is the least
             (
-                (len(ext), ext)
-                for ext, carriers in _walk(masks, carrier, chosen, None, least)
+                ext
+                for ext, carriers in _walk(free, carrier, None, least)
                 if len(ext) >= 2 and qualifies(carriers.bit_count(), len(chosen) + len(ext))
             ),
-            default=(0, None),
+            key=len, default=None,
         )
         if jump is None:
             return frozenset(chosen)

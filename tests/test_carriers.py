@@ -41,6 +41,7 @@ from permemc import spread
 from permemc.core import _root
 from permemc.io import ParseError, format_family, parse_family
 from permemc.spread import ApproximationResult, _compare_spreadness, _distinct_trace_counts
+from permemc.verify import random_subfamily
 
 # -- the member-list oracles -------------------------------------------------
 
@@ -124,17 +125,13 @@ def _list_approximate(fam, r, q):
 # -- inputs --------------------------------------------------------------------
 
 
-def _random_subfamily(rng, ambient, size):
-    return family(ambient.n, rng.sample(list(ambient.members), size))
-
-
 def _families(rng, count):
     """Random subfamilies of Σ_4, Σ_5, Σ_6 and D_5."""
     ambients = [symmetric_group(4), symmetric_group(5), symmetric_group(6), derangements(5)]
     out = []
     for i in range(count):
         ambient = ambients[i % len(ambients)]
-        out.append(_random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 40))))
+        out.append(random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 40))))
     return out
 
 
@@ -267,8 +264,8 @@ def test_trusted_constructors_equal_validated_families():
         if n >= 3:
             built.append(make_hm_star_union(n, 3, (n,) + tuple(range(1, n))))
         for _ in range(4):
-            a = _random_subfamily(rng, full, rng.randint(0, len(full)))
-            b = _random_subfamily(rng, full, rng.randint(0, len(full)))
+            a = random_subfamily(rng, full, rng.randint(0, len(full)))
+            b = random_subfamily(rng, full, rng.randint(0, len(full)))
             picks = [rng.choice(cells), rng.choice(cells)]
             built += [
                 apply_isomorphism(tuple(rng.sample(range(1, n + 1), n)), a, tuple(rng.sample(range(1, n + 1), n))),
@@ -289,7 +286,7 @@ def test_trusted_constructors_equal_validated_families():
 
 def test_slices_of_slices_view_the_first_parent():
     rng = random.Random(115)
-    a = _random_subfamily(rng, symmetric_group(5), 60)
+    a = random_subfamily(rng, symmetric_group(5), 60)
     b = subfamily_containing(a, [(1, 2)])
     c = subfamily_containing_any(b, [[(2, 1)], [(3, 3)]])
     column = subfamily_containing(a, [(3, 3)])  # overlaps b without lying in it

@@ -207,9 +207,17 @@ def _general_index(f):
     return cell_masks(enumerate(p, 1) for p in f.members)
 
 
+def _assert_same_index(f):
+    """The family's index equals the general build's, keys in one row-major order."""
+    masks, general = f.cell_masks, _general_index(f)
+    assert masks == general
+    assert list(masks) == list(general) == sorted(masks)
+
+
 def test_row_wise_index_agrees_with_the_general_build():
     # Family.cell_masks reads a family with n <= 255 row by row, one byte per
-    # image; larger n and lists take the general byte-bitmap build.
+    # image; larger n and lists take the general byte-bitmap build.  Every
+    # build gives its keys in row-major order.
     rng = random.Random(23)
     for n in range(1, 10):
         ambient = symmetric_group(n) if n <= 7 else None
@@ -218,17 +226,13 @@ def test_row_wise_index_agrees_with_the_general_build():
                 members = [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(0, 300))]
             else:
                 members = rng.sample(ambient.members, rng.randint(0, len(ambient)))
-            f = family(n, members)
-            assert f.cell_masks == _general_index(f)
+            _assert_same_index(family(n, members))
     for f in (family(4, []), symmetric_group(6), derangements(6), symmetric_group(8), derangements(8)):
-        masks = f.cell_masks
-        assert masks == _general_index(f)
-        assert list(masks) == sorted(masks)  # row-major
+        _assert_same_index(f)
     for n in (255, 256):  # one on each side of the byte switch
-        f = family(n, [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(2, 9))])
-        assert f.cell_masks == _general_index(f)
+        _assert_same_index(family(n, [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(2, 9))]))
     shifts = family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in (0, 1, 299)])
-    assert shifts.cell_masks == _general_index(shifts)
+    _assert_same_index(shifts)
     assert [shifts.cell_masks[c] for c in ((1, 1), (1, 2), (1, 300), (300, 1))] == [0b001, 0b010, 0b100, 0b010]
 
 
@@ -277,6 +281,16 @@ def test_membership_rejects_non_members_and_wrong_lengths():
     assert (1, 2, 4, 3) not in f
     assert (1, 2, 3) not in f and (1, 2, 3, 4, 5) not in f and () not in f
     assert (1, 2, 3) not in family(3, [])
+
+
+def test_membership_reads_the_probe_by_the_permutation_rule():
+    # a probe that Family(...) would refuse is no member, and no probe raises
+    sigma3 = symmetric_group(3)
+    with pytest.raises(ValueError):
+        family(3, [(2.0, 1, 3)])
+    assert (2, 1, 3) in sigma3 and (2.0, 1, 3) not in sigma3 and (2, 1.0, 3) not in sigma3
+    assert 5 not in sigma3 and None not in sigma3 and "213" not in sigma3
+    assert ([2], 1, 3) not in sigma3 and [[2], 1, 3] not in sigma3
 
 
 def test_enumerate_all_sizes():
@@ -470,7 +484,7 @@ def test_cell_masks_match_the_or_loop():
         sets = _general_cell_sets(rng) + [[(rng.randint(1, 9), 1)] * 2 for _ in range(rng.randint(0, 12))]
         masks = cell_masks(sets)
         assert masks == _or_loop_cell_masks(sets)
-        assert list(masks) == list(_or_loop_cell_masks(sets))  # first-occurrence order
+        assert list(masks) == sorted(masks)  # row-major, whatever order the sets meet the cells in
         assert cell_masks(iter(sets)) == masks
     assert cell_masks([]) == {}
 

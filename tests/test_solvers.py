@@ -40,11 +40,7 @@ from permemc import (
 from permemc import spread
 from permemc.core import max_disjoint
 from permemc.solvers import StarSlackSides, _disjoint_representatives, coset_representative
-from permemc.verify import brute_nu, brute_tau
-
-
-def _random_subfamily(rng, ambient, size):
-    return family(ambient.n, rng.sample(list(ambient.members), size))
+from permemc.verify import brute_nu, brute_tau, random_subfamily
 
 
 def test_nu_star_is_one():
@@ -84,7 +80,7 @@ def test_nu_vs_exhaustive_500():
     rng = random.Random(21)
     ambient = symmetric_group(4)
     for _ in range(500):
-        fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
+        fam = random_subfamily(rng, ambient, rng.randint(1, 24))
         nu, witness = matching_number(fam)
         assert nu == brute_nu(fam.graphs())
         assert len(witness) == nu
@@ -96,7 +92,7 @@ def test_matching_number_cached_index_matches_fresh_index():
     ambients = [symmetric_group(4), symmetric_group(5), derangements(5), derangements(6)]
     for _ in range(120):
         ambient = rng.choice(ambients)
-        fam = _random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 40)))
+        fam = random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 40)))
         fresh = max_disjoint(fam.graphs())
         assert matching_number(fam) == (len(fresh), tuple(fam.members[j] for j in fresh))
 
@@ -126,7 +122,7 @@ def test_tau_vs_exhaustive_500_and_tau_ge_nu():
     rng = random.Random(22)
     ambient = symmetric_group(4)
     for _ in range(500):
-        fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
+        fam = random_subfamily(rng, ambient, rng.randint(1, 24))
         tau, cover = covering_number(fam)
         assert tau == brute_tau(fam)
         assert all(graph(p) & set(cover) for p in fam.members)
@@ -156,7 +152,7 @@ def test_tau_pruned_search_matches_combinations_oracle():
     for ambient in ambients:
         sizes = [1, len(ambient)] + [rng.randint(2, min(len(ambient), 30)) for _ in range(12)]
         for size in sizes:
-            fam = _random_subfamily(rng, ambient, size)
+            fam = random_subfamily(rng, ambient, size)
             assert covering_number(fam) == _combinations_tau(fam)
 
 
@@ -254,7 +250,7 @@ def test_coset_certificate_matches_enumerated_oracle():
     rng = random.Random(41)
     for _ in range(180):
         ambient = symmetric_group(rng.choice([4, 5, 6]))
-        fam = _random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 80)))
+        fam = random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 80)))
         s = rng.choice([2, 3, 4])
         assert coset_certificate(fam, s).to_json() == _coset_oracle(fam, s)
 
@@ -318,7 +314,7 @@ def test_cross_matching_vs_brute():
     ambient = symmetric_group(4)
     found = 0
     for _ in range(300):
-        fams = [_random_subfamily(rng, ambient, rng.randint(1, 8)) for _ in range(rng.randint(2, 4))]
+        fams = [random_subfamily(rng, ambient, rng.randint(1, 8)) for _ in range(rng.randint(2, 4))]
         got = cross_matching(fams)
         # the first pairwise disjoint tuple of the product in (size, index) order
         order = sorted(range(len(fams)), key=lambda i: (len(fams[i]), i))
@@ -573,6 +569,7 @@ def test_support_sides_pinned_two_cell():
     assert not sides.maximal  # replacing by a singleton keeps nu < 2
     assert sides.singleton_count == 0
     assert sides.max_star_size == 6
+    assert sides.max_star_cell == (1, 1)  # every star of Σ_4 has 6 members: ties go to the least cell
     assert sides.rhs == Fraction(0) + Fraction(1, 2) * 1 * 6
     assert sides.holds
 
@@ -685,8 +682,8 @@ def test_star_union_branch_and_bound_matches_combinations_oracle():
     ]
     for ambient, sizes in ambients:
         for size in sizes:
-            sub = _random_subfamily(rng, ambient, size)
-            fam = _random_subfamily(rng, sub, rng.randint(0, len(sub)))
+            sub = random_subfamily(rng, ambient, size)
+            fam = random_subfamily(rng, sub, rng.randint(0, len(sub)))
             for s in range(2, 6 if len(sub) < 60 else 5):
                 cases.append((fam, sub, s))
         cases.append((family(ambient.n, ambient.members[:1]), family(ambient.n, ambient.members[:1]), ambient.n + 3))
@@ -745,7 +742,7 @@ def test_isomorphism_preserves_nu_tau_with_certificates():
     rng = random.Random(27)
     ambient = symmetric_group(4)
     for _ in range(100):
-        fam = _random_subfamily(rng, ambient, rng.randint(1, 20))
+        fam = random_subfamily(rng, ambient, rng.randint(1, 20))
         rho = tuple(rng.sample(range(1, 5), 4))
         pi = tuple(rng.sample(range(1, 5), 4))
         image = apply_isomorphism(rho, fam, pi)

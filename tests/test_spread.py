@@ -31,10 +31,7 @@ from permemc import (
 )
 from permemc import spread
 from permemc.spread import _distinct_trace_counts
-
-
-def _random_subfamily(rng, ambient, size):
-    return family(ambient.n, rng.sample(list(ambient.members), size))
+from permemc.verify import random_subfamily
 
 
 def test_r_spread_sigma3_threshold():
@@ -120,8 +117,8 @@ def _oracle_violator(members, r):
 def test_witness_ranking_matches_exact_oracle():
     rng = random.Random(19)
     sigma4, sigma5 = symmetric_group(4), symmetric_group(5)
-    cases = [_random_subfamily(rng, sigma4, rng.randint(1, 24)) for _ in range(40)]
-    cases += [_random_subfamily(rng, sigma5, rng.randint(1, 120)) for _ in range(25)]
+    cases = [random_subfamily(rng, sigma4, rng.randint(1, 24)) for _ in range(40)]
+    cases += [random_subfamily(rng, sigma5, rng.randint(1, 120)) for _ in range(25)]
     for _ in range(60):
         # raw cell sets of 0..6 cells, some empty, some repeated
         sets = [
@@ -174,7 +171,8 @@ def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
     masks, top = index[0], index[1] - len(skip)
     total = carrier.bit_count()
     floor = total * r.denominator**top // r.numerator**top + 1
-    counts = {sub: carriers.bit_count() for sub, carriers in spread._walk(masks, carrier, skip, None, floor)}
+    free = {c: m for c, m in masks.items() if c not in skip}
+    counts = {sub: carriers.bit_count() for sub, carriers in spread._walk(free, carrier, None, floor)}
     if not counts:
         return None
     rank = functools.cmp_to_key(lambda a, b: spread._compare_spreadness(total, a, b))
@@ -187,7 +185,7 @@ def test_worst_offender_floor_matches_r_floor_walk(monkeypatch):
     cases = []
     for n, count in ((3, 8), (4, 16), (5, 12)):
         ambient = symmetric_group(n)
-        cases += [(_random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 60))), ambient) for _ in range(count)]
+        cases += [(random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 60))), ambient) for _ in range(count)]
         cases.append((ambient, ambient))
     for _ in range(30):
         # raw cell sets of 0..6 cells, some empty, some repeated
@@ -217,7 +215,7 @@ def test_spreadness_monotone():
     rng = random.Random(13)
     ambient = symmetric_group(4)
     for _ in range(30):
-        fam = _random_subfamily(rng, ambient, rng.randint(2, 20))
+        fam = random_subfamily(rng, ambient, rng.randint(2, 20))
         hi = rng.randint(11, 25)
         lo = rng.randint(10, hi)
         if is_r_spread(fam, Fraction(hi, 10)).is_spread:
@@ -231,12 +229,12 @@ def test_subfamily_spreadness_scaling():
     levels = [Fraction(k, 8) for k in range(8, 25)]
     checked = 0
     for _ in range(200):
-        fam = _random_subfamily(rng, ambient, rng.randint(2, 24))
+        fam = random_subfamily(rng, ambient, rng.randint(2, 24))
         passing = [r for r in levels if is_r_spread(fam, r).is_spread]
         if not passing:
             continue
         r = passing[-1]
-        sub = _random_subfamily(rng, fam, rng.randint(1, len(fam)))
+        sub = random_subfamily(rng, fam, rng.randint(1, len(fam)))
         c = Fraction(len(sub), len(fam))
         assert is_r_spread(sub, c * r).is_spread
         checked += 1
@@ -350,7 +348,7 @@ def test_max_ratio_set_trace_always_spread():
     rng = random.Random(15)
     ambient = symmetric_group(4)
     for _ in range(40):
-        fam = _random_subfamily(rng, ambient, rng.randint(1, 24))
+        fam = random_subfamily(rng, ambient, rng.randint(1, 24))
         rho = Fraction(rng.randint(11, 30), 10)
         x = max_ratio_set(fam, rho)
         residues = [graph(p) - x for p in fam.members if graph(p) >= x]
@@ -414,7 +412,7 @@ def test_verify_approximation_guarantees():
         (make_hm_star_union(5, 3, (3, 1, 2, 4, 5)), sigma5, Fraction(5, 2), 3),
     ]
     for _ in range(6):
-        cases.append((_random_subfamily(rng, sigma4, rng.randint(2, 20)), sigma4, Fraction(5, 2), 3))
+        cases.append((random_subfamily(rng, sigma4, rng.randint(2, 20)), sigma4, Fraction(5, 2), 3))
     for fam, ambient, r, q in cases:
         res = spread_approximate(fam, ambient, r, q)
         chk = verify_approximation(res, fam, ambient, r, q)
@@ -438,7 +436,7 @@ def test_verify_approximation_conditional_when_ambient_thin():
 
 def test_spread_approximate_deterministic():
     rng = random.Random(17)
-    fam = _random_subfamily(rng, symmetric_group(4), 15)
+    fam = random_subfamily(rng, symmetric_group(4), 15)
     a = spread_approximate(fam, symmetric_group(4), Fraction(5, 2), 3)
     b = spread_approximate(fam, symmetric_group(4), Fraction(5, 2), 3)
     assert a.supports == b.supports
@@ -454,7 +452,7 @@ def test_large_family_has_spread_witness():
         ambient = symmetric_group(n)
         floor = int(float(r) ** n) + 1
         for _ in range(10):
-            fam = _random_subfamily(rng, ambient, rng.randint(floor, len(ambient)))
+            fam = random_subfamily(rng, ambient, rng.randint(floor, len(ambient)))
             if is_r_spread(fam, r).is_spread:
                 assert len(fam) > 1
                 continue
@@ -549,7 +547,7 @@ def test_containment_scan_matches_inclusion_exclusion():
     # inclusion-exclusion on small subfamilies of Σ_3
     rng = random.Random(31)
     for _ in range(5):
-        fam = _random_subfamily(rng, symmetric_group(3), rng.randint(2, 6))
+        fam = random_subfamily(rng, symmetric_group(3), rng.randint(2, 6))
         members = [graph(p) for p in fam.members]
         p = Fraction(rng.randint(1, 9), 10)
         value = containment_probability(fam, p).value
@@ -579,7 +577,7 @@ def test_max_ratio_set_maximality_oracle():
 
     rng = random.Random(32)
     for _ in range(30):
-        fam = _random_subfamily(rng, symmetric_group(4), rng.randint(1, 15))
+        fam = random_subfamily(rng, symmetric_group(4), rng.randint(1, 15))
         rho = Fraction(rng.randint(10, 30), 10)
         x = max_ratio_set(fam, rho)
         members = [graph(p) for p in fam.members]
@@ -644,7 +642,7 @@ def test_max_ratio_set_matches_per_size_jump_oracle():
         rho = Fraction(rng.randint(1, 10), 2)
         if rng.random() < 0.5:
             n = rng.choice([4, 5])
-            fam = _random_subfamily(rng, symmetric_group(n), rng.randint(1, 24 if n == 4 else 30))
+            fam = random_subfamily(rng, symmetric_group(n), rng.randint(1, 24 if n == 4 else 30))
             sets = fam.graphs()
         else:  # raw cell-set lists, with empty sets and duplicate members
             fam = []
@@ -672,7 +670,7 @@ def test_max_ratio_set_jump_respects_subset_budget(monkeypatch):
 def test_containment_probability_monte_carlo_matches_exact():
     rng = random.Random(19)
     for i in range(4):
-        fam = _random_subfamily(rng, symmetric_group(3), rng.randint(1, 6))
+        fam = random_subfamily(rng, symmetric_group(3), rng.randint(1, 6))
         p = Fraction(rng.randint(2, 7), 10)
         exact = containment_probability(fam, p).value
         mc = containment_probability(fam, p, "monte_carlo", samples=50_000, seed=100 + i)
