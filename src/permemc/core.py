@@ -58,6 +58,22 @@ def as_cell(cell, n: int | None) -> Cell | None:
     return (r, c) if n is None or (1 <= r <= n and 1 <= c <= n) else None
 
 
+def _cell_sets(sets: Iterable[Iterable[Cell]]) -> list[frozenset]:
+    """Each set as a frozenset of cells read by ``as_cell(cell, None)``; a
+    set that is not iterable, or a cell no pair of integers, is a ValueError."""
+    read = []
+    for cells in sets:
+        try:
+            cells = list(cells)
+        except TypeError:
+            raise ValueError(f"not a set of cells: {cells!r}") from None
+        pairs = [as_cell(cell, None) for cell in cells]
+        if None in pairs:
+            raise ValueError(f"not a cell (a pair of integers): {cells[pairs.index(None)]!r}")
+        read.append(frozenset(pairs))
+    return read
+
+
 def is_permutation(image: Sequence[int]) -> bool:
     """Check that ``image`` is a bijection of [n] with n = len(image).
 
@@ -240,10 +256,10 @@ def _containing(fam: Family, cells: Iterable[Cell]) -> int:
     return hit
 
 
-def _selected(fam: Family, mask: int) -> tuple[Perm, ...]:
-    """The members whose index bits are set in ``mask``, in member order.
+def _selected(items: Iterable, mask: int) -> tuple:
+    """The items whose index bits are set in ``mask``, in order.
     Masks here are never negative, so ``bin`` gives only the bits."""
-    return tuple(itertools.compress(fam.members, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)))
+    return tuple(itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)))
 
 
 def _root(fam: Family) -> tuple[Family, int]:
@@ -255,7 +271,7 @@ def _root(fam: Family) -> tuple[Family, int]:
 
 def _slice(root: Family, mask: int) -> Family:
     """The members of ``root`` in ``mask``, as a Family viewing root."""
-    return Family._of(root.n, _selected(root, mask), (root, mask))
+    return Family._of(root.n, _selected(root.members, mask), (root, mask))
 
 
 def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
@@ -266,7 +282,7 @@ def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
     contains X (in particular whenever X is not a partial permutation).
     """
     cs = frozenset(cells)
-    out = [graph(p) - cs for p in _selected(fam, _containing(fam, cs))]
+    out = [graph(p) - cs for p in _selected(fam.members, _containing(fam, cs))]
     return tuple(sorted(out, key=sorted))
 
 
@@ -417,27 +433,24 @@ def _matching_value(full: int, rows: list, meets: _Meets, best: int) -> int:
     return best
 
 
-def _first_packing(full: int, rows: list, meets: _Meets, size: int) -> tuple[int, ...]:
+def _first_packing(full: int, rows: list, meets: _Meets, size: int) -> tuple[int, ...] | None:
     """The first ``size`` pairwise disjoint sets of ``full`` that an
     include-first search in index order reaches, i.e. the lexicographically
-    least, by an explicit stack pruned by the row bound; ``size`` must be
-    reachable."""
+    least, or None if there is none; by an explicit stack whose every node,
+    a fresh pick's or a backed-up one's, is first checked by the row bound."""
     chosen: list[int] = []
     frames: list[tuple[int, list]] = []  # per pick: the candidates still to try there, and the live rows
     cand = full
     while len(chosen) < size:
         need = size - len(chosen)
         found = _live_rows(cand, rows, need - 1) if cand.bit_count() >= need else None
-        if found is None:
-            while True:  # back up to the last pick with enough candidates left
-                cand, rows = frames[-1]
-                chosen.pop()
-                if cand.bit_count() >= size - len(chosen):
-                    break
-                frames.pop()
-            frames.pop()
-        else:
-            rows = found[0]
+        if found is None:  # back up to the last pick's next candidate
+            if not frames:
+                return None
+            cand, rows = frames.pop()
+            chosen.pop()
+            continue
+        rows = found[0]
         j = (cand & -cand).bit_length() - 1
         frames.append((cand & (cand - 1), rows))
         chosen.append(j)
@@ -467,14 +480,10 @@ def _max_disjoint(count: int, index: dict[Cell, int], meets: _Meets) -> tuple[in
     nu = _matching_value(full, rows, meets, packed.bit_count())
     if nu > packed.bit_count():
         return _first_packing(full, rows, meets, nu)
-    greedy = []  # the packing's ν bits, read lowest first
-    while packed:
-        greedy.append((packed & -packed).bit_length() - 1)
-        packed &= packed - 1
-    return tuple(greedy)
+    return _selected(range(count), packed)
 
 
-def max_disjoint(sets: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
+def max_disjoint(sets: Iterable[Iterable[Cell]]) -> tuple[int, ...]:
     """Indices of a largest pairwise disjoint subcollection of cell sets,
     the lexicographically least one.
 
@@ -484,13 +493,14 @@ def max_disjoint(sets: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
     pairwise disjoint ν sets (``_first_packing``).  Both use explicit
     stacks and read a set's meet mask (``_Meets``) only when they try it,
     so no N x N table is built and ν is not limited by recursion depth.
-    An empty set meets only itself.
+    An empty set meets only itself; cells are read by ``_cell_sets``.
     """
+    sets = _cell_sets(sets)
     index = cell_masks(sets)
     return _max_disjoint(len(sets), index, _Meets(index, sets.__getitem__))
 
 
-def set_matching_number(sets: Sequence[Iterable[Cell]]) -> int:
+def set_matching_number(sets: Iterable[Iterable[Cell]]) -> int:
     """Largest number of pairwise disjoint cell sets; empty sets are
     disjoint from every other entry, duplicate nonempty sets meet."""
-    return len(max_disjoint([tuple(s) for s in sets]))
+    return len(max_disjoint(sets))

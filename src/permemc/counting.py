@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .core import Cell, Perm, _integer, as_permutation, identity, partial_permutation
 
-#: Caps keeping the general exact permanents at interactive speeds.
+#: Largest N the general exact permanents accept.  Glynn (``RYSER_CAP``) takes
+#: 3 s at N = 22 and about x2.2 more per N, so N = 30 runs for about half an hour.
 BRUTE_CAP = 9
 RYSER_CAP = 30
 

@@ -25,6 +25,8 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
+    _cell_sets,
+    _first_packing,
     _greedy_packing,
     _integer,
     _max_disjoint,
@@ -181,36 +183,23 @@ def coset_certificate(fam: Family, s: int) -> CosetCertificate:
 
 
 def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -> list[int] | None:
-    """Pairwise disjoint picks, one per collection, as positions within it.
-
-    Collections are branched in (size, index) order and candidates in
-    collection order, so the picks are the first pairwise disjoint tuple
-    of ``itertools.product`` over the collections in that order.  A pick's
-    meet mask (the sets it shares a cell with, itself included) is read off
-    the cell index the first time the pick is tried, so no N x N table is
-    built.  The search keeps an explicit stack, so the number of
-    collections is not limited by recursion depth.
+    """Pairwise disjoint picks, one per collection, as positions within it:
+    the first pairwise disjoint tuple of ``itertools.product`` over the
+    collections in (size, index) order.  ``core._first_packing`` searches
+    them laid out flat in that order, with one row of one mask per
+    collection, and a set's meet mask also holds its own collection (its
+    number is one more index key), so the k-th pick lies in the k-th
+    collection and the row bound ends a branch once any collection is dry.
     """
-    flat = [cells for coll in collections for cells in coll]
-    meets = _Meets(cell_masks(flat), flat.__getitem__)
-    starts = list(itertools.accumulate(map(len, collections), initial=0))
     order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
-    picks = [0] * len(collections)
-    frames: list[tuple[int, int]] = []  # per level: its untried candidates, and the allowed mask before its pick
-    allowed = (1 << len(flat)) - 1
-    while len(frames) < len(order):
-        i = order[len(frames)]
-        rest = allowed & ((1 << starts[i + 1]) - (1 << starts[i]))
-        while not rest:  # back up to the last level with a candidate left
-            if not frames:
-                return None
-            rest, allowed = frames.pop()
-            i = order[len(frames)]
-        j = (rest & -rest).bit_length() - 1
-        frames.append((rest & (rest - 1), allowed))
-        picks[i] = j - starts[i]
-        allowed &= ~meets[j]
-    return picks
+    flat = [cells for i in order for cells in collections[i]]
+    starts = list(itertools.accumulate((len(collections[i]) for i in order), initial=0))
+    spans = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
+    index = cell_masks(flat)
+    index.update(enumerate(spans))  # cells are pairs, so no key is a collection number
+    meets = _Meets(index, lambda j: (*flat[j], bisect.bisect(starts, j) - 1))
+    found = _first_packing((1 << len(flat)) - 1, [(spans, 0)], meets, len(collections))
+    return None if found is None else [j - start for _, j, start in sorted(zip(order, found, starts))]
 
 
 def cross_matching(families: Sequence[Family]):
@@ -227,9 +216,7 @@ def cross_matching(families: Sequence[Family]):
     if any(f.n != n for f in families):
         raise DimensionMismatch("families over different [n]")
     picks = _disjoint_representatives([[tuple(enumerate(p, 1)) for p in f.members] for f in families])
-    if picks is None:
-        return None
-    return tuple(f.members[k] for f, k in zip(families, picks))
+    return None if picks is None else tuple(f.members[k] for f, k in zip(families, picks))
 
 
 @dataclass(frozen=True)
@@ -327,7 +314,7 @@ def containment_implies_matching_check(
     s = _integer(s, 0, "s must be non-negative")
     if len(bases) != s:
         raise ValueError("exactly s upward-closed families are expected")
-    frozen = [[frozenset(a) for a in basis] for basis in bases]
+    frozen = [_cell_sets(basis) for basis in bases]
     ground = set().union(*(a for basis in frozen for a in basis))
     if len(ground) > EXACT_CELL_CAP:
         raise ValueError(f"ground set capped at {EXACT_CELL_CAP} cells for exact probabilities")
@@ -384,7 +371,7 @@ def support_union_bound_sides(
     """
     s = _integer(s, 1, "s must be at least 1")
     eps = Fraction(eps)
-    sets = list(dict.fromkeys(map(frozenset, supports)))  # distinct, in first-seen order
+    sets = list(dict.fromkeys(_cell_sets(supports)))  # distinct, in first-seen order
     if not sets:
         raise ValueError("the support family must be nonempty")
     singles = [a for a in sets if len(a) == 1]

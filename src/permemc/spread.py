@@ -21,6 +21,7 @@ from .core import (
     Cell,
     Family,
     PartialPerm,
+    _cell_sets,
     _integer,
     _root,
     cell_masks,
@@ -47,7 +48,7 @@ def _index(obj) -> tuple[tuple[dict, int], int]:
     if isinstance(obj, Family):
         root, mask = _root(obj)
         return (root.cell_masks, root.n), mask
-    members = [frozenset(m) for m in obj]
+    members = _cell_sets(obj)
     return (cell_masks(members), max(map(len, members), default=0)), (1 << len(members)) - 1
 
 
@@ -417,7 +418,7 @@ def containment_probability(
     estimate bit for bit.  Each block of at most ``_SAMPLE_BLOCK`` samples
     draws one keep mask per relevant cell, in sorted order.
     """
-    members = fam.graphs() if isinstance(fam, Family) else [frozenset(m) for m in fam]
+    members = fam.graphs() if isinstance(fam, Family) else _cell_sets(fam)
     if not members:
         raise ValueError("containment probability needs a nonempty family")
     relevant = sorted(set().union(*members))

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 
 import permemc as pm
-from permemc.verify import brute_nu
+from permemc.verify import _cycle_partitions, brute_nu
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -77,17 +77,6 @@ def test_criterion_02_trace_formula():
                 if len(pm.trace(fam, restriction)) != math.factorial(n - size):
                     ok = False
     _report(2, "trace formula", ok)
-
-
-def _cycle_partitions(n, minimum=2):
-    if n == 0:
-        yield ()
-        return
-    for first in range(minimum, n + 1):
-        rest = n - first
-        if rest == 0 or rest >= minimum and rest >= first:
-            for tail in _cycle_partitions(rest, first):
-                yield (first,) + tail
 
 
 def test_criterion_03_permanent_kernels():

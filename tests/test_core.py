@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -13,6 +14,8 @@ from permemc import (
     apply_isomorphism,
     cell_masks,
     compose,
+    containment_implies_matching_check,
+    containment_probability,
     contains_cells,
     derangements,
     double_derangements,
@@ -26,6 +29,7 @@ from permemc import (
     is_derangement,
     is_partial_permutation,
     is_permutation,
+    is_r_spread,
     make_hm,
     make_hm_star_union,
     make_star,
@@ -35,6 +39,7 @@ from permemc import (
     subfamily_containing,
     star_center_image,
     subfamily_containing_any,
+    support_union_bound_sides,
     symmetric_group,
     trace,
 )
@@ -528,6 +533,22 @@ def test_matching_number_deeper_than_the_recursion_limit():
         (lambda: star_center_image((2, 3, 1), (1.0, 2), (3, 1, 2)), ValueError, r"outside \[3\]\^2"),
         (lambda: star_center_image((1, 1, 3), (1, 1), (3, 1, 2)), ValueError, "must be permutations"),
         (lambda: partial_permutation([(1, 2, 3)]), ValueError, "cells must be pairs of integers"),
+        # collections of cell sets read every cell by the one cell rule
+        (lambda: is_r_spread([[(1, 1)], [(1, "x")]], 2), ValueError, r"not a cell \(a pair of integers\): \(1, 'x'\)"),
+        (lambda: is_r_spread([[(1, 1.0)], [(1, 2)]], 2), ValueError, r"not a cell \(a pair of integers\): \(1, 1.0\)"),
+        (lambda: set_matching_number([[(1, 1)], ["a"]]), ValueError, r"not a cell \(a pair of integers\): 'a'"),
+        (lambda: set_matching_number([[(1, 1)], 5]), ValueError, "not a set of cells: 5"),
+        (lambda: containment_probability([[(1, 1)], [(1, "x")]], Fraction(1, 2)), ValueError, r"not a cell .*\(1, 'x'\)"),
+        (
+            lambda: containment_implies_matching_check([[[(1, 1)]], [[(1, "x")]]], 2, Fraction(1, 2)),
+            ValueError,
+            r"not a cell .*\(1, 'x'\)",
+        ),
+        (
+            lambda: support_union_bound_sides(symmetric_group(3), [[(1, 1)], [(1.5, 2)]], Fraction(1, 2), 2),
+            ValueError,
+            r"not a cell .*\(1.5, 2\)",
+        ),
     ],
     ids=[
         "intersects-mixed-n",
@@ -554,6 +575,13 @@ def test_matching_number_deeper_than_the_recursion_limit():
         "star-image-float-cell",
         "star-image-repeated-rho",
         "partial-permutation-triple",
+        "r-spread-string-cell",
+        "r-spread-float-cell",
+        "set-matching-string-cell",
+        "set-matching-integer-set",
+        "containment-probability-string-cell",
+        "rainbow-check-string-cell",
+        "support-sides-float-cell",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, error, match):

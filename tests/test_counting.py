@@ -27,6 +27,7 @@ from permemc import (
     round_factorial_over_e,
 )
 from permemc.counting import BRUTE_CAP, RYSER_CAP, _rook_permanent, all_ones_matrix
+from permemc.verify import _cycle_partitions
 
 # Derangement numbers d_0..d_8, frozen from brute-force enumeration.
 D_TABLE = [1, 0, 1, 2, 9, 44, 265, 1854, 14833]
@@ -282,18 +283,8 @@ def test_near_full_check_rejects_sparse_rows():
 
 
 def test_two_regular_cycle_covers_meet_bound():
-    def partitions(n, minimum=2):
-        if n == 0:
-            yield ()
-            return
-        for first in range(minimum, n + 1):
-            rest = n - first
-            if rest == 0 or rest >= first:
-                for tail in partitions(rest, first):
-                    yield (first,) + tail
-
     for n in range(4, 11):
-        for parts in partitions(n):
+        for parts in _cycle_partitions(n):
             rows = cycle_cover_zero_matrix(parts)
             value = permanent_ryser(rows)
             assert Fraction(value) >= near_full_permanent_bound(n, "two_regular"), (n, parts)

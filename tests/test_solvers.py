@@ -413,6 +413,18 @@ def test_disjoint_representatives_deeper_than_the_recursion_limit():
     assert report.representatives == (frozenset(),) * 300 and report.implication_held
 
 
+def test_disjoint_representatives_end_a_branch_when_a_later_collection_runs_dry():
+    # 40 collections {(i,1)}, {(i,2)}, branched first, and a last collection
+    # of three sets that each meet all 80 singletons: every choice among the
+    # 2^40 singleton picks leaves the last collection empty, which the row
+    # bound sees at the first pick
+    pairs = [[frozenset({(i, 1)}), frozenset({(i, 2)})] for i in range(1, 41)]
+    every = frozenset(cell for coll in pairs for cells in coll for cell in cells)
+    assert _disjoint_representatives([*pairs, [every | {(0, j)} for j in range(3)]]) is None
+    # with one of the three sets free of the singletons, the first tuple is found
+    assert _disjoint_representatives([*pairs, [every, every, frozenset({(0, 0)})]]) == [0] * 40 + [2]
+
+
 def test_tau_deeper_than_the_recursion_limit():
     # the 300 cyclic shifts are pairwise disjoint, so every cover takes 300 cells
     shifts = family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in range(300)])
