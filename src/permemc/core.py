@@ -469,9 +469,20 @@ def _greedy_packing(cand: int, meets: _Meets) -> int:
     return packed
 
 
-def _max_disjoint(count: int, index: dict[Cell, int], meets: _Meets) -> tuple[int, ...]:
-    """``max_disjoint`` of ``count`` sets whose cell index and meet masks are given."""
-    full = (1 << count) - 1
+def _indexed(sets) -> tuple[int, dict[Cell, int], Callable[[int], Iterable[Cell]]]:
+    """(count, cell index, reader of set j's cells) of a Family, by its cached
+    ``cell_masks`` and image sequences, or of a list of cell sets already read
+    by ``_cell_sets``: the one place the disjoint-pick searches tell them apart."""
+    if isinstance(sets, Family):
+        members = sets.members
+        return len(members), sets.cell_masks, lambda j: enumerate(members[j], 1)
+    return len(sets), cell_masks(sets), sets.__getitem__
+
+
+def _max_disjoint(count: int, index: dict[Cell, int], cells_of: Callable) -> tuple[int, ...]:
+    """``max_disjoint`` of ``count`` sets as ``_indexed`` gives them: their
+    cell index, and a reader of set j's cells for its meet mask."""
+    full, meets = (1 << count) - 1, _Meets(index, cells_of)
     packed = _greedy_packing(full, meets)  # the include-first search's first leaf
     by_row: dict[int, list[int]] = {}
     for (r, _), mask in index.items():
@@ -495,9 +506,7 @@ def max_disjoint(sets: Iterable[Iterable[Cell]]) -> tuple[int, ...]:
     so no N x N table is built and ν is not limited by recursion depth.
     An empty set meets only itself; cells are read by ``_cell_sets``.
     """
-    sets = _cell_sets(sets)
-    index = cell_masks(sets)
-    return _max_disjoint(len(sets), index, _Meets(index, sets.__getitem__))
+    return _max_disjoint(*_indexed(_cell_sets(sets)))
 
 
 def set_matching_number(sets: Iterable[Iterable[Cell]]) -> int:

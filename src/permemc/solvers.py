@@ -28,13 +28,12 @@ from .core import (
     _cell_sets,
     _first_packing,
     _greedy_packing,
+    _indexed,
     _integer,
     _max_disjoint,
     _Meets,
     as_cell,
-    cell_masks,
     is_derangement,
-    set_matching_number,
     subfamily_containing_any,
 )
 from .counting import pointed_derangement_count
@@ -49,11 +48,11 @@ E_UPPER = Fraction(27182818285, 10**10)
 def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
     """Exact maximum number of pairwise disjoint members and the lexicographically
     least witness, by ``core.max_disjoint``'s searches over the cached cell
-    index.  No member cell list or N x N table is built: a member's cells are
-    read off its image sequence when its meet mask is first needed."""
-    members, index = fam.members, fam.cell_masks
-    picks = _max_disjoint(len(fam), index, _Meets(index, lambda j: enumerate(members[j], 1)))
-    return len(picks), tuple(members[j] for j in picks)
+    index as ``core._indexed`` reads it.  No member cell list or N x N table
+    is built: a member's cells are read off its image sequence when its meet
+    mask is first needed."""
+    picks = _max_disjoint(*_indexed(fam))
+    return len(picks), tuple(fam.members[j] for j in picks)
 
 
 def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
@@ -78,11 +77,11 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     """
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
-    n, members, cell_mask = fam.n, fam.members, fam.cell_masks
+    n, members = fam.n, fam.members
+    count, cell_mask, cells_of = _indexed(fam)
     cells, masks = list(cell_mask), list(cell_mask.values())  # row-major, as the index is built
     position = {c: i for i, c in enumerate(cells)}
-    full = (1 << len(fam)) - 1
-    meets = _Meets(cell_mask, lambda j: enumerate(members[j], 1))
+    full, meets = (1 << count) - 1, _Meets(cell_mask, cells_of)
 
     def viable(uncovered: int, start: int, left: int) -> bool:
         """Whether ``left`` cells of ``cells[start:]`` may cover ``uncovered``;
@@ -182,23 +181,28 @@ def coset_certificate(fam: Family, s: int) -> CosetCertificate:
     return CosetCertificate(n, s, class_count, max_load, dict(histogram), True, len(fam), bound, certified and len(fam) <= bound)
 
 
-def _disjoint_representatives(collections: Sequence[Sequence[Iterable[Cell]]]) -> list[int] | None:
-    """Pairwise disjoint picks, one per collection, as positions within it:
-    the first pairwise disjoint tuple of ``itertools.product`` over the
+def _disjoint_representatives(collections: Sequence) -> list[int] | None:
+    """Pairwise disjoint picks, one per collection (a Family or a list of
+    read cell sets, as ``core._indexed`` takes them), as positions within
+    it: the first pairwise disjoint tuple of ``itertools.product`` over the
     collections in (size, index) order.  ``core._first_packing`` searches
-    them laid out flat in that order, with one row of one mask per
-    collection, and a set's meet mask also holds its own collection (its
-    number is one more index key), so the k-th pick lies in the k-th
-    collection and the row bound ends a branch once any collection is dry.
+    them laid out flat in that order, each collection's index shifted to its
+    offset, with one row of one mask per collection; a set's meet mask also
+    holds its own collection (its number is one more index key), so the k-th
+    pick lies in the k-th collection and the row bound ends a branch once
+    any collection is dry.
     """
-    order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
-    flat = [cells for i in order for cells in collections[i]]
-    starts = list(itertools.accumulate((len(collections[i]) for i in order), initial=0))
+    read = [_indexed(sets) for sets in collections]
+    order = sorted(range(len(read)), key=lambda i: (read[i][0], i))
+    starts = list(itertools.accumulate((read[i][0] for i in order), initial=0))
     spans = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
-    index = cell_masks(flat)
-    index.update(enumerate(spans))  # cells are pairs, so no key is a collection number
-    meets = _Meets(index, lambda j: (*flat[j], bisect.bisect(starts, j) - 1))
-    found = _first_packing((1 << len(flat)) - 1, [(spans, 0)], meets, len(collections))
+    index = dict(enumerate(spans))  # cells are pairs, so no cell is a collection number
+    for i, start in zip(order, starts):
+        for cell, mask in read[i][1].items():
+            index[cell] = index.get(cell, 0) | mask << start
+    readers = [read[i][2] for i in order]  # flat set j: set j - starts[k] of the k-th collection, plus key k
+    meets = _Meets(index, lambda j: (*readers[k := bisect.bisect(starts, j) - 1](j - starts[k]), k))
+    found = _first_packing((1 << starts[-1]) - 1, [(spans, 0)], meets, len(read))
     return None if found is None else [j - start for _, j, start in sorted(zip(order, found, starts))]
 
 
@@ -215,7 +219,7 @@ def cross_matching(families: Sequence[Family]):
     n = families[0].n
     if any(f.n != n for f in families):
         raise DimensionMismatch("families over different [n]")
-    picks = _disjoint_representatives([[tuple(enumerate(p, 1)) for p in f.members] for f in families])
+    picks = _disjoint_representatives(families)
     return None if picks is None else tuple(f.members[k] for f, k in zip(families, picks))
 
 
@@ -377,8 +381,8 @@ def support_union_bound_sides(
     singles = [a for a in sets if len(a) == 1]
     l = len(singles)
     trivial = l == len(sets)
-    matching_ok = set_matching_number(sets) < s
-
+    # ν of the supports and of each candidate made of them, indexed as read above
+    matching_ok = len(_max_disjoint(*_indexed(sets))) < s
     # the first (member, proper subset) whose replacement leaves no s-matching
     violation = next(
         (
@@ -386,7 +390,7 @@ def support_union_bound_sides(
             for a in sets
             for k in range(len(a))
             for b in itertools.combinations(sorted(a), k)
-            if set_matching_number(list(dict.fromkeys([x for x in sets if x != a] + [frozenset(b)]))) < s
+            if len(_max_disjoint(*_indexed(list(dict.fromkeys([x for x in sets if x != a] + [frozenset(b)]))))) < s
         ),
         None,
     )

@@ -34,6 +34,7 @@ from permemc import (
     matching_number,
     pointed_derangement_count,
     star_union_slack_sides,
+    subfamily_containing,
     support_union_bound_sides,
     symmetric_group,
 )
@@ -309,12 +310,27 @@ def test_cross_matching_single_family():
     assert cross_matching([f1]) == ((2, 1, 4, 3),)
 
 
+def _drawn_family(rng, ambient):
+    """A validated random subfamily, an empty family, or a slice (through
+    one or two cells, one at a time, so some are slices of slices) of the
+    ambient family or of a random subfamily: each has its own cell index."""
+    roll = rng.random()
+    if roll < 0.1:
+        return Family(ambient.n, ())
+    if roll < 0.4:
+        fam = ambient if rng.random() < 0.5 else random_subfamily(rng, ambient, rng.randint(2, 12))
+        for _ in range(rng.randint(1, 2)):
+            fam = subfamily_containing(fam, [(rng.randint(1, ambient.n), rng.randint(1, ambient.n))])
+        return fam
+    return random_subfamily(rng, ambient, rng.randint(1, 8))
+
+
 def test_cross_matching_vs_brute():
     rng = random.Random(24)
     ambient = symmetric_group(4)
     found = 0
     for _ in range(300):
-        fams = [random_subfamily(rng, ambient, rng.randint(1, 8)) for _ in range(rng.randint(2, 4))]
+        fams = [_drawn_family(rng, ambient) for _ in range(rng.randint(2, 4))]
         got = cross_matching(fams)
         # the first pairwise disjoint tuple of the product in (size, index) order
         order = sorted(range(len(fams)), key=lambda i: (len(fams[i]), i))
@@ -375,16 +391,25 @@ def test_disjoint_representatives_match_product_scan():
     assert all(v >= 50 for v in shapes.values()), shapes
 
 
-def test_cross_matching_three_sigma8_stars_in_bounded_memory():
-    stars = [make_star(8, c) for c in ((1, 2), (2, 3), (3, 1))]
+@pytest.mark.parametrize(
+    "n, witness",
+    [
+        (8, ((2, 1, 3, 4, 5, 6, 7, 8), (1, 3, 2, 5, 4, 7, 8, 6), (3, 2, 1, 6, 7, 8, 4, 5))),
+        (9, ((2, 1, 3, 4, 5, 6, 7, 8, 9), (1, 3, 2, 5, 4, 7, 6, 9, 8), (3, 2, 1, 6, 7, 8, 9, 4, 5))),
+    ],
+    ids=["8", "9"],
+)
+def test_cross_matching_three_stars_in_bounded_memory(n, witness):
+    stars = [make_star(n, c) for c in ((1, 2), (2, 3), (3, 1))]
     tracemalloc.start()
     try:
-        witness = cross_matching(stars)
+        got = cross_matching(stars)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert witness == ((2, 1, 3, 4, 5, 6, 7, 8), (1, 3, 2, 5, 4, 7, 8, 6), (3, 2, 1, 6, 7, 8, 4, 5))
-    # an N x N disjointness table over the 15,120 members alone takes about 28 MiB
+    assert got == witness
+    # an N x N disjointness table over the 15,120 members of n = 8 alone takes about 28 MiB,
+    # and a second, general index of the 120,960 members of n = 9 about 76 MiB
     assert peak < 16 * 2**20, peak
 
 
