@@ -115,10 +115,17 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     """
     if len(rho) != fam.n or len(pi) != fam.n:
         raise DimensionMismatch("isomorphism dimensions do not match the family")
-    rho, pi = as_permutation(rho, fam.n), as_permutation(pi, fam.n)
+    n = fam.n
+    rho, pi = as_permutation(rho, n), as_permutation(pi, n)
     if rho is None or pi is None:
-        raise ValueError(f"rho and pi must be permutations of [{fam.n}]")
-    return Family._of(fam.n, tuple(sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members)))
+        raise ValueError(f"rho and pi must be permutations of [{n}]")
+    if n > 255:
+        return Family._of(n, tuple(sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members)))
+    # row j of the image is row pi(j) of F (its members' images there, one
+    # byte each) with every value v sent to rho(v)
+    flat = bytes(itertools.chain.from_iterable(fam.members))
+    table = bytes((0, *rho, *range(n + 1, 256)))
+    return Family._of(n, tuple(sorted(zip(*(flat[j - 1 :: n].translate(table) for j in pi)))))
 
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:

@@ -158,6 +158,57 @@ def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
     return {c: int.from_bytes(bitmaps[c], "little") for c in sorted(bitmaps)}
 
 
+def _row_masks(rows: Iterable[bytes]) -> dict[Cell, int]:
+    """The cell index of members given by their rows: row r is the members'
+    images at position r, one byte each.  Cell (r, v)'s mask is the row
+    translated to bits and read, reversed, as one base-2 integer."""
+    masks = {}
+    for r, row in enumerate(rows, 1):
+        for v in sorted(set(row)):
+            masks[r, v] = int(row.translate(_ROW_BITS[v])[::-1], 2)
+    return masks
+
+
+def _read_members(given: tuple) -> list:
+    """Each member read once as a tuple, or None for one that is not iterable."""
+    images, rest = [], iter(given)
+    while True:
+        try:
+            images.extend(map(tuple, rest))  # keeps the tuples read before a failing member
+            return images
+        except TypeError:
+            images.append(None)
+
+
+def _indexed_permutations(images: list, n: int) -> tuple[tuple[Perm, ...], dict[Cell, int]] | None:
+    """(members, cell index) of ``Family(n, ...)`` over members read by
+    ``_read_members``, for n <= 255, in one pass; None if they are not all
+    permutations of [n], so that ``as_permutation`` can name the first.
+
+    Each member becomes one byte string (``bytes`` reads each value by
+    ``__index__``, as ``as_permutation`` does); the distinct strings,
+    sorted, are the members in lexicographic order, and their rows give
+    the index (``_row_masks``).  The members are all permutations of [n]
+    exactly when every string has n bytes, every cell has its column in
+    [n], and for each v in [n] the cells of column v cover every member.
+    """
+    try:
+        keys = sorted(set(map(bytes, images)))
+    except (TypeError, ValueError):  # a non-integer, or a value outside 0..255
+        return None
+    if not keys or set(map(len, keys)) != {n}:
+        return None
+    flat = b"".join(keys)
+    masks = _row_masks(flat[r::n] for r in range(n))
+    columns: dict[int, int] = {}
+    for (_, v), mask in masks.items():
+        columns[v] = columns.get(v, 0) | mask
+    full = (1 << len(keys)) - 1
+    if columns.keys() != set(range(1, n + 1)) or any(m != full for m in columns.values()):
+        return None
+    return tuple(map(tuple, keys)), masks
+
+
 @dataclass(frozen=True)
 class Family:
     """A finite set of permutations sharing one n.
@@ -172,10 +223,15 @@ class Family:
 
     def __post_init__(self):
         n = _integer(self.n)
-        members = tuple(self.members)
-        perms = [as_permutation(m, n) for m in members]
+        given = tuple(self.members)
+        images = _read_members(given)
+        indexed = _indexed_permutations(images, n) if n <= 255 else None
+        if indexed is not None:
+            self.__dict__.update(n=n, members=indexed[0], cell_masks=indexed[1])
+            return
+        perms = [as_permutation(m, n) for m in images]
         if None in perms:
-            raise ValueError(f"not a permutation of [{n}]: {members[perms.index(None)]}")
+            raise ValueError(f"not a permutation of [{n}]: {given[perms.index(None)]}")
         self.__dict__.update(n=n, members=tuple(sorted(set(perms))))
 
     @classmethod
@@ -207,19 +263,15 @@ class Family:
 
         Built on first use and kept, since families are immutable; every
         caller shares the one dict, so it must not be modified.  Each member
-        has one cell per row, so for n <= 255 the index is built row by row:
-        a row's images are one byte string, and cell (r, v)'s mask is that
-        string translated to bits and read, reversed, as one base-2 integer.
-        Larger n, whose images do not fit in a byte, takes the general
-        ``cell_masks`` build.  Either way the keys come in row-major order.
+        has one cell per row, so for n <= 255 the index is built row by row
+        (``_row_masks``), and a validated ``Family(...)`` stores it as it
+        checks the members.  Larger n, whose images do not fit in a byte,
+        takes the general ``cell_masks`` build.  Either way the keys come in
+        row-major order.
         """
         if self.n > 255:
             return cell_masks(enumerate(p, 1) for p in self.members)
-        masks = {}
-        for r, row in enumerate(map(bytes, zip(*self.members)), 1):
-            for v in sorted(set(row)):
-                masks[r, v] = int(row.translate(_ROW_BITS[v])[::-1], 2)
-        return masks
+        return _row_masks(map(bytes, zip(*self.members)))
 
     def graphs(self) -> list[PartialPerm]:
         return [graph(p) for p in self.members]

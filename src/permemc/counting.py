@@ -54,19 +54,25 @@ def round_factorial_over_e(n: int) -> int:
     integer, bracket n!/e ever more tightly; we extend the series until both
     bracket ends round to the same integer.  Rounding is floor division in
     integers; no floating-point value of e is used.
+
+    No test before i = n + 1 can stop: for i <= n the sum n! * num_i / i!
+    is an integer, and it differs from the previous one by n!/i! >= 1.  So
+    num_i runs up to i = n without rounding, and the tests start from there.
     """
     n = _integer(n, 1, "defined for n >= 1")
     nf = math.factorial(n)
-    num, fact_i, i = 0, 1, 1  # sum_{k<=1} (-1)^k/k! = 0/1!
-    prev = None
+    num = 0  # num_1: sum_{k<=1} (-1)^k/k! = 0/1!
+    for i in range(2, n + 1):
+        num = num * i + (-1 if i & 1 else 1)
+    i, fact_i, prev = n, nf, num  # the sum at i = n is the integer num_n
     while True:
+        i += 1
+        num = num * i + (-1 if i & 1 else 1)
+        fact_i *= i
         rounded = (2 * nf * num + fact_i) // (2 * fact_i)  # floor(x + 1/2)
         if rounded == prev:
             return rounded
         prev = rounded
-        i += 1
-        num = num * i + (-1 if i & 1 else 1)
-        fact_i *= i
 
 
 def pointed_derangement_count(n: int) -> int:

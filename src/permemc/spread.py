@@ -11,8 +11,10 @@ spreadness values such as (n!)^{1/n} only ever appear as float *outputs*.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -24,6 +26,7 @@ from .core import (
     _cell_sets,
     _integer,
     _root,
+    _selected,
     cell_masks,
     set_matching_number,
     subfamily_containing,
@@ -36,6 +39,7 @@ EXACT_CELL_CAP = 24
 #: The one search budget: sets one spreadness walk visits, or prefixes one
 #: star-union search extends (``solvers.star_union_slack_sides``), before it refuses.
 _SUBSET_BUDGET = 6_000_000
+_TOO_LARGE = "family too large for exhaustive subset enumeration"
 _SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded
 
 
@@ -72,7 +76,7 @@ def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1
             return
         charged += len(branches)
         if charged > _SUBSET_BUDGET:
-            raise ValueError("family too large for exhaustive subset enumeration")
+            raise ValueError(_TOO_LARGE)
         while branches:
             cell, carriers = branches.pop(0)
             sub = prefix + (cell,)
@@ -128,6 +132,13 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     if r is not None:
         floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
     kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
+    if floor == 1 and 2**top - 1 > _SUBSET_BUDGET:
+        # at floor 1 the walk visits every nonempty subset of every carrier's
+        # kept cells, 2^k - 1 sets for a carrier with k of them: refuse at once
+        members = range(carrier.bit_length())
+        held = Counter(itertools.chain.from_iterable(_selected(members, m) for m in kept.values()))
+        if 2 ** max(held.values(), default=0) - 1 > _SUBSET_BUDGET:
+            raise ValueError(_TOO_LARGE)
     # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
     # X in lexicographic order, so only a pair's first X can take the lead
     best, seen = None, set()

@@ -182,16 +182,22 @@ def test_apply_isomorphism_identity():
 
 
 def test_apply_isomorphism_preserves_size():
+    # against {rho ∘ p ∘ pi} from the definition, on random families with
+    # the empty one among them; n = 300 takes the path for images wider than a byte
     rng = random.Random(6)
-    for n, trials in ((4, 20), (1, 1)):
+    cases = [family(3, [])]
+    for n, trials in ((4, 20), (1, 1), (2, 4), (5, 10), (7, 6)):
         ambient = list(symmetric_group(n).members)
-        for _ in range(trials):
-            fam = family(n, rng.sample(ambient, rng.randint(1, min(20, len(ambient)))))
-            rho = tuple(rng.sample(range(1, n + 1), n))
-            pi = tuple(rng.sample(range(1, n + 1), n))
-            image = apply_isomorphism(rho, fam, pi)
-            assert len(image) == len(fam)
-            assert list(image.members) == sorted(compose(compose(rho, p), pi) for p in fam.members)
+        cases += [family(n, rng.sample(ambient, rng.randint(0, min(40, len(ambient))))) for _ in range(trials)]
+    cases.append(family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in (0, 1, 299)]))
+    for fam in cases:
+        n = fam.n
+        rho = tuple(rng.sample(range(1, n + 1), n))
+        pi = tuple(rng.sample(range(1, n + 1), n))
+        image = apply_isomorphism(rho, fam, pi)
+        assert len(image) == len(fam)
+        assert list(image.members) == sorted({compose(compose(rho, p), pi) for p in fam.members})
+        assert all(type(v) is int for p in image.members for v in p)
 
 
 def test_apply_isomorphism_star_mapping():

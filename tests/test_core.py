@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -11,6 +12,7 @@ import pytest
 
 from permemc import (
     DimensionMismatch,
+    Family,
     apply_isomorphism,
     cell_masks,
     compose,
@@ -239,6 +241,103 @@ def test_row_wise_index_agrees_with_the_general_build():
     shifts = family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in (0, 1, 299)])
     _assert_same_index(shifts)
     assert [shifts.cell_masks[c] for c in ((1, 1), (1, 2), (1, 300), (300, 1))] == [0b001, 0b010, 0b100, 0b010]
+
+
+class _OneShot:
+    """An iterator over a member's images that can be read only once."""
+
+    def __init__(self, images):
+        self.images, self.rest = tuple(images), iter(images)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self.rest)
+
+    def __repr__(self):
+        return f"_OneShot({self.images})"
+
+
+def _oracle_build(n, members):
+    """The members ``Family(n, members)`` keeps, by ``as_permutation`` on each
+    member in turn, or the ValueError text naming the first one it refuses."""
+    members = tuple(members)
+    perms = [as_permutation(m, n) for m in members]
+    if None in perms:
+        return f"not a permutation of [{n}]: {members[perms.index(None)]}"
+    return tuple(sorted(set(perms)))
+
+
+def _member_inputs(rng, n):
+    """Factories of member lists over [n], valid and invalid: each call of a
+    factory builds fresh objects, so one-shot iterators can be read again."""
+    wraps = [tuple, list, _OneShot, lambda p: tuple(True if v == 1 else v for v in p)]
+    if n <= 255:
+        wraps += [bytes, bytearray, lambda p: array("B", p)]
+    bad = [
+        lambda p: (float(p[0]), *p[1:]),
+        lambda p: (str(p[0]), *p[1:]),
+        lambda p: p[:-1],
+        lambda p: (*p, n + 1),
+        lambda p: (0, *p[1:]),
+        lambda p: (-1, *p[1:]),
+        lambda p: (n + 1, *p[1:]),
+        lambda p: (256, *p[1:]),
+        lambda p: (p[0], p[0], *p[2:]) if n > 1 else (2,),
+        lambda p: 5,
+        lambda p: "".join(map(str, p)),
+        lambda p: _OneShot((*p[:-1], 0)),
+    ]
+    for _ in range(25):
+        size = rng.randint(0, 12)
+        members = [rng.sample(range(1, n + 1), n) for _ in range(size)]
+        members += rng.sample(members, min(size, rng.randint(0, 3)))  # duplicates
+        shapes = [rng.choice(wraps) for _ in members]
+        where = rng.randrange(len(members)) if members and rng.random() < 0.5 else None
+        mistake = rng.choice(bad)
+
+        def build(members=members, shapes=shapes, where=where, mistake=mistake):
+            out = [wrap(p) for wrap, p in zip(shapes, members)]
+            if where is not None:
+                out[where] = mistake(members[where])
+            return out
+
+        yield build
+
+
+def test_validated_family_agrees_with_the_per_member_oracle():
+    # Family(...) reads members as byte strings for n <= 255 and builds the
+    # index in the same pass; every answer must be the as_permutation
+    # loop's: the same members, the same first refused member, the index of
+    # the general build with its key order
+    rng = random.Random(31)
+    factories = []
+    for n in (1, 2, 3, 5, 7, 256):
+        factories += [(n, build) for build in _member_inputs(rng, n)]
+    factories += [(2, lambda: [array("h", [513])]), (2, lambda: [(1, 2), array("h", [513])])]  # raw bytes 01 02
+    factories += [(3, lambda: []), (3, lambda: [_OneShot((2, 3, 1)), _OneShot((1, 1, 3)), 5])]
+    factories += [(3, lambda: [_OneShot((2, 3, 1)), 5, _OneShot((1, 1, 3))])]
+    # a value outside [n] in place of a missing one; a short and a long member whose rows line up
+    factories += [(3, lambda: [(4, 2, 3)]), (2, lambda: [(3, 3)]), (2, lambda: [(1,), (2, 1, 2)])]
+    valid = refused = 0
+    for n, build in factories:
+        expected = _oracle_build(n, build())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                Family(n, build())
+            assert str(err.value) == expected
+            refused += 1
+            continue
+        fam = Family(n, iter(build()))
+        if expected and n <= 255:
+            valid += 1
+            assert "cell_masks" in fam.__dict__  # indexed as the members were read
+        assert fam.members == expected
+        assert all(type(v) is int for p in fam.members for v in p)
+        general = cell_masks(enumerate(p, 1) for p in expected)
+        assert fam.cell_masks == general and list(fam.cell_masks) == list(general)
+    assert valid >= 40 and refused >= 60, (valid, refused)
 
 
 def _zip_selected(fam, mask):

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,39 @@ def test_subset_budget_charges_each_set_walked(monkeypatch):
         for call in (lambda: _distinct_trace_counts(wide), lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide)):
             with pytest.raises(ValueError, match="too large"):
                 call()
+
+
+def test_certain_refusal_comes_before_the_walk(monkeypatch):
+    # at floor 1 a walk visits all 2^k - 1 nonempty subsets of a carrier with
+    # k walkable cells, so one over the budget is refused without walking
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        is_r_spread([[(1, c) for c in range(1, 24)]], 2)
+    assert time.perf_counter() - start < 1
+    walks = []
+    walk = spread._walk
+    monkeypatch.setattr(spread, "_walk", lambda *args: walks.append(args) or walk(*args))
+    wide = [[(1, c) for c in range(1, 7)]]
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
+    for call in (lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide), lambda: exact_spreadness(symmetric_group(6))):
+        with pytest.raises(ValueError, match="too large"):
+            call()
+    assert walks == []
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 1)
+    assert exact_spreadness(wide) == (1.0, ((1, 1),)) and len(walks) == 1
+    # two copies of the set: the c-floor is 2, so the walk starts and refuses as it runs
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
+    with pytest.raises(ValueError, match="too large"):
+        exact_spreadness(wide * 2)
+    assert len(walks) == 2
+    # carriers with fewer cells than the index's bound: the refusal counts the carriers' own
+    index, _ = spread._index([[(1, c) for c in range(1, 9)], [(2, 1), (2, 2), (2, 3)]])
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**3 - 2)
+    with pytest.raises(ValueError, match="too large"):
+        spread._worst_offender(index, 0b10)
+    assert len(walks) == 2
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**3 - 1)
+    assert spread._worst_offender(index, 0b10) == (((2, 1),), 1) and len(walks) == 3
 
 
 def test_r_spread_sigma8_is_walked_under_the_floor():
