@@ -296,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before Python 3.10.7
     try:
+        if limit:  # print exact integers in full: n! passes the 4,300-digit default from n = 1,563
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -304,6 +307,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:  # put back for in-process callers
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -297,7 +297,7 @@ class Family:
 
 
 def family(n: int, members: Iterable[Sequence[int]]) -> Family:
-    return Family(n, tuple(tuple(m) for m in members))
+    return Family(n, members)
 
 
 def _containing(fam: Family, cells: Iterable[Cell]) -> int:

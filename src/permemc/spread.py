@@ -151,13 +151,22 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     return best
 
 
+def _positive(value, name: str) -> Fraction:
+    """``value`` as a Fraction if it is positive, else ValueError; the one rule for r and rho."""
+    try:
+        value = Fraction(value)
+    except TypeError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> SpreadReport:
     """``is_r_spread`` of the trace of the carrier by ``skip``."""
     if not carrier:
         raise ValueError("spreadness is undefined for the empty family")
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
+    r = _positive(r, "r")
     worst = _worst_offender(index, carrier, skip, None if want_exact else r)
     if worst is None:
         return SpreadReport(True)
@@ -245,35 +254,27 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     index, carrier = _index(fam)  # ``carrier`` is kept as the bitmask of the members containing X
     if not carrier:
         raise ValueError("max_ratio_set is undefined for the empty family")
-    rho = Fraction(rho)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    rho = _positive(rho, "rho")
     (masks, top), total = index, carrier.bit_count()
-    # |F(X)| * rho^s >= |F| as |F(X)| * num^s >= |F| * den^s, one pair per size s
-    scale = [(rho.numerator**s, total * rho.denominator**s) for s in range(top + 2)]
-
-    def qualifies(count: int, size: int) -> bool:
-        num_s, bar = scale[size]
-        return count * num_s >= bar
-
+    # an X of s cells qualifies iff |F(X)| num^s >= |F| den^s, iff |F(X)| >= need[s]
+    need = [-(-total * rho.denominator**s // rho.numerator**s) for s in range(top + 2)]
     chosen: set = set()
     while True:
-        num_s, bar = scale[len(chosen) + 1]
-        need = -(-bar // num_s)  # the least count that qualifies one cell more
+        least = need[len(chosen) + 1]
         free = {c: m for c, m in masks.items() if c not in chosen}
-        single = next((c for c, m in free.items() if (m & carrier).bit_count() >= need), None)
+        single = next((c for c, m in free.items() if (m & carrier).bit_count() >= least), None)
         if single is not None:
             chosen.add(single)
             carrier &= masks[single]
             continue
         # every extension with a nonempty trace lies inside some carrier, and one
         # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
-        least = min((-(-bar // num_s) for num_s, bar in scale[len(chosen) + 2 :]), default=1)
+        least = min(need[len(chosen) + 2 :], default=1)
         jump = min(  # the walk is lexicographic, so the first of the least size is the least
             (
                 ext
                 for ext, carriers in _walk(free, carrier, None, least)
-                if len(ext) >= 2 and qualifies(carriers.bit_count(), len(chosen) + len(ext))
+                if len(ext) >= 2 and carriers.bit_count() >= need[len(chosen) + len(ext)]
             ),
             key=len, default=None,
         )
@@ -321,9 +322,7 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
     """
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
+    r = _positive(r, "r")
     q = _integer(q, 1, "q must be at least 1")
     rho = r / 2
     branches: dict[PartialPerm, Family] = {}
@@ -370,7 +369,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     support list containing the empty set is reported as degenerate instead
     of being fed to the matching solver.
     """
-    r = Fraction(r)
+    r = _positive(r, "r")
     q = _integer(q, 1, "q must be at least 1")
     removed = fam.difference(res.remainder)
     covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
@@ -382,21 +381,14 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
         branch_ok = branch_ok and rep.is_spread
 
     bound = Fraction(len(ambient), 2 ** (q + 1))
-    if len(res.remainder) == 0:
-        status = "pass"
-        hypothesis_checked = True
-    else:
-        stop = res.stop_set
-        trace_count = len(subfamily_containing(ambient, stop))
-        hypothesis_checked = trace_count * r ** len(stop) <= len(ambient)
-        if hypothesis_checked:
-            status = "pass" if Fraction(len(res.remainder)) <= bound else "fail"
-        else:
-            status = "conditional"
+    # an empty remainder passes as it is; any other is held to the bound once A is r-spread at the stop set
+    stop, left = res.stop_set, len(res.remainder)
+    checked = not left or len(subfamily_containing(ambient, stop)) * r ** len(stop) <= len(ambient)
+    status = ("pass" if left <= bound else "fail") if checked else "conditional"
 
     degenerate = any(len(s) == 0 for s in res.supports)
     nu = None if degenerate else set_matching_number(list(res.supports))
-    return ApproximationCheck(covering_ok, branch_ok, status, hypothesis_checked, bound, nu, degenerate)
+    return ApproximationCheck(covering_ok, branch_ok, status, checked, bound, nu, degenerate)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,16 @@ def test_family_rejects_non_permutations():
         family(3, [(1, 2)])
 
 
+def test_family_reads_members_like_the_family_constructor():
+    # a member that is not iterable is named in the same ValueError by both entry points
+    for build in (family, Family):
+        with pytest.raises(ValueError, match=r"^not a permutation of \[3\]: 5$"):
+            build(3, [5])
+        with pytest.raises(ValueError, match=r"^not a permutation of \[3\]: None$"):
+            build(3, [(1, 2, 3), None])
+    assert family(3, iter([(2, 1, 3), iter([1, 2, 3])])) == Family(3, [(1, 2, 3), (2, 1, 3)])
+
+
 def test_trace_star_size():
     assert len(trace(symmetric_group(4), [(1, 1)])) == math.factorial(3)
 

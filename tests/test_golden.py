@@ -7,11 +7,16 @@ every family stays under the 1,000-member spill limit (a spill would put a
 path into the output), and ``verify`` is hashed with its ``elapsed_ms``
 values set to 0.  Floats are hashed as CPython prints them (shortest
 round-trip repr); Monte Carlo draws from ``random.Random``, whose stream
-is fixed for a given seed across CPython versions.
+is fixed for a given seed across CPython versions.  The greedy
+decomposition's kernels are also hashed as a library corpus, outside the
+CLI (``DECOMPOSITION_DIGEST``).
 """
 
 import hashlib
+import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -21,11 +26,16 @@ from permemc import (
     derangements,
     family,
     make_star_union,
+    max_ratio_set,
+    spread_approximate,
+    subfamily_containing,
     symmetric_group,
+    verify_approximation,
 )
 from permemc.cli import main
 from permemc.counting import ZeroOneMatrix
-from permemc.io import save_family, save_matrix
+from permemc.io import cells_json, save_family, save_matrix
+from permemc.verify import approximation_corpus, random_subfamily
 
 GOLDEN = {
     "counts": "16ef9a3cbd4d9dcebf51bec8c3ea005468455d5108d56efa05e1a7edb5819833",
@@ -86,3 +96,53 @@ def test_cli_stdout_matches_golden_digest(name, files, capsys):
     if name == "verify":
         out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+
+
+#: sha256 of ``_decomposition_outputs()`` as canonical JSON.
+DECOMPOSITION_DIGEST = "c857566638416e2bbe96efa730bfba9f703d11d9bad4dd56eb43e6f6041e8982"
+
+
+def _max_ratio_set_input(rng, sigmas):
+    """A validated random subfamily of Σ_4 or Σ_5, a slice of one (the
+    members through one cell, less those through another), or a raw list of
+    cell sets with empty and duplicate members."""
+    shape = rng.randrange(3)
+    if shape < 2:
+        n = rng.choice((4, 5))
+        fam = random_subfamily(rng, sigmas[n], rng.randint(1, 24 if n == 4 else 40))
+        if shape == 1:
+            p, q = rng.choice(fam.members), rng.choice(fam.members)
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            through = subfamily_containing(fam, [(i, p[i - 1])])
+            fam = through.difference(subfamily_containing(through, [(j, q[j - 1])])) or through
+        return fam
+    sets = []
+    for _ in range(rng.randint(1, 12)):
+        if sets and rng.random() < 0.3:
+            sets.append(rng.choice(sets))
+        else:
+            sets.append(frozenset((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, 6))))
+    return sets
+
+
+def _decomposition_outputs() -> list:
+    """``max_ratio_set`` on 600 seeded inputs at rho = a/b (a <= 24, b <= 8),
+    then ``spread_approximate`` and ``verify_approximation`` over the
+    ``approximation_corpus`` of seeds 0-5."""
+    rng = random.Random(28)
+    sigmas = {4: symmetric_group(4), 5: symmetric_group(5)}
+    out = []
+    for _ in range(600):
+        fam = _max_ratio_set_input(rng, sigmas)
+        rho = Fraction(rng.randint(1, 24), rng.randint(1, 8))
+        out.append([str(rho), cells_json(max_ratio_set(fam, rho))])
+    for seed in range(6):
+        for fam, ambient, r, q in approximation_corpus(random.Random(seed)):
+            res = spread_approximate(fam, ambient, r, q)
+            out.append([res.to_json(), verify_approximation(res, fam, ambient, r, q).to_json()])
+    return out
+
+
+def test_decomposition_kernels_match_golden_digest():
+    text = json.dumps(_decomposition_outputs(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSITION_DIGEST

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -285,6 +286,29 @@ def test_cli_counts(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"n": 6, "d_n": 265, "d_n1": 53, "factorial": 720}
+
+
+def test_cli_counts_prints_integers_past_the_str_digit_limit(capsys):
+    # 2000! has 5,736 digits, past CPython's default limit of 4,300 on int-to-str conversion
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        previous = sys.get_int_max_str_digits()
+        set_limit(4300)
+    try:
+        code, out, _ = _run(["counts", "--n", "2000"], capsys)
+        assert code == 0
+        if set_limit is not None:
+            assert sys.get_int_max_str_digits() == 4300  # put back for the caller
+            set_limit(0)
+        payload = json.loads(out)
+    finally:
+        if set_limit is not None:
+            set_limit(previous)
+    d = [1, 0]
+    for k in range(2, 2001):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    assert payload["d_n"] == d[2000]
+    assert payload["factorial"] == math.factorial(2000)
 
 
 def test_cli_permanent(tmp_path, capsys):

@@ -468,6 +468,26 @@ def test_verify_approximation_conditional_when_ambient_thin():
     assert not chk.remainder_hypothesis_checked
 
 
+@pytest.mark.parametrize("r", [0, -2, Fraction(-1, 3)], ids=["zero", "negative", "negative-fraction"])
+def test_verify_approximation_refuses_non_positive_r(r):
+    # without branches no branch check reads r, so the refusal must not depend on one
+    two = family(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
+    bare = spread_approximate(two, two, 3, 1)
+    star = make_star(4, (1, 1))
+    branched = spread_approximate(star, symmetric_group(4), 3, 1)
+    assert not bare.branches and branched.branches
+    for res, fam, ambient in ((bare, two, two), (branched, star, symmetric_group(4))):
+        with pytest.raises(ValueError, match="^r must be positive$"):
+            verify_approximation(res, fam, ambient, r, 1)
+
+
+def test_r_and_rho_that_are_not_numbers_are_refused_as_values():
+    with pytest.raises(ValueError, match="^rho must be positive$"):
+        max_ratio_set(symmetric_group(3), None)
+    with pytest.raises(ValueError, match="^r must be positive$"):
+        is_r_spread(symmetric_group(3), [2])
+
+
 def test_spread_approximate_deterministic():
     rng = random.Random(17)
     fam = random_subfamily(rng, symmetric_group(4), 15)
