@@ -57,7 +57,7 @@ def _perm(text: str) -> tuple[int, ...]:
         image = parse_integers(text.replace(",", " "))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a permutation: {text!r}") from None
-    if core.as_permutation(image, len(image)) is None:
+    if core.as_permutation(image, None) is None:
         raise argparse.ArgumentTypeError(f"not a permutation of [1..n]: {text!r}")
     return image
 

@@ -14,10 +14,10 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
+    _cell,
     _check_cap,
     _integer,
-    as_cell,
-    as_permutation,
+    _permutation,
     is_derangement,
 )
 from .counting import pointed_derangement_count
@@ -57,11 +57,7 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     a row with distinct columns or share a column with distinct rows.
     """
     n = _integer(n)
-    given = [(x, y) for x, y in cells]
-    centers = [as_cell(cell, n) for cell in given]
-    if None in centers:
-        raise ValueError(f"cell {given[centers.index(None)]} outside [{n}]^2")
-    centers = tuple(sorted(centers))
+    centers = tuple(sorted(_cell(cell, n) for cell in cells))
     if len(set(centers)) != len(centers):
         raise ValueError("duplicate star centers")
     if derangement and any(x == y for x, y in centers):
@@ -92,9 +88,7 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
     s = _integer(s, 2, "s must be at least 2")
     if s - 1 > n:
         raise ValueError("s - 1 must not exceed n")
-    sigma = as_permutation(sigma, n)
-    if sigma is None:
-        raise ValueError(f"sigma is not a permutation of [{n}]")
+    sigma = _permutation(sigma, n, f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
     pinned = (p for p in _star(n, 1, 1) if any(map(eq, p, sigma)))
@@ -113,12 +107,11 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     (pi^{-1}(x), rho(y)); preserves size, matching number and covering
     number (the certificates transport through the same maps).
     """
-    if len(rho) != fam.n or len(pi) != fam.n:
-        raise DimensionMismatch("isomorphism dimensions do not match the family")
     n = fam.n
-    rho, pi = as_permutation(rho, n), as_permutation(pi, n)
-    if rho is None or pi is None:
-        raise ValueError(f"rho and pi must be permutations of [{n}]")
+    message = f"rho and pi must be permutations of [{n}]"
+    rho, pi = _permutation(rho, None, message), _permutation(pi, None, message)
+    if len(rho) != n or len(pi) != n:
+        raise DimensionMismatch("isomorphism dimensions do not match the family")
     if n > 255:
         return Family._of(n, tuple(sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members)))
     # row j of the image is row pi(j) of F (its members' images there, one
@@ -130,10 +123,8 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:
     """Where apply_isomorphism(rho, -, pi) sends a star centered at ``cell``."""
+    rho = _permutation(rho, None, "rho and pi must be permutations")
     n = len(rho)
-    rho, pi, center = as_permutation(rho, n), as_permutation(pi, n), as_cell(cell, n)
-    if rho is None or pi is None:
-        raise ValueError(f"rho and pi must be permutations of [{n}]")
-    if center is None:
-        raise ValueError(f"cell {cell} outside [{n}]^2")
-    return (pi.index(center[0]) + 1, rho[center[1] - 1])
+    pi = _permutation(pi, n, f"rho and pi must be permutations of [{n}]")
+    x, y = _cell(cell, n)
+    return (pi.index(x) + 1, rho[y - 1])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import index, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -37,15 +38,15 @@ class DimensionMismatch(ValueError):
     """Operands live over different ground sets [n]."""
 
 
-def as_permutation(image: Iterable[int], n: int) -> Perm | None:
-    """``image`` as a tuple of ints if it is a bijection of [n], else None.
-    The one validity rule for permutations: values are read with
-    ``operator.index``, so floats and strings are refused, never truncated."""
+def as_permutation(image: Iterable[int], n: int | None) -> Perm | None:
+    """``image`` as a tuple of ints if it is a bijection of [n] (n = its length
+    when n is None), else None.  The one validity rule for permutations: values
+    are read with ``operator.index``, so floats and strings are refused, never truncated."""
     try:
         perm = tuple(map(index, image))
     except TypeError:
         return None
-    return perm if len(perm) == n and set(perm).issuperset(range(1, n + 1)) else None
+    return perm if n in (None, len(perm)) and set(perm).issuperset(range(1, len(perm) + 1)) else None
 
 
 def as_cell(cell, n: int | None) -> Cell | None:
@@ -81,8 +82,10 @@ def is_permutation(image: Sequence[int]) -> bool:
     True
     >>> is_permutation((1, 1, 3))
     False
+    >>> is_permutation(5)
+    False
     """
-    return as_permutation(image, len(image)) is not None
+    return as_permutation(image, None) is not None
 
 
 def identity(n: int) -> Perm:
@@ -128,15 +131,16 @@ def is_partial_permutation(cells: Iterable[Cell]) -> bool:
 
 
 def partial_permutation(cells: Iterable[Cell], n: int | None = None) -> PartialPerm:
-    """Validate and freeze a cell set into a partial permutation."""
+    """Validate and freeze a cell set into a partial permutation, inside [n]^2 if n is given."""
     cs = frozenset(as_cell(cell, None) for cell in cells)
     if None in cs:
         raise ValueError("not a partial permutation: cells must be pairs of integers")
     if not is_partial_permutation(cs):
         raise ValueError(f"not a partial permutation (row or column clash): {sorted(cs)}")
-    for r, c in cs:
-        if as_cell((r, c), n) is None:
-            raise ValueError(f"cell ({r},{c}) outside [{n}]^2")
+    if n is not None:
+        n = _integer(n, 0, "n must be non-negative")
+        for cell in cs:
+            _cell(cell, n)
     return cs
 
 
@@ -365,6 +369,33 @@ def _integer(value, least: int = 1, message: str = "n must be a positive integer
     return value
 
 
+def _rational(value, message: str, above=None, below=None) -> Fraction:
+    """``value`` read as a Fraction if it lies strictly between ``above`` and ``below``
+    (None: no bound), else ValueError(message), also for a non-number, NaN, an
+    infinity or a zero denominator: the one rule for r, rho, p, eps and delta."""
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(message) from None
+    if (above is not None and value <= above) or (below is not None and value >= below):
+        raise ValueError(message)
+    return value
+
+
+def _permutation(value, n: int | None, message: str) -> Perm:
+    """``as_permutation(value, n)``, else ValueError(message)."""
+    if (perm := as_permutation(value, n)) is None:
+        raise ValueError(message)
+    return perm
+
+
+def _cell(value, n: int) -> Cell:
+    """``as_cell(value, n)``, else ValueError naming the value."""
+    if (cell := as_cell(value, n)) is None:
+        raise ValueError(f"cell {value} outside [{n}]^2")
+    return cell
+
+
 def _check_cap(n: int) -> int:
     n = _integer(n)
     if n > ENUMERATION_CAP:
@@ -389,11 +420,7 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
     if kind == "derangements":
         return Family._of(n, tuple(p for p in perms if is_derangement(p)))
     if kind == "double_derangements":
-        if sigma is None:
-            raise ValueError("kind 'double_derangements' needs sigma")
-        sigma = as_permutation(sigma, n)
-        if sigma is None:
-            raise ValueError(f"sigma is not a permutation of [{n}]")
+        sigma = _permutation(sigma, n, f"sigma is not a permutation of [{n}]")
         members = tuple(
             p for p in perms if is_derangement(p) and not any(x == y for x, y in zip(p, sigma))
         )

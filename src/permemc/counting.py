@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, _integer, as_permutation, identity, partial_permutation
+from .core import Cell, Perm, _integer, _permutation, identity, partial_permutation
 
 #: Largest N the general exact permanents accept.  Glynn (``RYSER_CAP``) takes
 #: 3 s at N = 22 and about x2.2 more per N, so N = 30 runs for about half an hour.
@@ -265,9 +265,7 @@ def double_derangement_count(n: int, sigma: Perm, cells=()) -> int:
     diagonal or the graph of sigma.
     """
     n = _integer(n, 0, "n must be non-negative")
-    sigma = as_permutation(sigma, n)
-    if sigma is None:
-        raise ValueError(f"sigma is not a permutation of [{n}]")
+    sigma = _permutation(sigma, n, f"sigma is not a permutation of [{n}]")
     cs = partial_permutation(cells, n)
     if any(r == c or sigma[r - 1] == c for r, c in cs):
         return 0

@@ -25,6 +25,7 @@ from .core import (
     DimensionMismatch,
     Family,
     Perm,
+    _cell,
     _cell_sets,
     _first_packing,
     _greedy_packing,
@@ -32,7 +33,7 @@ from .core import (
     _integer,
     _max_disjoint,
     _Meets,
-    as_cell,
+    _rational,
     is_derangement,
     subfamily_containing_any,
 )
@@ -252,27 +253,24 @@ def classify_cross_free_families(
     exists (the classification is vacuous otherwise and the precondition
     violation is an error).
     """
-    families = list(families)
-    cells = [tuple(c) for c in cells]
+    families, cells = list(families), list(cells)
     t = len(families)
     if t != len(cells):
         raise ValueError("one cell per family is required")
-    if len(set(cells)) != t:
-        raise ValueError("cells must be distinct")
     if t == 0:
         raise ValueError("at least one family is required")
     n = families[0].n
-    for fam, cell in zip(families, cells):
+    cells = [_cell(cell, n) for cell in cells]
+    if len(set(cells)) != t:
+        raise ValueError("cells must be distinct")
+    for fam, (x, y) in zip(families, cells):
         if fam.n != n:
             raise DimensionMismatch("families over different [n]")
-        if (checked := as_cell(cell, n)) is None:
-            raise ValueError(f"cell {cell} outside [{n}]^2")
-        x, y = checked
         if x == y:
-            raise ValueError(f"cell {cell} lies on the diagonal")
+            raise ValueError(f"cell {(x, y)} lies on the diagonal")
         for p in fam.members:
             if not is_derangement(p) or p[x - 1] != y:
-                raise ValueError(f"{p} is not a derangement through {cell}")
+                raise ValueError(f"{p} is not a derangement through {(x, y)}")
     if cross_matching(families) is not None:  # None whenever a family is empty
         raise ValueError("the families contain a cross matching; nothing to classify")
 
@@ -322,7 +320,7 @@ def containment_implies_matching_check(
     ground = set().union(*(a for basis in frozen for a in basis))
     if len(ground) > EXACT_CELL_CAP:
         raise ValueError(f"ground set capped at {EXACT_CELL_CAP} cells for exact probabilities")
-    pf = Fraction(p)
+    pf = _rational(p, "p must lie strictly between 0 and 1", 0, 1)
     probs = tuple(containment_probability(basis, pf, "exact").value for basis in frozen)
     threshold = 3 * s * pf
     hypothesis = all(q >= threshold for q in probs)
@@ -374,7 +372,9 @@ def support_union_bound_sides(
     evaluated with a rational upper bound on e, so "met" is sound.
     """
     s = _integer(s, 1, "s must be at least 1")
-    eps = Fraction(eps)
+    eps = _rational(eps, "eps must be a rational number")
+    r = None if r is None else _rational(r, "r must be a rational number")
+    q = None if q is None else _integer(q, 0, "q must be non-negative")
     sets = list(dict.fromkeys(_cell_sets(supports)))  # distinct, in first-seen order
     if not sets:
         raise ValueError("the support family must be nonempty")
@@ -405,7 +405,7 @@ def support_union_bound_sides(
     cor_rhs = (s - 2 + eps) * max_star
     hypothesis = None
     if r is not None and q is not None:
-        hypothesis = eps * Fraction(r) >= 8 * E_UPPER * (s - 1) * q
+        hypothesis = eps * r >= 8 * E_UPPER * (s - 1) * q
     return SupportBoundSides(
         trivial, maximal, violation, l, matching_ok, lhs, singleton_union, max_star, max_cell,
         rhs, Fraction(lhs) <= rhs, cor_rhs, Fraction(lhs) <= cor_rhs, not trivial, hypothesis,

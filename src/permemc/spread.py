@@ -25,6 +25,7 @@ from .core import (
     PartialPerm,
     _cell_sets,
     _integer,
+    _rational,
     _root,
     _selected,
     cell_masks,
@@ -151,22 +152,11 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     return best
 
 
-def _positive(value, name: str) -> Fraction:
-    """``value`` as a Fraction if it is positive, else ValueError; the one rule for r and rho."""
-    try:
-        value = Fraction(value)
-    except TypeError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
 def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> SpreadReport:
     """``is_r_spread`` of the trace of the carrier by ``skip``."""
     if not carrier:
         raise ValueError("spreadness is undefined for the empty family")
-    r = _positive(r, "r")
+    r = _rational(r, "r must be positive", 0)
     worst = _worst_offender(index, carrier, skip, None if want_exact else r)
     if worst is None:
         return SpreadReport(True)
@@ -225,10 +215,8 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     the family's one index, with A's cells skipped.
     """
     index, full = _index(fam)
-    if not full:
-        raise ValueError("spreadness is undefined for the empty family")
     q_cells = _integer(q_cells, 0, "q must be non-negative")
-    rep = _spread_report(index, full, frozenset(), r)
+    rep = _spread_report(index, full, frozenset(), r)  # refuses an empty family
     if not rep.is_spread:
         return RestrictedSpreadReport(False, (), rep)
     # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
@@ -254,7 +242,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     index, carrier = _index(fam)  # ``carrier`` is kept as the bitmask of the members containing X
     if not carrier:
         raise ValueError("max_ratio_set is undefined for the empty family")
-    rho = _positive(rho, "rho")
+    rho = _rational(rho, "rho must be positive", 0)
     (masks, top), total = index, carrier.bit_count()
     # an X of s cells qualifies iff |F(X)| num^s >= |F| den^s, iff |F(X)| >= need[s]
     need = [-(-total * rho.denominator**s // rho.numerator**s) for s in range(top + 2)]
@@ -322,7 +310,7 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
     """
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
-    r = _positive(r, "r")
+    r = _rational(r, "r must be positive", 0)
     q = _integer(q, 1, "q must be at least 1")
     rho = r / 2
     branches: dict[PartialPerm, Family] = {}
@@ -369,7 +357,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     support list containing the empty set is reported as degenerate instead
     of being fed to the matching solver.
     """
-    r = _positive(r, "r")
+    r = _rational(r, "r must be positive", 0)
     q = _integer(q, 1, "q must be at least 1")
     removed = fam.difference(res.remainder)
     covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
@@ -425,9 +413,7 @@ def containment_probability(
     if not members:
         raise ValueError("containment probability needs a nonempty family")
     relevant = sorted(set().union(*members))
-    pf = Fraction(p)
-    if not (0 < pf < 1):
-        raise ValueError("p must lie strictly between 0 and 1")
+    pf = _rational(p, "p must lie strictly between 0 and 1", 0, 1)
     if mode == "exact":
         if len(relevant) > EXACT_CELL_CAP:
             raise ValueError(f"exact mode capped at {EXACT_CELL_CAP} distinct cells")
@@ -503,7 +489,7 @@ def spread_lemma_bound(k: int, r, beta, delta) -> float | None:
     <= 0: this is an output-only evaluator and makes no decision on it.
     """
     k = _integer(k, 1, "k must be at least 1")
-    rd = Fraction(r) * Fraction(delta)
+    rd = _rational(r, "r must be a rational number") * _rational(delta, "delta must be a rational number")
     if rd <= 2:
         return None
     return 1.0 - (2.0 / math.log2(rd)) ** float(beta) * k

@@ -15,6 +15,7 @@ from permemc import (
     Family,
     apply_isomorphism,
     cell_masks,
+    classify_cross_free_families,
     compose,
     containment_implies_matching_check,
     containment_probability,
@@ -38,6 +39,7 @@ from permemc import (
     make_star_union,
     partial_permutation,
     set_matching_number,
+    spread_lemma_bound,
     subfamily_containing,
     star_center_image,
     subfamily_containing_any,
@@ -658,6 +660,40 @@ def test_matching_number_deeper_than_the_recursion_limit():
             ValueError,
             r"not a cell .*\(1.5, 2\)",
         ),
+        # rationals are read by one rule: a non-number, NaN, an infinity or a zero denominator is a value error
+        (lambda: is_r_spread(symmetric_group(3), float("inf")), ValueError, "^r must be positive$"),
+        (lambda: is_r_spread(symmetric_group(3), float("nan")), ValueError, "^r must be positive$"),
+        (lambda: is_r_spread(symmetric_group(3), "1/0"), ValueError, "^r must be positive$"),
+        (lambda: containment_probability(symmetric_group(3), None), ValueError, "^p must lie strictly between 0 and 1$"),
+        (
+            lambda: containment_probability(symmetric_group(3), float("inf")),
+            ValueError,
+            "^p must lie strictly between 0 and 1$",
+        ),
+        (
+            lambda: support_union_bound_sides(symmetric_group(3), [[(1, 1)]], None, 2),
+            ValueError,
+            "^eps must be a rational number$",
+        ),
+        (
+            lambda: support_union_bound_sides(symmetric_group(3), [[(1, 1)]], float("inf"), 2),
+            ValueError,
+            "^eps must be a rational number$",
+        ),
+        (
+            lambda: support_union_bound_sides(symmetric_group(3), [[(1, 1)]], Fraction(1, 2), 2, 40, 1.5),
+            ValueError,
+            "^q must be non-negative$",
+        ),
+        (lambda: spread_lemma_bound(2, 3, 1, float("inf")), ValueError, "^delta must be a rational number$"),
+        # permutations and cells that are not even iterable are values that break the rule
+        (lambda: apply_isomorphism(5, symmetric_group(3), (1, 2, 3)), ValueError, "must be permutations"),
+        (lambda: star_center_image(5, (1, 1), (1, 2, 3)), ValueError, "must be permutations"),
+        (lambda: make_star_union(3, [5]), ValueError, r"^cell 5 outside \[3\]\^2$"),
+        (lambda: classify_cross_free_families([derangements(3)], [5]), ValueError, r"^cell 5 outside \[3\]\^2$"),
+        (lambda: partial_permutation([(2, 2)], 2.5), ValueError, "^n must be non-negative$"),
+        (lambda: partial_permutation([(2, 2)], "x"), ValueError, "^n must be non-negative$"),
+        (lambda: partial_permutation([(1, 4)], 3), ValueError, r"^cell \(1, 4\) outside \[3\]\^2$"),
     ],
     ids=[
         "intersects-mixed-n",
@@ -691,6 +727,22 @@ def test_matching_number_deeper_than_the_recursion_limit():
         "containment-probability-string-cell",
         "rainbow-check-string-cell",
         "support-sides-float-cell",
+        "r-spread-infinite-r",
+        "r-spread-nan-r",
+        "r-spread-zero-denominator-r",
+        "containment-probability-none-p",
+        "containment-probability-infinite-p",
+        "support-sides-none-eps",
+        "support-sides-infinite-eps",
+        "support-sides-float-q",
+        "spread-lemma-infinite-delta",
+        "isomorphism-integer-rho",
+        "star-image-integer-rho",
+        "star-union-integer-center",
+        "classify-integer-cell",
+        "partial-permutation-float-n",
+        "partial-permutation-string-n",
+        "partial-permutation-cell-outside",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, error, match):
@@ -707,8 +759,13 @@ def test_as_permutation_agrees_with_the_sorting_oracle():
         assert as_permutation(image, n) == (image if oracle else None)
         assert as_permutation(list(image), n) == (image if oracle else None)
         assert is_permutation(image) == (sorted(image) == list(range(1, len(image) + 1)))
+        # n = None reads a permutation of its own length
+        assert as_permutation(image, None) == (image if sorted(image) == list(range(1, len(image) + 1)) else None)
     perm = tuple(rng.sample(range(1, 8), 7))
     assert as_permutation(iter(perm), 7) == perm
+    assert as_permutation(iter(perm), None) == perm and as_permutation(iter(()), None) == ()
+    for image in [5, None, 2.5, (1, 2.0)]:
+        assert as_permutation(image, None) is None
 
 
 def test_as_cell_agrees_with_the_range_oracle():

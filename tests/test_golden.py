@@ -9,26 +9,37 @@ values set to 0.  Floats are hashed as CPython prints them (shortest
 round-trip repr); Monte Carlo draws from ``random.Random``, whose stream
 is fixed for a given seed across CPython versions.  The greedy
 decomposition's kernels are also hashed as a library corpus, outside the
-CLI (``DECOMPOSITION_DIGEST``).
+CLI (``DECOMPOSITION_DIGEST``), and so are the entry points that read
+rationals, permutations and cells (``READER_DIGEST``).
 """
 
 import hashlib
 import json
+import math
 import random
 import re
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
 
 from permemc import (
+    apply_isomorphism,
+    classify_cross_free_families,
     complement_of_identity,
+    containment_implies_matching_check,
+    containment_probability,
     derangement_star,
     derangements,
     family,
+    make_hm_star_union,
     make_star_union,
     max_ratio_set,
     spread_approximate,
+    spread_lemma_bound,
+    star_center_image,
     subfamily_containing,
+    support_union_bound_sides,
     symmetric_group,
     verify_approximation,
 )
@@ -146,3 +157,102 @@ def _decomposition_outputs() -> list:
 def test_decomposition_kernels_match_golden_digest():
     text = json.dumps(_decomposition_outputs(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSITION_DIGEST
+
+
+#: sha256 of ``_reader_outputs()`` as canonical JSON.
+READER_DIGEST = "0907856748997f2d06bededfa90ccdc26fa6bc7c0b907db5cf7fb4aeb7ea0f74"
+
+
+def _plain(value):
+    """``value`` as JSON data: a Fraction as "p/q", a set as a sorted list,
+    a tuple as a list, and a dataclass (a Family too) as an object of its fields."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, frozenset):
+        return sorted(map(_plain, value))
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return value
+
+
+def _random_cells(rng, rows, cols, most):
+    return frozenset((rng.randint(1, rows), rng.randint(1, cols)) for _ in range(rng.randint(1, most)))
+
+
+def _reader_outputs() -> list:
+    """The entry points that read rationals, permutations and cells, on valid
+    seeded inputs: star unions (full and derangement stars), HM star unions,
+    the isomorphism action and star centre images for n <= 6; exact and
+    Monte Carlo containment probabilities and the rainbow check; the support
+    union sides with and without r and q, the cross-free classification
+    (or its refusal of a cross matching) and the spread lemma bound."""
+    rng = random.Random(29)
+    sigmas = {n: symmetric_group(n) for n in range(2, 7)}
+    out = []
+    for _ in range(40):
+        n, derangement = rng.randint(2, 6), rng.random() < 0.5
+        grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if not (derangement and x == y)]
+        centers = rng.sample(grid, rng.randint(0, min(3, len(grid))))
+        out.append(_plain(make_star_union(n, [list(c) for c in centers], derangement)))
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        s = rng.randint(2, n)
+        sigma = rng.sample(range(s, n + 1), 1)
+        sigma += rng.sample([v for v in range(1, n + 1) if v != sigma[0]], n - 1)
+        out.append([n, s, _plain(make_hm_star_union(n, s, sigma).members)])
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        fam = random_subfamily(rng, sigmas[n], rng.randint(0, min(24, len(sigmas[n]))))
+        rho, pi = rng.sample(range(1, n + 1), n), tuple(rng.sample(range(1, n + 1), n))
+        cell = (rng.randint(1, n), rng.randint(1, n))
+        out.append([_plain(apply_isomorphism(rho, fam, pi).members), star_center_image(rho, list(cell), pi)])
+    for _ in range(40):
+        if rng.random() < 0.5:
+            n = rng.choice((3, 4))
+            fam = random_subfamily(rng, sigmas[n], rng.randint(1, 6))
+        else:
+            fam = [_random_cells(rng, 4, 5, 3) for _ in range(rng.randint(1, 5))]
+        b = rng.randint(2, 9)
+        p = Fraction(rng.randint(1, b - 1), b)
+        out.append(containment_probability(fam, p).to_json())
+        samples, seed = rng.randint(1, 300), rng.randrange(1000)
+        out.append(containment_probability(fam, p, "monte_carlo", samples, seed).to_json())
+    for _ in range(30):
+        s = rng.randint(0, 3)
+        bases = [[_random_cells(rng, 3, 3, 2) for _ in range(rng.randint(1, 3))] for _ in range(s)]
+        out.append(_plain(containment_implies_matching_check(bases, s, Fraction(1, rng.randint(2, 30)))))
+    for _ in range(30):
+        ambient = random_subfamily(rng, sigmas[4], rng.randint(1, 24))
+        supports = [_random_cells(rng, 4, 4, 3) for _ in range(rng.randint(1, 4))]
+        eps, s = Fraction(rng.randint(0, 4), rng.randint(1, 4)), rng.randint(1, 4)
+        r = rng.choice((None, Fraction(rng.randint(1, 400), rng.randint(1, 4))))
+        q = rng.choice((None, rng.randint(0, 3)))
+        out.append(_plain(support_union_bound_sides(ambient, supports, eps, s, r, q)))
+    stars = {}
+    for _ in range(30):
+        n = rng.choice((4, 5))
+        grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
+        cells = rng.sample(grid, rng.randint(1, 3))
+        families = []
+        for cell in cells:
+            star = stars.setdefault((n, cell), derangement_star(n, cell))
+            families.append(random_subfamily(rng, star, rng.randint(0, 3)))
+        try:
+            out.append(_plain(classify_cross_free_families(families, cells)))
+        except ValueError as refusal:
+            out.append(str(refusal))
+    for _ in range(30):
+        k, r = rng.randint(1, 20), Fraction(rng.randint(1, 64), rng.randint(1, 4))
+        beta = rng.choice((1, 2.5, math.log2(rng.randint(2, 12))))
+        out.append(spread_lemma_bound(k, r, beta, Fraction(1, rng.randint(1, 8))))
+    return out
+
+
+def test_reader_entry_points_match_golden_digest():
+    """The Monte Carlo standard errors and ``spread_lemma_bound`` are floats
+    computed with ``**`` and ``math.log2``, so this digest assumes the C
+    library it was computed with (glibc on x86-64); the exact outputs do not."""
+    text = json.dumps(_reader_outputs(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == READER_DIGEST
