@@ -235,7 +235,8 @@ class Family:
             return
         perms = [as_permutation(m, n) for m in images]
         if None in perms:
-            raise ValueError(f"not a permutation of [{n}]: {given[perms.index(None)]}")
+            bad = perms.index(None)  # named as read, or as given when it was not iterable
+            raise ValueError(f"not a permutation of [{n}]: {given[bad] if images[bad] is None else images[bad]}")
         self.__dict__.update(n=n, members=tuple(sorted(set(perms))))
 
     @classmethod

@@ -111,7 +111,9 @@ def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> i
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = None) -> tuple[tuple, int] | None:
+def _worst_offender(
+    index, carrier: int, skip=frozenset(), r: Fraction | None = None, whole=None
+) -> tuple[tuple, int] | None:
     """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|}, exactly, ties
     going to the lexicographically least X, where F is the trace by A =
     ``skip`` of the members in ``carrier``; None if no X is kept.
@@ -123,13 +125,24 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
     r-spreadness: X of k <= K cells violates iff |F(X)| num^k > |F| den^k,
     and then X and all its subsets have |F(X)| > |F| (den/num)^K; for r <= 1
     none violates.  So if any X violates, so does the worst offender, which
-    passes both floors; if none does, the report reads spread either way."""
+    passes both floors; if none does, the report reads spread either way.
+
+    ``whole`` is the Family that F is, when F is a whole Family (its own
+    members, no cell skipped).  A walk at the c-floor alone (r's floor did
+    not raise it) is the walk without r, so its result is kept in that
+    Family's ``__dict__`` and answers every later call on it, with or
+    without r; a walk that r's floor pruned keeps nothing.  A fresh walk
+    at any r has a floor at least the c-floor and so visits no more sets:
+    a call answered from the kept result would have answered anyway."""
+    keep = whole.__dict__ if isinstance(whole, Family) else None
+    if keep is not None and "_worst_offender" in keep:
+        return keep["_worst_offender"]
     masks, top = index[0], index[1] - len(skip)
     total = carrier.bit_count()
     # each cell's carriers, read once for c and handed to the walk as its masks
     singles = {cell: both for cell, m in masks.items() if cell not in skip and (both := m & carrier)}
     c = max(map(int.bit_count, singles.values()), default=1)
-    floor = -(-(c**top) // total ** max(top - 1, 0))
+    floor = c_floor = -(-(c**top) // total ** max(top - 1, 0))
     if r is not None:
         floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
     kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
@@ -149,15 +162,18 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
             seen.add(pair)
             if best is None or _compare_spreadness(total, pair, (len(best[0]), best[1])) < 0:
                 best = (sub, pair[1])
+    if keep is not None and floor == c_floor:
+        keep["_worst_offender"] = best
     return best
 
 
-def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> SpreadReport:
-    """``is_r_spread`` of the trace of the carrier by ``skip``."""
+def _spread_report(index, carrier: int, skip, r, want_exact: bool = False, whole=None) -> SpreadReport:
+    """``is_r_spread`` of the trace of the carrier by ``skip`` (``whole`` as
+    in ``_worst_offender``)."""
     if not carrier:
         raise ValueError("spreadness is undefined for the empty family")
     r = _rational(r, "r must be positive", 0)
-    worst = _worst_offender(index, carrier, skip, None if want_exact else r)
+    worst = _worst_offender(index, carrier, skip, None if want_exact else r, whole)
     if worst is None:
         return SpreadReport(True)
     sub, cnt = worst
@@ -175,8 +191,13 @@ def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
     trace), so those are the sets tested.  On failure the witness is the X
     minimizing (|F|/|F(X)|)^{1/|X|}, i.e. the worst offender, ranked
     exactly with ties going to the lexicographically least X.
+
+    A Family keeps the result of its exact walk, the one ``exact_spreadness``
+    runs, and this call reads it before it walks.  Its own walk is kept only
+    when r's floor did not raise the c-floor, since that walk is the exact
+    one; a walk r pruned keeps nothing (see ``_worst_offender``).
     """
-    return _spread_report(*_index(fam), frozenset(), r, want_exact)
+    return _spread_report(*_index(fam), frozenset(), r, want_exact, fam)
 
 
 def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
@@ -185,12 +206,14 @@ def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
     The search runs over sub-sets of members only; every other X has empty
     trace and is vacuous for the definition.  The minimum is found exactly,
     ties going to the lexicographically least X, and the float value is the
-    witness's own (|F|/|F(X)|)^{1/|X|}.
+    witness's own (|F|/|F(X)|)^{1/|X|}.  A Family keeps the result of this
+    walk, so later calls of this, ``is_r_spread`` and ``is_rq_spread`` on
+    the same Family object read it instead of walking again.
     """
     index, full = _index(fam)
     if not full:
         raise ValueError("spreadness is undefined for the empty family")
-    worst = _worst_offender(index, full)
+    worst = _worst_offender(index, full, whole=fam)
     if worst is None:
         raise ValueError("spreadness is undefined when every member is empty")
     sub, cnt = worst
@@ -212,11 +235,13 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     Restrictions A run over the sub-partial-permutations of members (others
     trace to nothing), plus the empty restriction; q = 0 is plain
     r-spreadness.  Each trace F(A) is walked as the members containing A in
-    the family's one index, with A's cells skipped.
+    the family's one index, with A's cells skipped.  The check of A = {}
+    reads a Family's kept exact walk as ``is_r_spread`` does; the traces
+    by a nonempty A keep nothing.
     """
     index, full = _index(fam)
     q_cells = _integer(q_cells, 0, "q must be non-negative")
-    rep = _spread_report(index, full, frozenset(), r)  # refuses an empty family
+    rep = _spread_report(index, full, frozenset(), r, whole=fam)  # refuses an empty family
     if not rep.is_spread:
         return RestrictedSpreadReport(False, (), rep)
     # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
@@ -490,6 +515,7 @@ def spread_lemma_bound(k: int, r, beta, delta) -> float | None:
     """
     k = _integer(k, 1, "k must be at least 1")
     rd = _rational(r, "r must be a rational number") * _rational(delta, "delta must be a rational number")
+    beta = _rational(beta, "beta must be a rational number")
     if rd <= 2:
         return None
     return 1.0 - (2.0 / math.log2(rd)) ** float(beta) * k

@@ -138,6 +138,11 @@ def test_family_reads_members_like_the_family_constructor():
             build(3, [5])
         with pytest.raises(ValueError, match=r"^not a permutation of \[3\]: None$"):
             build(3, [(1, 2, 3), None])
+        # an iterable member is named by the tuple read from it, not by the object given
+        with pytest.raises(ValueError, match=r"^not a permutation of \[3\]: \(1, 1, 2\)$"):
+            build(3, [iter([1, 1, 2])])
+        with pytest.raises(ValueError, match=r"^not a permutation of \[3\]: \(1, 2\)$"):
+            build(3, [(2, 1, 3), [1, 2]])
     assert family(3, iter([(2, 1, 3), iter([1, 2, 3])])) == Family(3, [(1, 2, 3), (2, 1, 3)])
 
 
@@ -273,11 +278,17 @@ class _OneShot:
 
 def _oracle_build(n, members):
     """The members ``Family(n, members)`` keeps, by ``as_permutation`` on each
-    member in turn, or the ValueError text naming the first one it refuses."""
-    members = tuple(members)
-    perms = [as_permutation(m, n) for m in members]
+    member in turn, or the ValueError text naming the first one it refuses:
+    by the tuple read from it, or by the member itself if it is not iterable."""
+    read = []
+    for m in members:
+        try:
+            read.append(tuple(m))
+        except TypeError:
+            read.append(m)
+    perms = [as_permutation(m, n) for m in read]
     if None in perms:
-        return f"not a permutation of [{n}]: {members[perms.index(None)]}"
+        return f"not a permutation of [{n}]: {read[perms.index(None)]}"
     return tuple(sorted(set(perms)))
 
 
@@ -686,6 +697,11 @@ def test_matching_number_deeper_than_the_recursion_limit():
             "^q must be non-negative$",
         ),
         (lambda: spread_lemma_bound(2, 3, 1, float("inf")), ValueError, "^delta must be a rational number$"),
+        (lambda: spread_lemma_bound(2, 16, None, 1), ValueError, "^beta must be a rational number$"),
+        (lambda: spread_lemma_bound(2, 16, "x", 1), ValueError, "^beta must be a rational number$"),
+        (lambda: spread_lemma_bound(2, 16, float("inf"), 1), ValueError, "^beta must be a rational number$"),
+        (lambda: spread_lemma_bound(2, 16, float("nan"), 1), ValueError, "^beta must be a rational number$"),
+        (lambda: spread_lemma_bound(2, 2, None, 1), ValueError, "^beta must be a rational number$"),
         # permutations and cells that are not even iterable are values that break the rule
         (lambda: apply_isomorphism(5, symmetric_group(3), (1, 2, 3)), ValueError, "must be permutations"),
         (lambda: star_center_image(5, (1, 1), (1, 2, 3)), ValueError, "must be permutations"),
@@ -736,6 +752,11 @@ def test_matching_number_deeper_than_the_recursion_limit():
         "support-sides-infinite-eps",
         "support-sides-float-q",
         "spread-lemma-infinite-delta",
+        "spread-lemma-none-beta",
+        "spread-lemma-string-beta",
+        "spread-lemma-infinite-beta",
+        "spread-lemma-nan-beta",
+        "spread-lemma-vacuous-none-beta",
         "isomorphism-integer-rho",
         "star-image-integer-rho",
         "star-union-integer-center",

@@ -26,6 +26,7 @@ from permemc import (
     max_ratio_set,
     spread_approximate,
     spread_lemma_bound,
+    subfamily_containing,
     symmetric_group,
     trace,
     verify_approximation,
@@ -166,9 +167,10 @@ def test_witness_ranking_matches_exact_oracle():
             assert (report.restriction, report.inner.witness, report.inner.witness_ratio) == failing
 
 
-def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
+def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None, whole=None):
     """The worst-offender walk with the r-floor alone: every X that could
-    violate r-spreadness, ranked exactly, ties going to the least X."""
+    violate r-spreadness, ranked exactly, ties going to the least X; it keeps
+    nothing on ``whole``."""
     masks, top = index[0], index[1] - len(skip)
     total = carrier.bit_count()
     floor = total * r.denominator**top // r.numerator**top + 1
@@ -181,7 +183,9 @@ def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
     return min((sub, cnt) for sub, cnt in counts.items() if spread._compare_spreadness(total, (len(sub), cnt), best) == 0)
 
 
-def test_worst_offender_floor_matches_r_floor_walk(monkeypatch):
+def _floor_cases():
+    """Fresh families and cell-set lists from one seed, so that no Family
+    carries a worst offender kept by an earlier run."""
     rng = random.Random(29)
     cases = []
     for n, count in ((3, 8), (4, 16), (5, 12)):
@@ -194,10 +198,15 @@ def test_worst_offender_floor_matches_r_floor_walk(monkeypatch):
             {(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))} for _ in range(rng.randint(1, 8))
         ]
         cases.append((sets + rng.sample(sets, rng.randint(0, len(sets))), None))
+    return cases
+
+
+def test_worst_offender_floor_matches_r_floor_walk(monkeypatch):
+    case_count = len(_floor_cases())
 
     def reports():
         out = []
-        for fam, ambient in cases:
+        for fam, ambient in _floor_cases():
             for r in (Fraction(1, 2), 1, Fraction(6, 5), 2, 3):
                 out.append(is_r_spread(fam, r))
                 out += [is_rq_spread(fam, r, q) for q in (0, 1, 2)]
@@ -207,9 +216,97 @@ def test_worst_offender_floor_matches_r_floor_walk(monkeypatch):
         return out
 
     pruned = reports()
-    assert sum(not rep.is_spread for rep in pruned if not hasattr(rep, "ok")) > len(cases)
+    assert sum(not rep.is_spread for rep in pruned if not hasattr(rep, "ok")) > case_count
     monkeypatch.setattr(spread, "_worst_offender", _r_floor_worst_offender)
     assert reports() == pruned
+
+
+def test_kept_worst_offender_answers_like_a_fresh_family():
+    # one Family asked all four calls in every order answers as fresh
+    # Families do, whichever call walks first and keeps its worst offender
+    rng = random.Random(30)
+    ambients = [symmetric_group(4), symmetric_group(5), symmetric_group(6), derangements(6)]
+    checked = 0
+    for ambient in ambients:
+        for _ in range(3):
+            fam = random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 60)))
+            for r in (Fraction(1, 2), 1, Fraction(6, 5), 2, 3):
+                calls = (
+                    lambda fam: is_r_spread(fam, r),
+                    lambda fam: is_r_spread(fam, r, True),
+                    exact_spreadness,
+                    lambda fam: is_rq_spread(fam, r, 1),
+                )
+                fresh = [call(Family(fam.n, fam.members)) for call in calls]
+                for order in itertools.permutations(range(len(calls))):
+                    one = Family(fam.n, fam.members)
+                    answers = {i: calls[i](one) for i in order}
+                    assert [answers[i] for i in range(len(calls))] == fresh, (fam.members, r, order)
+                checked += not fresh[0].is_spread
+    assert checked >= 20, checked
+
+
+def _charged(fam, floor):
+    """Sets a worst-offender walk of the whole family at ``floor`` charges:
+    exactly the X with |F(X)| >= floor."""
+    return len(_distinct_trace_counts(fam.graphs(), None, floor))
+
+
+def test_an_r_pruned_walk_keeps_nothing(monkeypatch):
+    # a family where r's floor lies above the c-floor and r-spreadness
+    # fails: under a budget that the r-pruned walk meets and the exact walk
+    # does not, is_r_spread answers and exact_spreadness refuses, before
+    # and after is_r_spread, so the pruned walk's witness is not kept.  No
+    # single cell violates when r's floor is above the c-floor, so the
+    # search adds one to four members to the (n - 2)! through (1, 1), (2, 2).
+    rng = random.Random(31)
+    r = Fraction(6, 5)
+    for _ in range(200):
+        n = rng.choice((4, 5))
+        ambient = symmetric_group(n)
+        pair = subfamily_containing(ambient, [(1, 1), (2, 2)])
+        fam = Family(n, pair.members + tuple(rng.sample(ambient.difference(pair).members, rng.randint(1, 4))))
+        total = len(fam)
+        c = max(map(int.bit_count, fam.cell_masks.values()))
+        c_floor = -(-(c**n) // total ** (n - 1))
+        r_floor = total * r.denominator**n // r.numerator**n + 1
+        if r_floor > c_floor and _charged(fam, r_floor) < _charged(fam, c_floor) and not is_r_spread(fam, r).is_spread:
+            break
+    else:
+        pytest.fail("no family found")
+    expected, pruned, exact = is_r_spread(fam, r), _charged(fam, r_floor), _charged(fam, c_floor)
+    fam = Family(fam.n, fam.members)
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", pruned)
+    with pytest.raises(ValueError, match="too large"):
+        exact_spreadness(fam)
+    assert is_r_spread(fam, r) == expected
+    with pytest.raises(ValueError, match="too large"):
+        exact_spreadness(fam)
+    with pytest.raises(ValueError, match="too large"):
+        is_r_spread(fam, r, True)
+    # the exact walk, once it answers, is kept and answers under any budget
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", exact)
+    value = exact_spreadness(fam)
+    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 0)
+    assert exact_spreadness(fam) == value and is_r_spread(fam, r) == expected
+
+
+def test_slice_and_parent_keep_separate_worst_offenders():
+    parent = symmetric_group(4)
+    part = subfamily_containing(parent, [(1, 1)]).difference(subfamily_containing(parent, [(2, 2)]))
+    assert part._view is not None and part._view[0] is parent
+    fresh_parent = exact_spreadness(symmetric_group(4))
+    fresh_part = exact_spreadness(Family(4, part.members))
+    assert fresh_parent != fresh_part
+    assert exact_spreadness(parent) == fresh_parent
+    assert exact_spreadness(part) == fresh_part
+    assert is_r_spread(parent, 3, True).witness == fresh_parent[1]
+    assert is_r_spread(part, 2, True).exact_spreadness == fresh_part[0]
+    # and the other way round: the slice walks first
+    parent = symmetric_group(4)
+    part = subfamily_containing(parent, [(1, 1)]).difference(subfamily_containing(parent, [(2, 2)]))
+    assert exact_spreadness(part) == fresh_part
+    assert exact_spreadness(parent) == fresh_parent
 
 
 def test_spreadness_monotone():
