@@ -89,7 +89,7 @@ def is_permutation(image: Sequence[int]) -> bool:
 
 
 def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
+    return tuple(range(1, _integer(n, 0, "n must be non-negative") + 1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -100,6 +100,7 @@ def compose(a: Perm, b: Perm) -> Perm:
 
 
 def inverse(p: Perm) -> Perm:
+    p = _permutation(p, None, "p must be a permutation")
     inv = [0] * len(p)
     for i, v in enumerate(p):
         inv[v - 1] = i + 1

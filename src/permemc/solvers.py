@@ -56,74 +56,101 @@ def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
     return len(picks), tuple(fam.members[j] for j in picks)
 
 
+def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> tuple[int, int, tuple[Cell, ...]]:
+    """(k, members held, cells): the first k of ``sizes`` for which k cells of
+    ``fam``'s row-major index have stars holding more than ``best`` members,
+    and the first k-combination, in ``itertools.combinations`` order, that
+    holds the most.  τ asks for all |F| members (``best`` = |F| − 1), the
+    best star union for any (``best`` = −1).
+
+    The search is depth first.  Each prefix's frame keeps the last position
+    its next pick may take, found by one scan from the last cell down: the
+    members held plus the ``need`` largest counts of members not held on
+    ``cells[i:]`` must beat ``best``, a sum that only falls as i grows.  When
+    ``best`` rises the frames are scanned again.  While only a full cover can
+    beat ``best``, two rules drop only branches holding none: the next pick
+    comes no later than the last cell of the lowest member not held, and a
+    frame ends when a greedy packing of the members not held (each needs a
+    cell of its own) outnumbers the picks left.  The search stops once all
+    members are held.  Each prefix extended, over all sizes, is charged
+    against ``spread._SUBSET_BUDGET``, and past it the search raises
+    ``ValueError``.  The explicit stack keeps it clear of the recursion limit.
+    """
+    index, members, n = fam.cell_masks, fam.members, fam.n
+    cells, masks = list(index), list(index.values())  # row-major, as the index is built
+    count, full = len(members), (1 << len(members)) - 1
+
+    def last_start(held: int, start: int, need: int) -> int:
+        """The last position from ``start`` at which the next of ``need`` picks
+        after those holding ``held`` may still beat ``best``; ``start - 1`` if none."""
+        unheld, limit = full & ~held, len(cells) - need
+        cover_only = unheld and best >= count - 1
+        if cover_only:
+            limit = min(limit, bisect.bisect_left(cells, (n, members[(unheld & -unheld).bit_length() - 1][-1])))
+        want = best + 1 - held.bit_count()
+        if limit < start or want <= 0:
+            return limit
+        largest, total = [0] * need, 0  # the ``need`` largest counts seen, and their sum
+        for i in range(len(masks) - 1, start - 1, -1):
+            value = (masks[i] & unheld).bit_count()
+            if value > largest[0]:
+                total += value - heapq.heapreplace(largest, value)
+                if total >= want:
+                    if cover_only and _greedy_packing(unheld, meets).bit_count() > need:
+                        break
+                    return min(i, limit)
+        return start - 1
+
+    extended = 0
+    for k in sizes:
+        found = None
+        stack: list[list[int]] = []  # per pick: its position, the last position it may take, the members held before it
+        held = start = 0
+        while True:
+            if len(stack) == k:
+                if held.bit_count() > best:
+                    best, found = held.bit_count(), [pick for pick, _, _ in stack]
+                    if best == count:
+                        break
+                    for depth, frame in enumerate(stack):  # ``best`` rose, so a last position may come sooner
+                        frame[1] = last_start(frame[2], frame[0] + 1, k - depth)
+            else:
+                stack.append([start - 1, last_start(held, start, k - len(stack)), held])
+            while stack and stack[-1][0] >= stack[-1][1]:  # back up past exhausted picks
+                stack.pop()
+            if not stack:
+                break
+            extended += 1
+            if extended > spread._SUBSET_BUDGET:
+                raise ValueError("cell-combination search too large")
+            frame = stack[-1]
+            frame[0] += 1
+            held, start = frame[2] | masks[frame[0]], frame[0] + 1
+        if found is not None:
+            return k, best, tuple(cells[i] for i in found)
+
+
 def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     """Exact minimum set of cells meeting every member, with a witness.
 
     Candidate cells are the cells of members (a minimum cover never needs
-    others).  Sizes t are tried in increasing order from a floor, each by a
-    depth-first search over t-sets of cells in row-major lexicographic
-    order, so the witness returned is the lexicographically least minimum
-    cover.  Three prunings drop only branches holding no cover: the next
-    cell comes no later than the last cell of the lowest uncovered member
-    (later cells all miss it); a branch ends when the ``left`` cells still
-    to pick, all after the last pick, cannot reach every uncovered member
-    even counted apart (the ``left`` largest counts of uncovered members on
-    one such cell sum to less than the uncovered count); and it ends when
-    more greedily found pairwise disjoint uncovered members remain than
-    cells are left, since each needs a cell of its own.  The same greedy
-    count on the whole family is the floor.  A member's meet mask (the
-    members it shares a cell with) is read off the cell index only for the
-    members the greedy count picks.  The search keeps an explicit stack, so
-    τ is not limited by recursion depth.
+    others).  Sizes t are tried in increasing order from a floor, the
+    pairwise disjoint members a greedy packing finds (each needs a cell of
+    its own), each by ``_most_held`` asking for t cells holding all |F|
+    members, so the witness is the lexicographically least minimum cover.
+    A member's meet mask (the members it shares a cell with) is read off the
+    cell index only for the members a greedy packing picks.
+
+    >>> from permemc import symmetric_group
+    >>> covering_number(symmetric_group(3))
+    (3, ((1, 1), (1, 2), (1, 3)))
     """
     if len(fam) == 0:
         raise ValueError("covering number is undefined for the empty family")
-    n, members = fam.n, fam.members
-    count, cell_mask, cells_of = _indexed(fam)
-    cells, masks = list(cell_mask), list(cell_mask.values())  # row-major, as the index is built
-    position = {c: i for i, c in enumerate(cells)}
-    full, meets = (1 << count) - 1, _Meets(cell_mask, cells_of)
-
-    def viable(uncovered: int, start: int, left: int) -> bool:
-        """Whether ``left`` cells of ``cells[start:]`` may cover ``uncovered``;
-        the counting scan stops as soon as the values seen reach the need."""
-        if not left:
-            return False
-        need, largest, total = uncovered.bit_count(), [], 0  # the ``left`` largest values seen, and their sum
-        for mask in itertools.islice(masks, start, None):
-            value = (mask & uncovered).bit_count()
-            if len(largest) < left:
-                heapq.heappush(largest, value)
-                total += value
-            elif value > largest[0]:
-                total += value - heapq.heapreplace(largest, value)
-            else:
-                continue
-            if total >= need:
-                return _greedy_packing(uncovered, meets).bit_count() <= left
-        return False
-
-    for t in range(_greedy_packing(full, meets).bit_count(), n + 1):
-        picks: list[int] = []  # the positions picked, the deepest one still being advanced
-        frames: list[tuple[int, int]] = []  # per pick: its last allowed position, and the cover before it
-        covered = start = 0
-        while True:
-            uncovered = full & ~covered
-            if not uncovered:
-                return t, tuple(cells[i] for i in picks)
-            if viable(uncovered, start, t - len(picks)):
-                low = members[(uncovered & -uncovered).bit_length() - 1]
-                frames.append((position[(n, low[-1])], covered))
-                picks.append(start - 1)
-            while frames and picks[-1] >= frames[-1][0]:  # back up past exhausted picks
-                frames.pop()
-                picks.pop()
-            if not frames:
-                break
-            picks[-1] += 1
-            covered = frames[-1][1] | masks[picks[-1]]
-            start = picks[-1] + 1
-    raise AssertionError("a family is always covered by the n cells of one row")
+    meets = _Meets(*_indexed(fam)[1:])
+    floor = _greedy_packing((1 << len(fam)) - 1, meets).bit_count()
+    t, _, cover = _most_held(fam, meets, range(floor, fam.n + 1), len(fam) - 1)
+    return t, cover
 
 
 @dataclass(frozen=True)
@@ -431,53 +458,20 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
 
     |Y| is the largest number of ambient members containing one of s-1
     fixed cells, the first such combination of cells in
-    ``itertools.combinations`` order over the row-major cells.  The
-    combinations are walked depth first in that order, and a branch ends
-    when the members its picks cover plus the ``need`` largest star sizes
-    among the cells it may still pick are at most the best union found,
-    so only branches that cannot beat it are cut and ties keep the first
-    combination; once the best union covers every ambient member the walk
-    stops, since later combinations could only tie.  Each prefix extended
-    is charged against ``spread._SUBSET_BUDGET``, and a walk past it raises
-    ``ValueError``.
+    ``itertools.combinations`` order over the row-major cells, as
+    ``_most_held`` finds it with no members to beat, so ties keep the first
+    combination.  Each prefix extended is charged against
+    ``spread._SUBSET_BUDGET``, and a search past it raises ``ValueError``.
+
+    >>> from permemc import symmetric_group
+    >>> sides = star_union_slack_sides(symmetric_group(3), symmetric_group(3), 3)
+    >>> sides.best_union_size, sides.best_cells
+    (4, ((1, 1), (1, 2)))
     """
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
     s = _integer(s, 2, "s must be at least 2")
-    n = ambient.n
-    index = ambient.cell_masks
-    cells, masks = list(index), list(index.values())  # row-major, as the index is built
-    k = min(s - 1, len(cells))
-    # tops[i][j]: the sum of the j largest star sizes among cells[i:], for j <= min(k, len(cells) - i)
-    tops, largest = [[0]], []  # largest: the k largest sizes of the suffix, negated and sorted
-    for mask in reversed(masks):
-        bisect.insort(largest, -mask.bit_count())
-        del largest[k:]
-        tops.append([0, *itertools.accumulate(-size for size in largest)])
-    tops.reverse()
-    best, picks, covers = -1, [], [0]  # covers[d]: the members covered by the first d picks
-    best_picks: list[int] = []
-    start = extended = 0
-    while True:
-        need, covered = k - len(picks), covers[-1]
-        if not need:
-            if covered.bit_count() > best:
-                best, best_picks = covered.bit_count(), picks[:]
-                if best == len(ambient):
-                    break
-        elif start <= len(cells) - need and covered.bit_count() + tops[start][need] > best:
-            extended += 1
-            if extended > spread._SUBSET_BUDGET:
-                raise ValueError("cell-combination search too large; reduce s or the ambient family")
-            picks.append(start)
-            covers.append(covered | masks[start])
-            start += 1
-            continue
-        # a leaf, or a bound that fails here and so at every later start (suffix sums only fall): back up
-        if not picks:
-            break
-        start = picks.pop() + 1
-        covers.pop()
-    slack = Fraction(len(ambient), n**4)
+    _, best, cells = _most_held(ambient, _Meets(*_indexed(ambient)[1:]), [min(s - 1, len(ambient.cell_masks))], -1)
+    slack = Fraction(len(ambient), ambient.n**4)
     rhs = best + slack
-    return StarSlackSides(best, tuple(cells[i] for i in best_picks), slack, len(fam), rhs, Fraction(len(fam)) <= rhs)
+    return StarSlackSides(best, cells, slack, len(fam), rhs, Fraction(len(fam)) <= rhs)

@@ -38,7 +38,8 @@ from .io import _result_json, cells_json, family_json
 #: Exact containment probabilities refuse ground sets beyond this many cells.
 EXACT_CELL_CAP = 24
 #: The one search budget: sets one spreadness walk visits, or prefixes one
-#: star-union search extends (``solvers.star_union_slack_sides``), before it refuses.
+#: cell-combination search extends (``solvers._most_held``, for τ over all its
+#: sizes and for the best star union), before it refuses.
 _SUBSET_BUDGET = 6_000_000
 _TOO_LARGE = "family too large for exhaustive subset enumeration"
 _SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded

@@ -54,6 +54,8 @@ from permemc.verify import brute_nu
 
 def test_compose_identity():
     assert compose(identity(3), (2, 3, 1)) == (2, 3, 1)
+    assert identity(0) == () == inverse(())
+    assert inverse([2, 3, 1]) == (3, 1, 2)
 
 
 def test_compose_involution():
@@ -710,6 +712,12 @@ def test_matching_number_deeper_than_the_recursion_limit():
         (lambda: partial_permutation([(2, 2)], 2.5), ValueError, "^n must be non-negative$"),
         (lambda: partial_permutation([(2, 2)], "x"), ValueError, "^n must be non-negative$"),
         (lambda: partial_permutation([(1, 4)], 3), ValueError, r"^cell \(1, 4\) outside \[3\]\^2$"),
+        (lambda: identity(-1), ValueError, "^n must be non-negative$"),
+        (lambda: identity(None), ValueError, "^n must be non-negative$"),
+        (lambda: identity(2.0), ValueError, "^n must be non-negative$"),
+        (lambda: inverse((1, 1)), ValueError, "^p must be a permutation$"),
+        (lambda: inverse((0, 1)), ValueError, "^p must be a permutation$"),
+        (lambda: inverse(None), ValueError, "^p must be a permutation$"),
     ],
     ids=[
         "intersects-mixed-n",
@@ -764,6 +772,12 @@ def test_matching_number_deeper_than_the_recursion_limit():
         "partial-permutation-float-n",
         "partial-permutation-string-n",
         "partial-permutation-cell-outside",
+        "identity-negative-n",
+        "identity-none-n",
+        "identity-float-n",
+        "inverse-repeated-value",
+        "inverse-value-0",
+        "inverse-none",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, error, match):

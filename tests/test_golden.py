@@ -10,7 +10,8 @@ round-trip repr); Monte Carlo draws from ``random.Random``, whose stream
 is fixed for a given seed across CPython versions.  The greedy
 decomposition's kernels are also hashed as a library corpus, outside the
 CLI (``DECOMPOSITION_DIGEST``), and so are the entry points that read
-rationals, permutations and cells (``READER_DIGEST``).
+rationals, permutations and cells (``READER_DIGEST``) and the matching and
+covering solvers (``SOLVER_DIGEST``).
 """
 
 import hashlib
@@ -29,15 +30,20 @@ from permemc import (
     complement_of_identity,
     containment_implies_matching_check,
     containment_probability,
+    coset_certificate,
+    covering_number,
+    cross_matching,
     derangement_star,
     derangements,
     family,
     make_hm_star_union,
     make_star_union,
+    matching_number,
     max_ratio_set,
     spread_approximate,
     spread_lemma_bound,
     star_center_image,
+    star_union_slack_sides,
     subfamily_containing,
     support_union_bound_sides,
     symmetric_group,
@@ -256,3 +262,50 @@ def test_reader_entry_points_match_golden_digest():
     library it was computed with (glibc on x86-64); the exact outputs do not."""
     text = json.dumps(_reader_outputs(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == READER_DIGEST
+
+
+#: sha256 of ``_solver_outputs()`` as canonical JSON.
+SOLVER_DIGEST = "eaf020147c0a3bdbcf504378088463b6fbc009157c3ffec08f7c46b70f7c5cb0"
+
+
+def _solver_outputs() -> list:
+    """ν and τ with their witnesses and the coset certificate of families X:
+    seeded subfamilies of Σ_4–Σ_7 and D_5–D_7 (Σ_4 and D_5 whole too) and
+    unions of one to three stars for n = 4…6; the star-union sides of a
+    seeded subfamily of X inside X for s = 2…5; and cross matchings of
+    seeded subfamilies of derangement stars and of Σ_4 and Σ_5."""
+    rng = random.Random(31)
+    ambients = [symmetric_group(n) for n in range(4, 8)] + [derangements(n) for n in range(5, 8)]
+    xs = []
+    for ambient in ambients:
+        sizes = [rng.randint(1, min(len(ambient), 80)) for _ in range(10)]
+        xs.extend(random_subfamily(rng, ambient, size) for size in sizes)
+        if len(ambient) <= 44:
+            xs.append(ambient)
+    for _ in range(10):
+        n = rng.randint(4, 6)
+        centers = rng.sample([(x, y) for x in range(1, n + 1) for y in range(1, n + 1)], rng.randint(1, 3))
+        xs.append(make_star_union(n, centers).family)
+    out = []
+    for x in xs:
+        fam = random_subfamily(rng, x, rng.randint(0, len(x)))
+        out.append([_plain(matching_number(x)), _plain(covering_number(x)), coset_certificate(x, rng.randint(1, 4)).to_json()])
+        out.extend(star_union_slack_sides(fam, x, s).to_json() for s in range(2, 6))
+    stars = {}
+    for _ in range(30):
+        n = rng.choice((4, 5))
+        families = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.7:
+                cell = rng.choice([(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y])
+                ambient = stars.setdefault((n, cell), derangement_star(n, cell))
+            else:
+                ambient = stars.setdefault(n, symmetric_group(n))
+            families.append(random_subfamily(rng, ambient, rng.randint(1, min(len(ambient), 8))))
+        out.append(_plain(cross_matching(families)))
+    return out
+
+
+def test_solvers_match_golden_digest():
+    text = json.dumps(_solver_outputs(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SOLVER_DIGEST

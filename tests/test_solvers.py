@@ -163,6 +163,20 @@ def test_tau_pinned_sigma7_instance():
     assert covering_number(fam) == (6, ((2, 2), (2, 3), (2, 6), (4, 6), (7, 2), (7, 6)))
 
 
+def test_tau_budget_charges_each_prefix_extended(monkeypatch):
+    # Σ_3: the greedy floor is 3, and (1,1), (1,2), (1,3) are the first
+    # three prefixes extended at t = 3: 3 prefixes.  The pinned Σ_7 instance
+    # extends none at t = 3, then 25, 493 and 4,250 at t = 4, 5 and 6: the
+    # budget is charged over all sizes, 4,768 prefixes.
+    pinned = Family(7, random.Random(3).sample(symmetric_group(7).members, 40))
+    for fam, extended, tau in ((symmetric_group(3), 3, 3), (pinned, 4768, 6)):
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended)
+        assert covering_number(fam)[0] == tau
+        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended - 1)
+        with pytest.raises(ValueError, match="^cell-combination search too large$"):
+            covering_number(fam)
+
+
 def test_coset_partition_structure():
     for n in range(1, 8):
         cert = coset_certificate(symmetric_group(n), s=n + 1)
