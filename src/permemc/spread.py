@@ -45,17 +45,18 @@ _TOO_LARGE = "family too large for exhaustive subset enumeration"
 _SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded
 
 
-def _index(obj) -> tuple[tuple[dict, int], int]:
+def _index(obj) -> tuple[tuple[dict, int, bool], int]:
     """The one index the spreadness kernels walk, (cell -> members holding
-    it as bitmasks, K) over the members of a Family's parent (its cached
-    ``cell_masks``, see ``core._root``) or of a list of cell collections,
-    with K at least every member's size (n, or the longest member), and the
-    bitmask of the members walked."""
+    it as bitmasks, K, whether the members are permutations of [K]) over
+    the members of a Family's parent (its cached ``cell_masks``, see
+    ``core._root``) or of a list of cell collections, with K at least every
+    member's size (n, or the longest member), and the bitmask of the
+    members walked."""
     if isinstance(obj, Family):
         root, mask = _root(obj)
-        return (root.cell_masks, root.n), mask
+        return (root.cell_masks, root.n, True), mask
     members = _cell_sets(obj)
-    return (cell_masks(members), max(map(len, members), default=0)), (1 << len(members)) - 1
+    return (cell_masks(members), max(map(len, members), default=0), False), (1 << len(members)) - 1
 
 
 def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1):
@@ -68,14 +69,13 @@ def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1
     the AND of its cells' masks, and since a subset of X has as many
     carriers, a branch below the floor ends.  Nothing runs until the walk is
     iterated.  A level's branch list holds exactly the X the level yields,
-    and its length is charged as the level starts: past ``_SUBSET_BUDGET``
-    sets in one walk, the walk raises ``ValueError``."""
+    and an X gets one only while it has fewer than max_size cells; its
+    length is charged as the level starts: past ``_SUBSET_BUDGET`` sets in
+    one walk, the walk raises ``ValueError``."""
     charged = 0
 
     def walk(prefix: tuple, branches: list):
         nonlocal charged
-        if max_size is not None and len(prefix) >= max_size:
-            return
         charged += len(branches)
         if charged > _SUBSET_BUDGET:
             raise ValueError(_TOO_LARGE)
@@ -83,14 +83,16 @@ def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1
             cell, carriers = branches.pop(0)
             sub = prefix + (cell,)
             yield sub, carriers
-            yield from walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
+            if len(sub) != max_size:
+                yield from walk(sub, [(c, both) for c, m in branches if (both := m & carriers).bit_count() >= floor])
 
-    return walk((), [(c, both) for c, m in masks.items() if (both := m & carrier).bit_count() >= floor])
+    roots = [(c, both) for c, m in masks.items() if (both := m & carrier).bit_count() >= floor]
+    return walk((), roots if max_size != 0 else [])
 
 
 def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = None, floor: int = 1):
     """{X: |F(X)|} over ``_walk`` of a list of cell sets, every member a carrier."""
-    (masks, _), carrier = _index(members)
+    (masks, *_), carrier = _index(members)
     return {sub: carriers.bit_count() for sub, carriers in _walk(masks, carrier, max_size, floor)}
 
 
@@ -121,12 +123,20 @@ def _worst_offender(
 
     The walk keeps every X that ranks with the best single cell or ahead of
     it, as the worst offender does: with c that cell's count, an X of k <= K
-    cells (K the index's bound on member sizes, less |A|) does iff |F(X)| >=
-    c^k/|F|^(k-1) >= c^K/|F|^(K-1).  Given r, it keeps of those only the X that could violate
-    r-spreadness: X of k <= K cells violates iff |F(X)| num^k > |F| den^k,
-    and then X and all its subsets have |F(X)| > |F| (den/num)^K; for r <= 1
-    none violates.  So if any X violates, so does the worst offender, which
-    passes both floors; if none does, the report reads spread either way.
+    cells does iff |F(X)| >= c^k/|F|^(k-1) >= c^K/|F|^(K-1).  K is the
+    index's bound on member sizes, less |A|; over a Family's index it is
+    then cut to the largest k at which ceil(c^k/|F|^(k-1)) <= (K-k)!, since
+    at most (K-k)! permutations hold A and k more cells, so every larger X
+    ranks strictly behind the best single cell.  Given r, it keeps of those
+    only the X that could violate r-spreadness: X of k <= K cells violates
+    iff |F(X)| num^k > |F| den^k, and then X and all its subsets have
+    |F(X)| > |F| (den/num)^K; for r <= 1 none violates.  So if any X
+    violates, so does the worst offender, which passes both floors; if
+    none does, the report reads spread either way.  A trace of exactly K!
+    members of a Family is every permutation of its K free rows onto its K
+    free columns, whose worst offender is a whole member, the least one:
+    an X of k cells has value (K!/(K-k)!)^{1/k}, the geometric mean of
+    K, ..., K-k+1, least at k = K.  It is answered without a walk.
 
     ``whole`` is the Family that F is, when F is a whole Family (its own
     members, no cell skipped).  A walk at the c-floor alone (r's floor did
@@ -138,32 +148,42 @@ def _worst_offender(
     keep = whole.__dict__ if isinstance(whole, Family) else None
     if keep is not None and "_worst_offender" in keep:
         return keep["_worst_offender"]
-    masks, top = index[0], index[1] - len(skip)
-    total = carrier.bit_count()
-    # each cell's carriers, read once for c and handed to the walk as its masks
-    singles = {cell: both for cell, m in masks.items() if cell not in skip and (both := m & carrier)}
-    c = max(map(int.bit_count, singles.values()), default=1)
-    floor = c_floor = -(-(c**top) // total ** max(top - 1, 0))
-    if r is not None:
-        floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
-    kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
-    if floor == 1 and 2**top - 1 > _SUBSET_BUDGET:
-        # at floor 1 the walk visits every nonempty subset of every carrier's
-        # kept cells, 2^k - 1 sets for a carrier with k of them: refuse at once
-        members = range(carrier.bit_length())
-        held = Counter(itertools.chain.from_iterable(_selected(members, m) for m in kept.values()))
-        if 2 ** max(held.values(), default=0) - 1 > _SUBSET_BUDGET:
-            raise ValueError(_TOO_LARGE)
-    # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
-    # X in lexicographic order, so only a pair's first X can take the lead
-    best, seen = None, set()
-    for sub, carriers in _walk(kept, carrier, None, floor):
-        pair = (len(sub), carriers.bit_count())
-        if pair not in seen:
-            seen.add(pair)
-            if best is None or _compare_spreadness(total, pair, (len(best[0]), best[1])) < 0:
-                best = (sub, pair[1])
-    if keep is not None and floor == c_floor:
+    masks, n, perms = index
+    top, total = n - len(skip), carrier.bit_count()
+    if perms and top and total == math.factorial(top):  # Σ_top on the free rows and columns
+        free = (sorted(set(range(1, n + 1)).difference(cell[i] for cell in skip)) for i in (0, 1))
+        best, exact = (tuple(zip(*free)), 1), True
+    else:
+        # each cell's carriers, read once for c and handed to the walk as its masks
+        singles = {cell: both for cell, m in masks.items() if cell not in skip and (both := m & carrier)}
+        c = max(map(int.bit_count, singles.values()), default=1)
+        floor, k, most = -(-(c**top) // total ** max(top - 1, 0)), top, 1  # most = (top - k)!
+        while perms and floor > most:  # stops by k = 1, where floor = c <= (top - 1)!
+            k -= 1
+            most *= top - k
+            floor = -(-(c**k) // total ** (k - 1))
+        top, c_floor = k, floor
+        if r is not None:
+            floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
+        kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
+        if floor == 1 and 2**top - 1 > _SUBSET_BUDGET:
+            # at floor 1 (where the cut leaves K as it was) the walk visits every nonempty
+            # subset of every carrier's kept cells, 2^k - 1 sets for a carrier with k of them
+            members = range(carrier.bit_length())
+            held = Counter(itertools.chain.from_iterable(_selected(members, m) for m in kept.values()))
+            if 2 ** max(held.values(), default=0) - 1 > _SUBSET_BUDGET:
+                raise ValueError(_TOO_LARGE)
+        # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
+        # X in lexicographic order, so only a pair's first X can take the lead
+        best, seen = None, set()
+        for sub, carriers in _walk(kept, carrier, top, floor):
+            pair = (len(sub), carriers.bit_count())
+            if pair not in seen:
+                seen.add(pair)
+                if best is None or _compare_spreadness(total, pair, (len(best[0]), best[1])) < 0:
+                    best = (sub, pair[1])
+        exact = floor == c_floor
+    if keep is not None and exact:
         keep["_worst_offender"] = best
     return best
 
@@ -263,13 +283,16 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     lexicographic) is taken instead, so the result is maximal against
     *every* superset and its trace is therefore rho-spread.  The extensions
     are read off ``_walk`` of the members containing X, so a jump whose walk
-    visits more than ``_SUBSET_BUDGET`` sets raises ``ValueError``.
+    visits more than ``_SUBSET_BUDGET`` sets raises ``ValueError``.  In a
+    Family at most (n-|X|-j)! members hold X and j more cells, so the walk
+    stops at the largest jump size j whose least count is within that bound,
+    and when no size is, X is returned without a walk.
     """
     index, carrier = _index(fam)  # ``carrier`` is kept as the bitmask of the members containing X
     if not carrier:
         raise ValueError("max_ratio_set is undefined for the empty family")
     rho = _rational(rho, "rho must be positive", 0)
-    (masks, top), total = index, carrier.bit_count()
+    (masks, top, perms), total = index, carrier.bit_count()
     # an X of s cells qualifies iff |F(X)| num^s >= |F| den^s, iff |F(X)| >= need[s]
     need = [-(-total * rho.denominator**s // rho.numerator**s) for s in range(top + 2)]
     chosen: set = set()
@@ -281,14 +304,19 @@ def max_ratio_set(fam, rho) -> PartialPerm:
             chosen.add(single)
             carrier &= masks[single]
             continue
-        # every extension with a nonempty trace lies inside some carrier, and one
-        # of 2 or more cells has at least the least count any size from |X| + 2 qualifies with
-        least = min(need[len(chosen) + 2 :], default=1)
+        # every extension with a nonempty trace lies inside some carrier, so it
+        # has j <= top - |X| cells, and one of a size j that can qualify has at
+        # least the least count any such size qualifies with
+        s = len(chosen)
+        sizes = [j for j in range(2, top - s + 1) if not perms or need[s + j] <= math.factorial(top - s - j)]
+        if not sizes:
+            return frozenset(chosen)
+        least = min(need[s + j] for j in sizes)
         jump = min(  # the walk is lexicographic, so the first of the least size is the least
             (
                 ext
-                for ext, carriers in _walk(free, carrier, None, least)
-                if len(ext) >= 2 and carriers.bit_count() >= need[len(chosen) + len(ext)]
+                for ext, carriers in _walk(free, carrier, sizes[-1], least)
+                if len(ext) >= 2 and carriers.bit_count() >= need[s + len(ext)]
             ),
             key=len, default=None,
         )
@@ -507,16 +535,33 @@ def _containment_exact(members, relevant, p: Fraction) -> Fraction:
     return rec(frozenset(sum(bit[c] for c in m) for m in members))
 
 
+def _float(value, name: str) -> float:
+    """``float(value)``, else ValueError naming the value."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is outside the float range") from None
+
+
 def spread_lemma_bound(k: int, r, beta, delta) -> float | None:
     """The success bound 1 - (2 / log2(r*delta))^beta * k as a float output.
 
     None exactly when r*delta <= 2, decided in Fractions (the base is then
     at least 1).  Otherwise the float is returned as it comes out, possibly
-    <= 0: this is an output-only evaluator and makes no decision on it.
+    <= 0, and -inf past the float range: this is an output-only evaluator
+    and makes no decision on it.  log2(r*delta) is taken after halving
+    r*delta e times into the float range, e an integer added back (0 for
+    any r*delta a float holds), so r and delta may have any size; a k or
+    beta that no float holds is a ValueError.
     """
     k = _integer(k, 1, "k must be at least 1")
     rd = _rational(r, "r must be a rational number") * _rational(delta, "delta must be a rational number")
     beta = _rational(beta, "beta must be a rational number")
     if rd <= 2:
         return None
-    return 1.0 - (2.0 / math.log2(rd)) ** float(beta) * k
+    e = max(rd.numerator.bit_length() - rd.denominator.bit_length() - 1000, 0)
+    base, k, beta = 2.0 / (math.log2(rd / 2**e) + e), _float(k, "k"), _float(beta, "beta")
+    try:
+        return 1.0 - base**beta * k
+    except OverflowError:
+        return -math.inf

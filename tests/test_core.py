@@ -704,6 +704,9 @@ def test_matching_number_deeper_than_the_recursion_limit():
         (lambda: spread_lemma_bound(2, 16, float("inf"), 1), ValueError, "^beta must be a rational number$"),
         (lambda: spread_lemma_bound(2, 16, float("nan"), 1), ValueError, "^beta must be a rational number$"),
         (lambda: spread_lemma_bound(2, 2, None, 1), ValueError, "^beta must be a rational number$"),
+        (lambda: spread_lemma_bound(10**400, 16, 2, 1), ValueError, "^k is outside the float range$"),
+        (lambda: spread_lemma_bound(2, 16, 10**400, 1), ValueError, "^beta is outside the float range$"),
+        (lambda: spread_lemma_bound(2, 16, -(10**400), 1), ValueError, "^beta is outside the float range$"),
         # permutations and cells that are not even iterable are values that break the rule
         (lambda: apply_isomorphism(5, symmetric_group(3), (1, 2, 3)), ValueError, "must be permutations"),
         (lambda: star_center_image(5, (1, 1), (1, 2, 3)), ValueError, "must be permutations"),
@@ -765,6 +768,9 @@ def test_matching_number_deeper_than_the_recursion_limit():
         "spread-lemma-infinite-beta",
         "spread-lemma-nan-beta",
         "spread-lemma-vacuous-none-beta",
+        "spread-lemma-huge-k",
+        "spread-lemma-huge-beta",
+        "spread-lemma-huge-negative-beta",
         "isomorphism-integer-rho",
         "star-image-integer-rho",
         "star-union-integer-center",

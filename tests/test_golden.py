@@ -10,8 +10,9 @@ round-trip repr); Monte Carlo draws from ``random.Random``, whose stream
 is fixed for a given seed across CPython versions.  The greedy
 decomposition's kernels are also hashed as a library corpus, outside the
 CLI (``DECOMPOSITION_DIGEST``), and so are the entry points that read
-rationals, permutations and cells (``READER_DIGEST``) and the matching and
-covering solvers (``SOLVER_DIGEST``).
+rationals, permutations and cells (``READER_DIGEST``), the matching and
+covering solvers (``SOLVER_DIGEST``) and the spreadness kernels
+(``SPREAD_DIGEST``).
 """
 
 import hashlib
@@ -30,12 +31,17 @@ from permemc import (
     complement_of_identity,
     containment_implies_matching_check,
     containment_probability,
+    Family,
     coset_certificate,
     covering_number,
     cross_matching,
     derangement_star,
     derangements,
+    exact_spreadness,
     family,
+    is_r_spread,
+    is_rq_spread,
+    make_hm,
     make_hm_star_union,
     make_star_union,
     matching_number,
@@ -309,3 +315,63 @@ def _solver_outputs() -> list:
 def test_solvers_match_golden_digest():
     text = json.dumps(_solver_outputs(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == SOLVER_DIGEST
+
+
+#: sha256 of ``_spread_outputs()`` as canonical JSON.
+SPREAD_DIGEST = "42be2f15ecbb51ee7abac02c43031cfeb94f250271457769a25140295eddb285"
+
+_SPREAD_RS = (Fraction(1, 2), 1, Fraction(6, 5), 2, 3)
+
+
+def _spread_calls(fam, qs) -> list:
+    """The spreadness kernels on ``fam`` in a fixed order: for each r of
+    ``_SPREAD_RS``, ``is_r_spread`` without and with the exact value,
+    ``is_rq_spread`` at the next q of ``qs`` and ``max_ratio_set`` at r/2
+    and r; then ``exact_spreadness``."""
+    calls = []
+    for r, q in zip(_SPREAD_RS, qs):
+        calls.append(lambda fam, r=r: is_r_spread(fam, r).to_json())
+        calls.append(lambda fam, r=r: is_r_spread(fam, r, True).to_json())
+        calls.append(lambda fam, r=r, q=q: is_rq_spread(fam, r, q).to_json())
+        calls.append(lambda fam, r=r: [cells_json(max_ratio_set(fam, r / 2)), cells_json(max_ratio_set(fam, r))])
+    calls.append(lambda fam: _plain(exact_spreadness(fam)))
+    return calls
+
+
+def _spread_outputs() -> list:
+    """``_spread_calls`` on two kinds of family.  Seeded subfamilies of
+    Σ_4–Σ_6 and D_6, Σ_4 and Σ_5 whole too, are asked every call on one Family, in order, so later
+    calls may read what earlier ones kept, and each call again on a fresh
+    Family.  Relabelled dense families, where most members share a few
+    cells (pinned intersecting families, their star unions and unions of
+    two or three stars, n <= 7), are asked every call on one Family."""
+    rng = random.Random(32)
+    ambients = [symmetric_group(n) for n in (4, 5, 6)] + [derangements(6)]
+    out = []
+    for ambient in ambients:
+        for size in [rng.randint(1, min(len(ambient), 90)) for _ in range(5)] + [len(ambient)] * (ambient.n < 6):
+            fam = random_subfamily(rng, ambient, size)
+            calls = _spread_calls(fam, [rng.randint(0, 2) for _ in _SPREAD_RS])
+            one = Family(fam.n, fam.members)
+            out.append([call(one) for call in calls])
+            out.append([call(Family(fam.n, fam.members)) for call in calls])
+    for i in range(18):
+        n = rng.randint(4, 7)
+        kind = i % 3
+        if kind == 0:
+            s = rng.randint(2, 3)
+            sigma = [rng.randint(s, n)]
+            sigma += rng.sample([v for v in range(1, n + 1) if v != sigma[0]], n - 1)
+            fam = make_hm(n, sigma) if s == 2 else make_hm_star_union(n, s, sigma)
+        else:
+            grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+            fam = make_star_union(n, rng.sample(grid, kind + 1)).family
+        rho, pi = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
+        fam = apply_isomorphism(rho, fam, pi)
+        out.append([len(fam), *(call(fam) for call in _spread_calls(fam, [rng.randint(0, 2) for _ in _SPREAD_RS]))])
+    return out
+
+
+def test_spreadness_kernels_match_golden_digest():
+    text = json.dumps(_spread_outputs(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SPREAD_DIGEST

@@ -345,14 +345,18 @@ def test_cli_spread(tmp_path, capsys):
 
 
 def test_cli_spread_over_budget_exits_two(tmp_path, capsys, monkeypatch):
-    # the walk is refused while it runs, inside the command, not when it is called
-    path = tmp_path / "fam.txt"
-    save_family(symmetric_group(4), path)
+    # the walk is refused while it runs, inside the command, not when it is called;
+    # Σ_4 less one member walks, where Σ_4 itself is answered in closed form
+    path, whole = tmp_path / "fam.txt", tmp_path / "sigma4.txt"
+    save_family(family(4, symmetric_group(4).members[1:]), path)
+    save_family(symmetric_group(4), whole)
     monkeypatch.setattr(permemc.spread, "_SUBSET_BUDGET", 10)
     for extra in (["--exact"], ["--q", "1"]):
         code, out, err = _run(["spread", "--family", str(path), "--r", "2", *extra], capsys)
         assert code == 2 and out == ""
         assert err == "error: family too large for exhaustive subset enumeration\n"
+    code, out, _ = _run(["spread", "--family", str(whole), "--r", "3", "--exact"], capsys)
+    assert code == 0 and json.loads(out)["witness"] == ["1:1", "2:2", "3:3", "4:4"]
 
 
 def test_cli_approx(tmp_path, capsys):

@@ -6,17 +6,20 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from permemc import (
     Family,
+    apply_isomorphism,
     containment_probability,
     derangements,
     exact_spreadness,
     family,
     graph,
+    is_partial_permutation,
     is_r_spread,
     is_rq_spread,
     make_hm,
@@ -246,10 +249,17 @@ def test_kept_worst_offender_answers_like_a_fresh_family():
     assert checked >= 20, checked
 
 
-def _charged(fam, floor):
-    """Sets a worst-offender walk of the whole family at ``floor`` charges:
-    exactly the X with |F(X)| >= floor."""
-    return len(_distinct_trace_counts(fam.graphs(), None, floor))
+def _size_cut(c, total, top):
+    """The walk's size cut over a Family's index: the largest k <= top with
+    ceil(c^k/|F|^(k-1)) <= (top-k)!."""
+    return next((k for k in range(top, 0, -1) if -(-(c**k) // total ** (k - 1)) <= math.factorial(top - k)), 0)
+
+
+def _charged(fam, floor, top):
+    """Sets a worst-offender walk of the whole family at ``floor``, cut at
+    ``top`` cells, charges: exactly the X of at most top cells with
+    |F(X)| >= floor."""
+    return len(_distinct_trace_counts(fam.graphs(), top, floor))
 
 
 def test_an_r_pruned_walk_keeps_nothing(monkeypatch):
@@ -259,8 +269,9 @@ def test_an_r_pruned_walk_keeps_nothing(monkeypatch):
     # and after is_r_spread, so the pruned walk's witness is not kept.  No
     # single cell violates when r's floor is above the c-floor, so the
     # search adds one to four members to the (n - 2)! through (1, 1), (2, 2).
+    # Both floors are taken at the walk's size cut.
     rng = random.Random(31)
-    r = Fraction(6, 5)
+    r = Fraction(3, 2)
     for _ in range(200):
         n = rng.choice((4, 5))
         ambient = symmetric_group(n)
@@ -268,13 +279,18 @@ def test_an_r_pruned_walk_keeps_nothing(monkeypatch):
         fam = Family(n, pair.members + tuple(rng.sample(ambient.difference(pair).members, rng.randint(1, 4))))
         total = len(fam)
         c = max(map(int.bit_count, fam.cell_masks.values()))
-        c_floor = -(-(c**n) // total ** (n - 1))
-        r_floor = total * r.denominator**n // r.numerator**n + 1
-        if r_floor > c_floor and _charged(fam, r_floor) < _charged(fam, c_floor) and not is_r_spread(fam, r).is_spread:
+        top = _size_cut(c, total, n)
+        c_floor = -(-(c**top) // total ** (top - 1))
+        r_floor = total * r.denominator**top // r.numerator**top + 1
+        if (
+            r_floor > c_floor
+            and _charged(fam, r_floor, top) < _charged(fam, c_floor, top)
+            and not is_r_spread(fam, r).is_spread
+        ):
             break
     else:
         pytest.fail("no family found")
-    expected, pruned, exact = is_r_spread(fam, r), _charged(fam, r_floor), _charged(fam, c_floor)
+    expected, pruned, exact = is_r_spread(fam, r), _charged(fam, r_floor, top), _charged(fam, c_floor, top)
     fam = Family(fam.n, fam.members)
     monkeypatch.setattr(spread, "_SUBSET_BUDGET", pruned)
     with pytest.raises(ValueError, match="too large"):
@@ -396,11 +412,15 @@ def test_certain_refusal_comes_before_the_walk(monkeypatch):
     walk = spread._walk
     monkeypatch.setattr(spread, "_walk", lambda *args: walks.append(args) or walk(*args))
     wide = [[(1, c) for c in range(1, 7)]]
+    sigma6 = symmetric_group(6)
     monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
-    for call in (lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide), lambda: exact_spreadness(symmetric_group(6))):
+    short = Family(6, sigma6.members[1:])  # c-floor 1, so 6-cell members walk all 63 subsets
+    for call in (lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide), lambda: exact_spreadness(short)):
         with pytest.raises(ValueError, match="too large"):
             call()
     assert walks == []
+    # Σ_6 itself is answered in closed form, without a walk
+    assert exact_spreadness(sigma6) == (720 ** (1 / 6), tuple((i, i) for i in range(1, 7))) and walks == []
     monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 1)
     assert exact_spreadness(wide) == (1.0, ((1, 1),)) and len(walks) == 1
     # two copies of the set: the c-floor is 2, so the walk starts and refuses as it runs
@@ -419,9 +439,117 @@ def test_certain_refusal_comes_before_the_walk(monkeypatch):
 
 
 def test_r_spread_sigma8_is_walked_under_the_floor():
-    # Σ_8 has 10.3 M member subsets, but the r-floor cuts all but a few
-    # thousand of them, so the walk stays far inside the budget
-    assert is_r_spread(symmetric_group(8), 2).is_spread
+    # Σ_8 less one member has 10.3 M member subsets, but the r-floor cuts
+    # all but a few thousand of them, so the walk stays far inside the
+    # budget; Σ_8 itself is answered in closed form
+    sigma8 = symmetric_group(8)
+    assert is_r_spread(Family(8, sigma8.members[1:]), 2).is_spread
+    assert is_r_spread(sigma8, 2).is_spread
+
+
+_RS = (Fraction(1, 2), 1, Fraction(6, 5), 2, 3)
+
+
+def _uncapped(fam):
+    """A Family's index with the size cut and the closed form off (the walk
+    a list of cell sets gets, with K = n), and the bitmask of its members."""
+    (masks, n, _), full = spread._index(fam)
+    return (masks, n, False), full
+
+
+def _dense_families(rng):
+    """Relabelled families, n <= 7, where the size cut applies: pinned
+    intersecting families and their star unions, unions of two or three
+    stars, and Σ_n less up to three members."""
+    out = []
+    for i in range(24):
+        n, kind = rng.randint(4, 7), i % 4
+        if kind == 0:
+            s = rng.randint(2, 3)
+            sigma = [rng.randint(s, n)]
+            sigma += rng.sample([v for v in range(1, n + 1) if v != sigma[0]], n - 1)
+            fam = make_hm_star_union(n, s, sigma)
+        elif kind < 3:
+            grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+            fam = make_star_union(n, rng.sample(grid, kind + 1)).family
+        else:
+            members = list(symmetric_group(n).members)
+            fam = Family(n, rng.sample(members, len(members) - rng.randint(0, 3)))
+        out.append(apply_isomorphism(rng.sample(range(1, n + 1), n), fam, rng.sample(range(1, n + 1), n)))
+    return out
+
+
+def test_size_cut_agrees_with_the_uncapped_walk():
+    # the worst offender, every spread report and max_ratio_set over a
+    # Family's index against the same kernels with the cut off, on the
+    # whole family and on traces by one or two cells of its members
+    rng = random.Random(33)
+    cut = 0
+    for fam in _dense_families(rng):
+        index, full = spread._index(fam)
+        uncapped = _uncapped(fam)[0]
+        masks = index[0]
+        restrictions = [()]
+        for p in rng.sample(fam.members, 3):
+            restrictions += [rng.sample(sorted(graph(p)), k) for k in (1, 2)]
+        for cells in restrictions:
+            skip, carrier = frozenset(cells), full
+            for cell in cells:
+                carrier &= masks[cell]
+            worst = spread._worst_offender(uncapped, carrier, skip)
+            assert spread._worst_offender(index, carrier, skip) == worst
+            for r in _RS:
+                expected = spread._spread_report(uncapped, carrier, skip, r)
+                assert spread._spread_report(index, carrier, skip, r) == expected, (fam.members, cells, r)
+            top, total = fam.n - len(skip), carrier.bit_count()
+            c = max((m & carrier).bit_count() for cell, m in masks.items() if cell not in skip)
+            cut += _size_cut(c, total, top) < top
+        for r in _RS:
+            for rho in (r / 2, r):
+                assert max_ratio_set(fam, rho) == max_ratio_set(fam.graphs(), rho), (fam.members, rho)
+    assert cut >= 60, cut
+
+
+def test_sigma_trace_closed_form_agrees_with_the_walk(monkeypatch):
+    # a trace of Σ_n by a partial permutation A of at most two cells is Σ_K
+    # on its K = n - |A| free rows and columns; the maps of those, in
+    # order, onto [K] keep the walk's row-major order, so the uncapped walk
+    # of Σ_K, relabelled, answers for it.  The closed form walks nothing.
+    oracle = {0: (None, [spread.SpreadReport(True)] * len(_RS))}
+    for k in range(1, 8):
+        index, full = _uncapped(symmetric_group(k))
+        oracle[k] = (
+            spread._worst_offender(index, full),
+            [spread._spread_report(index, full, frozenset(), r) for r in _RS],
+        )
+    walks = []
+    walk = spread._walk
+    monkeypatch.setattr(spread, "_walk", lambda *args: walks.append(args) or walk(*args))
+    checked = 0
+    for n in range(1, 8):
+        index, full = spread._index(symmetric_group(n))
+        masks = index[0]
+        for size in (0, 1, 2):
+            for cells in itertools.combinations(masks, size):
+                if not is_partial_permutation(cells):
+                    continue
+                skip, carrier = frozenset(cells), full
+                for cell in cells:
+                    carrier &= masks[cell]
+                rows, cols = (sorted(set(range(1, n + 1)).difference(cell[i] for cell in cells)) for i in (0, 1))
+
+                def relabel(x):
+                    return tuple((rows[i - 1], cols[j - 1]) for i, j in x)
+
+                worst, reports = oracle[n - size]
+                if worst is not None:
+                    worst = (relabel(worst[0]), worst[1])
+                reports = [rep if rep.witness is None else replace(rep, witness=relabel(rep.witness)) for rep in reports]
+                assert spread._worst_offender(index, carrier, skip) == worst, (n, cells)
+                assert [spread._spread_report(index, carrier, skip, r) for r in _RS] == reports, (n, cells)
+                checked += 1
+    # only the traces by a whole member (K = 0) walk, over no cells
+    assert checked == 1771 and all(masks == {} for masks, *_ in walks), checked
 
 
 def test_rq_spread_reports_input_errors_before_refusing(monkeypatch):
@@ -904,6 +1032,15 @@ def test_spread_lemma_bound_half():
 def test_spread_lemma_bound_returns_nonpositive_values():
     # r*delta = 16 > 2, so the float comes back even though it is <= 0
     assert spread_lemma_bound(100, 16, 1, 1) == -49.0
+
+
+def test_spread_lemma_bound_takes_r_and_delta_of_any_size():
+    # log2(r*delta) = 4 + log2(10^400) = 1332.77..., far past where float(r*delta) overflows
+    log = 4 + 400 * math.log2(10)
+    for r, delta in ((16 * 10**400, 1), (16, 10**400), (Fraction(10**800, 10**400), 16)):
+        assert math.isclose(spread_lemma_bound(3, r, 2, delta), 1 - 3 * (2 / log) ** 2, rel_tol=1e-15)
+    # a power past the float range comes out as -inf, as a product past it does
+    assert spread_lemma_bound(1, 3, 4000, 1) == spread_lemma_bound(10**308, 3, 20, 1) == -math.inf
 
 
 def test_spread_lemma_bound_vacuous():
