@@ -6,7 +6,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from operator import eq
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     _check_cap,
     _integer,
     _permutation,
+    _Record,
     is_derangement,
 )
 from .counting import pointed_derangement_count
@@ -41,8 +41,7 @@ def derangement_star(n: int, cell: Cell) -> Family:
     return make_star_union(n, [cell], derangement=True).family
 
 
-@dataclass(frozen=True)
-class StarUnion:
+class StarUnion(_Record):
     family: Family
     centers: tuple[Cell, ...]
     pairwise_disjoint: bool

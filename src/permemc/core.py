@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import index, or_
+from operator import attrgetter, index, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -169,8 +168,9 @@ def _row_masks(rows: Iterable[bytes]) -> dict[Cell, int]:
     translated to bits and read, reversed, as one base-2 integer."""
     masks = {}
     for r, row in enumerate(rows, 1):
+        rev = row[::-1]
         for v in sorted(set(row)):
-            masks[r, v] = int(row.translate(_ROW_BITS[v])[::-1], 2)
+            masks[r, v] = int(rev.translate(_ROW_BITS[v]), 2)
     return masks
 
 
@@ -214,8 +214,70 @@ def _indexed_permutations(images: list, n: int) -> tuple[tuple[Perm, ...], dict[
     return tuple(map(tuple, keys)), masks
 
 
-@dataclass(frozen=True)
-class Family:
+class _Record:
+    """The base of permemc's frozen result records (and of ``Family``).
+
+    A subclass's fields are its own annotations, in order, and a value in
+    its body is that field's default.  ``__init__`` takes the fields by
+    position or keyword, then calls ``__post_init__``; after that the
+    record is frozen.  Records compare (same class only) and hash by their
+    fields but those named in ``_uncompared``, and print as
+    ``Name(field=value, ...)``.
+    """
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {name: own[name] for name in cls._fields if name in own}
+        cls._key = attrgetter(*(name for name in cls._fields if name not in cls._uncompared))
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, self.__dict__
+        values.update(self._defaults)
+        values.update(zip(fields, args))
+        if kwargs or len(values) < len(fields) or len(args) > len(fields):
+            self._bind(args, kwargs)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> None:
+        """``__init__`` past plain positional fields: keyword fields, or a TypeError."""
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in fields[: len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        self.__dict__.update(kwargs)
+        if missing := [key for key in fields if key not in self.__dict__]:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Family(_Record):
     """A finite set of permutations sharing one n.
 
     Members are kept deduplicated in lexicographic order of image sequences,
@@ -375,10 +437,11 @@ def _rational(value, message: str, above=None, below=None) -> Fraction:
     """``value`` read as a Fraction if it lies strictly between ``above`` and ``below``
     (None: no bound), else ValueError(message), also for a non-number, NaN, an
     infinity or a zero denominator: the one rule for r, rho, p, eps and delta."""
-    try:
-        value = Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(message) from None
+    if type(value) is not Fraction:  # a Fraction is already exact and reduced
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(message) from None
     if (above is not None and value <= above) or (below is not None and value >= below):
         raise ValueError(message)
     return value

@@ -9,11 +9,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, _integer, _permutation, identity, partial_permutation
+from .core import Cell, Perm, _integer, _permutation, _Record, identity, partial_permutation
 
 #: Largest N the general exact permanents accept.  Glynn (``RYSER_CAP``) takes
 #: 3 s at N = 22 and about x2.2 more per N, so N = 30 runs for about half an hour.
@@ -81,8 +80,7 @@ def pointed_derangement_count(n: int) -> int:
     return derangement_count(n - 1) + derangement_count(n - 2)
 
 
-@dataclass(frozen=True)
-class ZeroOneMatrix:
+class ZeroOneMatrix(_Record):
     """A square matrix with entries in {0, 1}."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -292,8 +290,7 @@ def near_full_permanent_bound(n: int, case: str = "two_regular") -> Fraction:
     raise ValueError(f"unknown case: {case!r}")
 
 
-@dataclass(frozen=True)
-class NearFullCheck:
+class NearFullCheck(_Record):
     case: str
     bound: Fraction
     permanent: int

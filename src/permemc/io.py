@@ -13,11 +13,10 @@ import json
 import os
 import re
 import warnings
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Cell, Family, PartialPerm, as_permutation, partial_permutation
+from .core import Cell, Family, PartialPerm, _Record, as_permutation, partial_permutation
 from .counting import ZeroOneMatrix
 
 
@@ -163,22 +162,23 @@ def fraction_json(value):
 
 
 def _result_json(result) -> dict:
-    """A result dataclass as its JSON object, one field at a time in field
-    order: a Fraction becomes "p/q" (``fraction_json``); a tuple or frozenset
-    becomes sorted "r:c" strings (``cells_json``), since every such field of
-    a result is a cell collection; a dict gets str keys in key order; a
-    nested result becomes its own object; None and any other value pass
-    through.  Results take it as their ``to_json`` method."""
+    """A result record (a ``core._Record``) as its JSON object, one field at
+    a time in the order of ``result._fields``: a Fraction becomes "p/q"
+    (``fraction_json``); a tuple or frozenset becomes sorted "r:c" strings
+    (``cells_json``), since every such field of a result is a cell
+    collection; a dict gets str keys in key order; a nested record becomes
+    its own object; None and any other value pass through.  Results take it
+    as their ``to_json`` method."""
     out = {}
-    for f in fields(result):
-        value = getattr(result, f.name)
+    for name in result._fields:
+        value = getattr(result, name)
         if isinstance(value, (tuple, frozenset)):
             value = cells_json(value)
         elif isinstance(value, dict):
             value = {str(k): v for k, v in sorted(value.items())}
-        elif is_dataclass(value):
+        elif isinstance(value, _Record):
             value = _result_json(value)
-        out[f.name] = fraction_json(value)
+        out[name] = fraction_json(value)
     return out
 
 

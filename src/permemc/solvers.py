@@ -15,7 +15,6 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,6 +33,7 @@ from .core import (
     _max_disjoint,
     _Meets,
     _rational,
+    _Record,
     is_derangement,
     subfamily_containing_any,
 )
@@ -153,8 +153,7 @@ def covering_number(fam: Family) -> tuple[int, tuple[Cell, ...]]:
     return t, cover
 
 
-@dataclass(frozen=True)
-class CosetCertificate:
+class CosetCertificate(_Record):
     """Partition of Σ_n by left cosets of the cyclic shift group.
 
     Each coset consists of n pairwise disjoint permutations, so a family
@@ -251,8 +250,7 @@ def cross_matching(families: Sequence[Family]):
     return None if picks is None else tuple(f.members[k] for f, k in zip(families, picks))
 
 
-@dataclass(frozen=True)
-class CrossFreeClassification:
+class CrossFreeClassification(_Record):
     """Which of the two structural alternatives a cross-matching-free
     system of pointed derangement families satisfies.
 
@@ -320,8 +318,7 @@ def classify_cross_free_families(
     return CrossFreeClassification(alternative, tuple(witnesses), len(union), bound, size_holds)
 
 
-@dataclass(frozen=True)
-class DisjointRepresentativesCheck:
+class DisjointRepresentativesCheck(_Record):
     probabilities: tuple[Fraction, ...]
     threshold: Fraction
     hypothesis_met: bool
@@ -357,8 +354,7 @@ def containment_implies_matching_check(
     return DisjointRepresentativesCheck(probs, threshold, hypothesis, reps, held)
 
 
-@dataclass(frozen=True)
-class SupportBoundSides:
+class SupportBoundSides(_Record):
     """Both sides of the star-union bounds for a non-trivial support family."""
 
     trivial: bool
@@ -439,8 +435,7 @@ def support_union_bound_sides(
     )
 
 
-@dataclass(frozen=True)
-class StarSlackSides:
+class StarSlackSides(_Record):
     """|F| against the best (s-1)-star union in X plus the n^{-4}|X| slack."""
 
     best_union_size: int

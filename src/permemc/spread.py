@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     _cell_sets,
     _integer,
     _rational,
+    _Record,
     _root,
     _selected,
     cell_masks,
@@ -96,8 +96,7 @@ def _distinct_trace_counts(members: Sequence[frozenset], max_size: int | None = 
     return {sub: carriers.bit_count() for sub, carriers in _walk(masks, carrier, max_size, floor)}
 
 
-@dataclass(frozen=True)
-class SpreadReport:
+class SpreadReport(_Record):
     is_spread: bool
     witness: tuple[Cell, ...] | None = None
     witness_ratio: Fraction | None = None  # |F(witness)| / |F|
@@ -241,8 +240,7 @@ def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
     return (full.bit_count() / cnt) ** (1.0 / len(sub)), sub
 
 
-@dataclass(frozen=True)
-class RestrictedSpreadReport:
+class RestrictedSpreadReport(_Record):
     is_spread: bool
     restriction: tuple[Cell, ...] | None = None
     inner: SpreadReport | None = None
@@ -327,8 +325,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
             carrier &= masks[c]
 
 
-@dataclass(frozen=True)
-class ApproximationResult:
+class ApproximationResult(_Record):
     """Output of the greedy spread approximation.
 
     ``supports`` lists the extracted sets S_i in order; ``branches`` maps
@@ -339,8 +336,9 @@ class ApproximationResult:
 
     supports: tuple[PartialPerm, ...]
     remainder: Family
-    branches: dict = field(compare=False)
+    branches: dict
     stop_set: PartialPerm | None = None
+    _uncompared = ("branches",)  # a dict, which cannot be hashed
 
     def to_json(self) -> dict:
         return {
@@ -381,8 +379,7 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
     return ApproximationResult(tuple(branches), current, branches, stop_set)
 
 
-@dataclass(frozen=True)
-class ApproximationCheck:
+class ApproximationCheck(_Record):
     covering_ok: bool
     branch_traces_spread: bool
     remainder_status: str  # "pass" | "conditional" | "fail"
@@ -433,8 +430,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     return ApproximationCheck(covering_ok, branch_ok, status, checked, bound, nu, degenerate)
 
 
-@dataclass(frozen=True)
-class ProbabilityEstimate:
+class ProbabilityEstimate(_Record):
     value: Fraction | float
     mode: str
     standard_error: float | None = None

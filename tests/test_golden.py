@@ -20,7 +20,6 @@ import json
 import math
 import random
 import re
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -56,6 +55,7 @@ from permemc import (
     verify_approximation,
 )
 from permemc.cli import main
+from permemc.core import _Record
 from permemc.counting import ZeroOneMatrix
 from permemc.io import cells_json, save_family, save_matrix
 from permemc.verify import approximation_corpus, random_subfamily
@@ -177,9 +177,9 @@ READER_DIGEST = "0907856748997f2d06bededfa90ccdc26fa6bc7c0b907db5cf7fb4aeb7ea0f7
 
 def _plain(value):
     """``value`` as JSON data: a Fraction as "p/q", a set as a sorted list,
-    a tuple as a list, and a dataclass (a Family too) as an object of its fields."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    a tuple as a list, and a result record (a Family too) as an object of its fields."""
+    if isinstance(value, _Record):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, frozenset):

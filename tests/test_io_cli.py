@@ -584,6 +584,19 @@ def test_cli_imports_verify_only_for_the_verify_command():
     assert json.loads(proc.stdout)["suite"] == "counts"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # in a child, since pytest itself has loaded both here
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import permemc.cli\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'}.intersection(set(sys.modules) - before))))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_verify_suite_names_are_the_cli_choices():
     # cli keeps its own copy of the names, so that parsing needs no import of verify
     from permemc import cli, verify

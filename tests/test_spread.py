@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -544,7 +543,12 @@ def test_sigma_trace_closed_form_agrees_with_the_walk(monkeypatch):
                 worst, reports = oracle[n - size]
                 if worst is not None:
                     worst = (relabel(worst[0]), worst[1])
-                reports = [rep if rep.witness is None else replace(rep, witness=relabel(rep.witness)) for rep in reports]
+                reports = [
+                    rep
+                    if rep.witness is None
+                    else spread.SpreadReport(rep.is_spread, relabel(rep.witness), rep.witness_ratio, rep.exact_spreadness)
+                    for rep in reports
+                ]
                 assert spread._worst_offender(index, carrier, skip) == worst, (n, cells)
                 assert [spread._spread_report(index, carrier, skip, r) for r in _RS] == reports, (n, cells)
                 checked += 1
