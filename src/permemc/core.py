@@ -13,6 +13,7 @@ pairwise distinct columns, i.e. a subset of some full permutation's graph.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -88,7 +89,11 @@ def is_permutation(image: Sequence[int]) -> bool:
 
 
 def identity(n: int) -> Perm:
-    return tuple(range(1, _integer(n, 0, "n must be non-negative") + 1))
+    n = _integer(n, 0, "n must be non-negative")
+    try:
+        return tuple(range(1, n + 1))
+    except OverflowError:  # a length past the platform's sizes
+        raise ValueError("n is too large") from None
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -162,14 +167,22 @@ def cell_masks(sets: Iterable[Iterable[Cell]]) -> dict[Cell, int]:
     return {c: int.from_bytes(bitmaps[c], "little") for c in sorted(bitmaps)}
 
 
-def _row_masks(rows: Iterable[bytes]) -> dict[Cell, int]:
+def _row_masks(rows: Iterable[bytes], n: int) -> dict[Cell, int]:
     """The cell index of members given by their rows: row r is the members'
     images at position r, one byte each.  Cell (r, v)'s mask is the row
-    translated to bits and read, reversed, as one base-2 integer."""
+    translated to bits and read, reversed, as one base-2 integer.
+
+    A row of at least n bytes is searched for each image v in 1..n
+    (``v in row``, one C scan each), which costs less than a set of its
+    bytes; a shorter row, where n scans would cost more, takes its own
+    images, sorted.  On members that are permutations of [n] both give
+    every cell, in the same order; an image outside 1..n is indexed only
+    from a short row."""
     masks = {}
+    images = range(1, n + 1)
     for r, row in enumerate(rows, 1):
         rev = row[::-1]
-        for v in sorted(set(row)):
+        for v in filter(row.__contains__, images) if len(row) >= n else sorted(set(row)):
             masks[r, v] = int(rev.translate(_ROW_BITS[v]), 2)
     return masks
 
@@ -194,8 +207,10 @@ def _indexed_permutations(images: list, n: int) -> tuple[tuple[Perm, ...], dict[
     ``__index__``, as ``as_permutation`` does); the distinct strings,
     sorted, are the members in lexicographic order, and their rows give
     the index (``_row_masks``).  The members are all permutations of [n]
-    exactly when every string has n bytes, every cell has its column in
-    [n], and for each v in [n] the cells of column v cover every member.
+    exactly when every string has n bytes and, for each v in [n], the
+    cells of column v cover every member: a member holding all n images
+    in its n positions holds no other.  So an image of 0 or above n is
+    refused by the cover, whether or not its row indexed it.
     """
     try:
         keys = sorted(set(map(bytes, images)))
@@ -204,12 +219,12 @@ def _indexed_permutations(images: list, n: int) -> tuple[tuple[Perm, ...], dict[
     if not keys or set(map(len, keys)) != {n}:
         return None
     flat = b"".join(keys)
-    masks = _row_masks(flat[r::n] for r in range(n))
+    masks = _row_masks((flat[r::n] for r in range(n)), n)
     columns: dict[int, int] = {}
     for (_, v), mask in masks.items():
         columns[v] = columns.get(v, 0) | mask
     full = (1 << len(keys)) - 1
-    if columns.keys() != set(range(1, n + 1)) or any(m != full for m in columns.values()):
+    if any(columns.get(v) != full for v in range(1, n + 1)):
         return None
     return tuple(map(tuple, keys)), masks
 
@@ -281,12 +296,14 @@ class Family(_Record):
     """A finite set of permutations sharing one n.
 
     Members are kept deduplicated in lexicographic order of image sequences,
-    so equal families compare equal regardless of construction order.
+    so equal families compare equal regardless of construction order.  A
+    slice of a parent family (see ``_slice``) is its view alone: its length
+    is a popcount, and its members are listed from the parent on first read.
     """
 
     n: int
     members: tuple[Perm, ...]
-    _view = None  # (parent, mask) when the members are a slice of a parent family; see _slice
+    _view = None  # (parent, mask) for a slice: its members are the parent's in mask
 
     def __post_init__(self):
         n = _integer(self.n)
@@ -303,14 +320,23 @@ class Family(_Record):
         self.__dict__.update(n=n, members=tuple(sorted(set(perms))))
 
     @classmethod
-    def _of(cls, n: int, members: tuple[Perm, ...], view: tuple | None = None) -> "Family":
+    def _of(cls, n: int, members: tuple[Perm, ...]) -> "Family":
         """A Family over members already valid, sorted and distinct, unchecked."""
         fam = object.__new__(cls)
-        fam.__dict__.update(n=n, members=members, _view=view)
+        fam.__dict__.update(n=n, members=members)
         return fam
 
+    def __getattr__(self, name):
+        # reached only for a name found neither on the instance nor on its class: a slice's
+        # members are listed from its parent on first read and then kept in __dict__
+        if name != "members" or self._view is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        root, mask = self._view
+        members = self.__dict__["members"] = _selected(root.members, mask)
+        return members
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.members) if self._view is None else self._view[1].bit_count()
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.members)
@@ -339,7 +365,7 @@ class Family(_Record):
         """
         if self.n > 255:
             return cell_masks(enumerate(p, 1) for p in self.members)
-        return _row_masks(map(bytes, zip(*self.members)))
+        return _row_masks(map(bytes, zip(*self.members)), self.n)
 
     def graphs(self) -> list[PartialPerm]:
         return [graph(p) for p in self.members]
@@ -361,7 +387,12 @@ class Family(_Record):
         return Family._of(self.n, tuple(sorted(set(self.members).union(other.members))))
 
     def issubset(self, other: "Family") -> bool:
-        return self.n == other.n and self._member_set <= other._member_set
+        if self.n != other.n:
+            return False
+        # n! valid, distinct members are all of Σ_n (n <= len(other) keeps n! cheap to take)
+        if self.n <= len(other) and len(other) == math.factorial(self.n):
+            return True
+        return self._member_set <= other._member_set
 
 
 def family(n: int, members: Iterable[Sequence[int]]) -> Family:
@@ -390,8 +421,11 @@ def _root(fam: Family) -> tuple[Family, int]:
 
 
 def _slice(root: Family, mask: int) -> Family:
-    """The members of ``root`` in ``mask``, as a Family viewing root."""
-    return Family._of(root.n, _selected(root.members, mask), (root, mask))
+    """The members of ``root`` in ``mask``, as a Family viewing root; the
+    members are listed only when something reads them."""
+    fam = object.__new__(Family)
+    fam.__dict__.update(n=root.n, _view=(root, mask))
+    return fam
 
 
 def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:

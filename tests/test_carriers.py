@@ -38,7 +38,7 @@ from permemc import (
     verify_approximation,
 )
 from permemc import spread
-from permemc.core import _root
+from permemc.core import _root, _slice
 from permemc.io import ParseError, format_family, parse_family
 from permemc.spread import ApproximationResult, _compare_spreadness, _distinct_trace_counts
 from permemc.verify import random_subfamily
@@ -311,6 +311,79 @@ def test_slices_of_slices_view_the_first_parent():
             assert is_rq_spread(fam, r, 1) == is_rq_spread(copy, r, 1)
             assert max_ratio_set(fam, r) == max_ratio_set(copy, r)
         assert exact_spreadness(fam) == exact_spreadness(copy)
+
+
+def _slice_chain(rng, fam):
+    """A random chain of slices cut from ``fam`` (slices of slices, member by
+    member differences with slices of another parent among them), each with
+    its members found by filtering."""
+    n, other = fam.n, symmetric_group(fam.n)
+    grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+
+    def holds(p, cells):
+        return all(p[r - 1] == c for r, c in cells)
+
+    chain, g, members = [], fam, list(fam.members)
+    for _ in range(rng.randint(1, 5)):
+        step, x = rng.randrange(4), rng.sample(grid, rng.randint(0, 2))
+        if step == 0:
+            g, members = subfamily_containing(g, x), [p for p in members if holds(p, x)]
+        elif step == 1:
+            xs = [rng.sample(grid, rng.randint(0, 2)) for _ in range(rng.randint(0, 3))]
+            g, members = subfamily_containing_any(g, xs), [p for p in members if any(holds(p, y) for y in xs)]
+        else:
+            cut = subfamily_containing(fam if step == 2 else other, x)
+            g, members = g.difference(cut), [p for p in members if not holds(p, x)]
+        chain.append((g, members))
+    return chain
+
+
+def test_lazy_slices_agree_with_eager_families():
+    # a slice lists its members only when read; every reading, each taken on
+    # a fresh view, must be that of the Family built from the same members
+    rng = random.Random(34)
+    viewed = 0
+    for fam in _families(rng, 100):
+        probes = list(symmetric_group(fam.n).members)
+        for g, members in _slice_chain(rng, fam):
+            eager = Family(fam.n, members)
+            if g._view is None:  # a difference with another parent's slice is member by member
+                _assert_as_validated(g)
+                continue
+            viewed += 1
+            root, mask = g._view
+
+            def fresh():
+                view = _slice(root, mask)
+                assert "members" not in vars(view)
+                return view
+
+            view = fresh()
+            assert len(view) == len(eager) and "members" not in vars(view)
+            assert fresh().members == eager.members and fresh() == eager and hash(fresh()) == hash(eager)
+            assert repr(fresh()) == repr(eager) and list(fresh()) == list(eager)
+            view = fresh()
+            assert [p in view for p in probes] == [p in eager for p in probes]
+            assert fresh().cell_masks == eager.cell_masks and list(fresh().cell_masks) == list(eager.cell_masks)
+            if members:
+                assert exact_spreadness(fresh()) == exact_spreadness(eager)
+            view = fresh()
+            assert view.members is view.members  # listed once, then kept
+    assert viewed >= 150, viewed
+
+
+def test_decomposition_lists_no_slice_members_until_read():
+    # the decompose benchmark's shapes: no timed reader of the greedy
+    # decomposition and its check needs a branch's or the remainder's members
+    ambient = symmetric_group(6)
+    shapes = [make_star(6, (1, 1)), make_hm(6, (2, 1, 3, 4, 5, 6)), random_subfamily(random.Random(6), ambient, 60)]
+    for fam in shapes:
+        res = spread_approximate(fam, ambient, Fraction(5, 2), 4)
+        assert verify_approximation(res, fam, ambient, Fraction(5, 2), 4).ok
+        parts = [*res.branches.values(), res.remainder]
+        assert all(part._view is not None and "members" not in vars(part) for part in parts)
+        listed = sorted(p for part in parts for p in part.members)
+        assert listed == list(fam.members) and all("members" in vars(part) for part in parts)
 
 
 def test_apply_isomorphism_rejects_non_permutations():

@@ -234,18 +234,20 @@ def _general_index(f):
 
 
 def _assert_same_index(f):
-    """The family's index equals the general build's, keys in one row-major order."""
-    masks, general = f.cell_masks, _general_index(f)
-    assert masks == general
-    assert list(masks) == list(general) == sorted(masks)
+    """The family's index, as its build left it and as built again from its
+    members, equals the general build's, keys in one row-major order."""
+    masks, again, general = f.cell_masks, Family._of(f.n, f.members).cell_masks, _general_index(f)
+    assert masks == again == general
+    assert list(masks) == list(again) == list(general) == sorted(masks)
 
 
 def test_row_wise_index_agrees_with_the_general_build():
     # Family.cell_masks reads a family with n <= 255 row by row, one byte per
-    # image; larger n and lists take the general byte-bitmap build.  Every
-    # build gives its keys in row-major order.
+    # image: a row of at least n members is searched for each image, a
+    # shorter one reads its own; larger n and lists take the general
+    # byte-bitmap build.  Every build gives its keys in row-major order.
     rng = random.Random(23)
-    for n in range(1, 10):
+    for n in range(1, 13):
         ambient = symmetric_group(n) if n <= 7 else None
         for _ in range(12 if n <= 7 else 3):
             if ambient is None:
@@ -257,6 +259,10 @@ def test_row_wise_index_agrees_with_the_general_build():
         _assert_same_index(f)
     for n in (255, 256):  # one on each side of the byte switch
         _assert_same_index(family(n, [rng.sample(range(1, n + 1), n) for _ in range(rng.randint(2, 9))]))
+    _assert_same_index(family(255, [rng.sample(range(1, 256), 255) for _ in range(5)]))
+    for n in (5, 12, 40):  # rows one member short of n, of exactly n, and one longer
+        for size in (n - 1, n, n + 1):
+            _assert_same_index(family(n, [rng.sample(range(1, n + 1), n) for _ in range(size)]))
     shifts = family(300, [tuple((i + k) % 300 + 1 for i in range(300)) for k in (0, 1, 299)])
     _assert_same_index(shifts)
     assert [shifts.cell_masks[c] for c in ((1, 1), (1, 2), (1, 300), (300, 1))] == [0b001, 0b010, 0b100, 0b010]
@@ -308,6 +314,7 @@ def _member_inputs(rng, n):
         lambda p: (0, *p[1:]),
         lambda p: (-1, *p[1:]),
         lambda p: (n + 1, *p[1:]),
+        lambda p: (255, *p[1:]),
         lambda p: (256, *p[1:]),
         lambda p: (p[0], p[0], *p[2:]) if n > 1 else (2,),
         lambda p: 5,
@@ -459,6 +466,26 @@ def test_family_set_operations():
     assert g.issubset(f)
     assert len(f.difference(g)) == 4
     assert f.union(g) == f
+
+
+def test_issubset_agrees_with_the_member_set_rule():
+    # a Family with n! members over [n] is Σ_n, so every family over [n] is
+    # a subset of it by sizes alone, with no member hashed
+    rng = random.Random(34)
+    fams = []
+    for n in range(1, 7):
+        sigma = symmetric_group(n)
+        star = subfamily_containing(sigma, [(1, 1)])
+        fams += [sigma, derangements(n), family(n, []), star, sigma.difference(star)]
+        fams += [subfamily_containing(sigma, []), family(n, rng.sample(sigma.members, rng.randint(1, len(sigma))))]
+    for a in fams:
+        for b in fams:
+            assert a.issubset(b) == (a.n == b.n and set(a.members) <= set(b.members)), (a, b)
+    for n in range(1, 7):
+        sigma = symmetric_group(n)
+        for f in (family(n, rng.sample(sigma.members, rng.randint(0, len(sigma)))), subfamily_containing(sigma, [(1, 2)])):
+            assert f.issubset(sigma) and f.issubset(subfamily_containing(sigma, []))
+            assert "_member_set" not in vars(f) and "_member_set" not in vars(sigma)
 
 
 def test_set_matching_number_basics():
@@ -627,6 +654,9 @@ def test_matching_number_deeper_than_the_recursion_limit():
     assert max_disjoint(sets) == tuple(range(1, 1202))
 
 
+_S3_HEAD = ((1, 2, 3), (1, 3, 2), (2, 1, 3))
+
+
 @pytest.mark.parametrize(
     "call, error, match",
     [
@@ -718,6 +748,17 @@ def test_matching_number_deeper_than_the_recursion_limit():
         (lambda: identity(-1), ValueError, "^n must be non-negative$"),
         (lambda: identity(None), ValueError, "^n must be non-negative$"),
         (lambda: identity(2.0), ValueError, "^n must be non-negative$"),
+        (lambda: identity(10**29), ValueError, "^n is too large$"),
+        # a validated build refuses an image outside [n] or a repeated one, whether
+        # its rows are shorter than n (one member) or not (three members before it)
+        (lambda: Family(3, [(0, 1, 2)]), ValueError, r"^not a permutation of \[3\]: \(0, 1, 2\)$"),
+        (lambda: Family(3, [*_S3_HEAD, (0, 1, 2)]), ValueError, r"^not a permutation of \[3\]: \(0, 1, 2\)$"),
+        (lambda: Family(3, [(1, 2, 4)]), ValueError, r"^not a permutation of \[3\]: \(1, 2, 4\)$"),
+        (lambda: Family(3, [*_S3_HEAD, (1, 2, 4)]), ValueError, r"^not a permutation of \[3\]: \(1, 2, 4\)$"),
+        (lambda: Family(3, [(1, 2, 255)]), ValueError, r"^not a permutation of \[3\]: \(1, 2, 255\)$"),
+        (lambda: Family(3, [*_S3_HEAD, (1, 2, 255)]), ValueError, r"^not a permutation of \[3\]: \(1, 2, 255\)$"),
+        (lambda: Family(3, [(1, 1, 2)]), ValueError, r"^not a permutation of \[3\]: \(1, 1, 2\)$"),
+        (lambda: Family(3, [*_S3_HEAD, (1, 1, 2)]), ValueError, r"^not a permutation of \[3\]: \(1, 1, 2\)$"),
         (lambda: inverse((1, 1)), ValueError, "^p must be a permutation$"),
         (lambda: inverse((0, 1)), ValueError, "^p must be a permutation$"),
         (lambda: inverse(None), ValueError, "^p must be a permutation$"),
@@ -781,6 +822,15 @@ def test_matching_number_deeper_than_the_recursion_limit():
         "identity-negative-n",
         "identity-none-n",
         "identity-float-n",
+        "identity-huge-n",
+        "family-image-0-one-member",
+        "family-image-0-rows-past-n",
+        "family-image-n-plus-1-one-member",
+        "family-image-n-plus-1-rows-past-n",
+        "family-image-255-one-member",
+        "family-image-255-rows-past-n",
+        "family-repeated-image-one-member",
+        "family-repeated-image-rows-past-n",
         "inverse-repeated-value",
         "inverse-value-0",
         "inverse-none",
