@@ -233,11 +233,11 @@ class _Record:
     """The base of permemc's frozen result records (and of ``Family``).
 
     A subclass's fields are its own annotations, in order, and a value in
-    its body is that field's default.  ``__init__`` takes the fields by
-    position or keyword, then calls ``__post_init__``; after that the
-    record is frozen.  Records compare (same class only) and hash by their
-    fields but those named in ``_uncompared``, and print as
-    ``Name(field=value, ...)``.
+    its body is that field's default unless it is a descriptor, such as
+    ``Family.members``.  ``__init__`` takes the fields by position or
+    keyword, then calls ``__post_init__``; after that the record is frozen.
+    Records compare (same class only) and hash by their fields but those
+    named in ``_uncompared``, and print as ``Name(field=value, ...)``.
     """
 
     _uncompared: tuple[str, ...] = ()
@@ -245,7 +245,7 @@ class _Record:
     def __init_subclass__(cls):
         own = vars(cls)
         cls._fields = tuple(own.get("__annotations__", ()))
-        cls._defaults = {name: own[name] for name in cls._fields if name in own}
+        cls._defaults = {k: v for k, v in own.items() if k in cls._fields and not hasattr(type(v), "__get__")}
         cls._key = attrgetter(*(name for name in cls._fields if name not in cls._uncompared))
 
     def __init__(self, *args, **kwargs):
@@ -307,7 +307,10 @@ class Family(_Record):
 
     def __post_init__(self):
         n = _integer(self.n)
-        given = tuple(self.members)
+        try:
+            given = tuple(self.members)
+        except TypeError:
+            raise ValueError(f"members must be a collection of permutations, not {self.members!r}") from None
         images = _read_members(given)
         indexed = _indexed_permutations(images, n) if n <= 255 else None
         if indexed is not None:
@@ -326,14 +329,11 @@ class Family(_Record):
         fam.__dict__.update(n=n, members=members)
         return fam
 
-    def __getattr__(self, name):
-        # reached only for a name found neither on the instance nor on its class: a slice's
-        # members are listed from its parent on first read and then kept in __dict__
-        if name != "members" or self._view is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def members(self) -> tuple[Perm, ...]:
+        # read only on a slice, the one Family built without members: listed from its parent
         root, mask = self._view
-        members = self.__dict__["members"] = _selected(root.members, mask)
-        return members
+        return _selected(root.members, mask)
 
     def __len__(self) -> int:
         return len(self.members) if self._view is None else self._view[1].bit_count()

@@ -327,15 +327,12 @@ def near_full_permanent_check(matrix) -> NearFullCheck:
                 zeros.add((i + 1, j + 1))
                 row_deg[i] += 1
                 col_deg[j] += 1
-    if all(d == 2 for d in row_deg) and all(d == 2 for d in col_deg):
-        case = "two_regular"
-    else:
-        # Maximality forces exactly one degree-1 vertex per side, adjacent.
-        ones_r = [i for i, d in enumerate(row_deg) if d == 1]
-        ones_c = [j for j, d in enumerate(col_deg) if d == 1]
-        if len(ones_r) != 1 or len(ones_c) != 1 or (ones_r[0] + 1, ones_c[0] + 1) not in zeros:
-            raise AssertionError("saturation did not reach a recognized shape")
-        case = "one_deficient"
+    # the saturation is maximal, so the cell of a row and a column both short
+    # of two zeros is zero: two short rows would fill a short column.  Rows
+    # and columns hold the same zeros, so at most one row and one column fall
+    # short, each by exactly 1, and their cell is zero: either every row is
+    # full (2-regular) or that one adjacent degree-1 pair is left
+    case = "two_regular" if min(row_deg) == 2 else "one_deficient"
     bound = near_full_permanent_bound(n, case)
     value = _rook_permanent(n, input_zeros)
     return NearFullCheck(case, bound, value, Fraction(value) >= bound)

@@ -43,20 +43,23 @@ EXACT_CELL_CAP = 24
 _SUBSET_BUDGET = 6_000_000
 _TOO_LARGE = "family too large for exhaustive subset enumeration"
 _SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded
+#: The greedy's largest q: its exact remainder bound |A| / 2^(q+1) then prints
+#: in at most 1,234 digits, under CPython's default limit of 4,300.
+_Q_CAP = 4096
 
 
-def _index(obj) -> tuple[tuple[dict, int, bool], int]:
+def _index(obj) -> tuple[tuple[dict, int, Family | None], int]:
     """The one index the spreadness kernels walk, (cell -> members holding
-    it as bitmasks, K, whether the members are permutations of [K]) over
-    the members of a Family's parent (its cached ``cell_masks``, see
-    ``core._root``) or of a list of cell collections, with K at least every
-    member's size (n, or the longest member), and the bitmask of the
-    members walked."""
+    it as bitmasks, K, the Family walked, whose members are permutations of
+    [K], or None) over the members of a Family's parent (its cached
+    ``cell_masks``, see ``core._root``) or of a list of cell collections,
+    with K at least every member's size (n, or the longest member), and the
+    bitmask of the members walked."""
     if isinstance(obj, Family):
         root, mask = _root(obj)
-        return (root.cell_masks, root.n, True), mask
+        return (root.cell_masks, root.n, obj), mask
     members = _cell_sets(obj)
-    return (cell_masks(members), max(map(len, members), default=0), False), (1 << len(members)) - 1
+    return (cell_masks(members), max(map(len, members), default=0), None), (1 << len(members)) - 1
 
 
 def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1):
@@ -113,9 +116,7 @@ def _compare_spreadness(total: int, a: tuple[int, int], b: tuple[int, int]) -> i
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _worst_offender(
-    index, carrier: int, skip=frozenset(), r: Fraction | None = None, whole=None
-) -> tuple[tuple, int] | None:
+def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = None) -> tuple[tuple, int] | None:
     """(X, |F(X)|) for the X minimizing (|F|/|F(X)|)^{1/|X|}, exactly, ties
     going to the lexicographically least X, where F is the trace by A =
     ``skip`` of the members in ``carrier``; None if no X is kept.
@@ -137,19 +138,18 @@ def _worst_offender(
     an X of k cells has value (K!/(K-k)!)^{1/k}, the geometric mean of
     K, ..., K-k+1, least at k = K.  It is answered without a walk.
 
-    ``whole`` is the Family that F is, when F is a whole Family (its own
-    members, no cell skipped).  A walk at the c-floor alone (r's floor did
-    not raise it) is the walk without r, so its result is kept in that
-    Family's ``__dict__`` and answers every later call on it, with or
-    without r; a walk that r's floor pruned keeps nothing.  A fresh walk
-    at any r has a floor at least the c-floor and so visits no more sets:
-    a call answered from the kept result would have answered anyway."""
-    keep = whole.__dict__ if isinstance(whole, Family) else None
+    When the index names a Family and no cell is skipped, F is that whole
+    Family (every such caller walks its full carrier): a walk at the
+    c-floor alone, the walk without r, is kept in its ``__dict__`` for every
+    later call on it, and one that r's floor pruned keeps nothing.  A walk
+    at any r has a floor at least the c-floor and so visits no more sets: a
+    call answered from the kept result would have answered anyway."""
+    masks, n, fam = index
+    keep = fam.__dict__ if fam is not None and not skip else None
     if keep is not None and "_worst_offender" in keep:
         return keep["_worst_offender"]
-    masks, n, perms = index
     top, total = n - len(skip), carrier.bit_count()
-    if perms and top and total == math.factorial(top):  # Σ_top on the free rows and columns
+    if fam is not None and top and total == math.factorial(top):  # Σ_top on the free rows and columns
         free = (sorted(set(range(1, n + 1)).difference(cell[i] for cell in skip)) for i in (0, 1))
         best, exact = (tuple(zip(*free)), 1), True
     else:
@@ -157,7 +157,7 @@ def _worst_offender(
         singles = {cell: both for cell, m in masks.items() if cell not in skip and (both := m & carrier)}
         c = max(map(int.bit_count, singles.values()), default=1)
         floor, k, most = -(-(c**top) // total ** max(top - 1, 0)), top, 1  # most = (top - k)!
-        while perms and floor > most:  # stops by k = 1, where floor = c <= (top - 1)!
+        while fam is not None and floor > most:  # stops by k = 1, where floor = c <= (top - 1)!
             k -= 1
             most *= top - k
             floor = -(-(c**k) // total ** (k - 1))
@@ -187,13 +187,12 @@ def _worst_offender(
     return best
 
 
-def _spread_report(index, carrier: int, skip, r, want_exact: bool = False, whole=None) -> SpreadReport:
-    """``is_r_spread`` of the trace of the carrier by ``skip`` (``whole`` as
-    in ``_worst_offender``)."""
+def _spread_report(index, carrier: int, skip, r, want_exact: bool = False) -> SpreadReport:
+    """``is_r_spread`` of the trace of the carrier by ``skip``."""
     if not carrier:
         raise ValueError("spreadness is undefined for the empty family")
     r = _rational(r, "r must be positive", 0)
-    worst = _worst_offender(index, carrier, skip, None if want_exact else r, whole)
+    worst = _worst_offender(index, carrier, skip, None if want_exact else r)
     if worst is None:
         return SpreadReport(True)
     sub, cnt = worst
@@ -212,12 +211,10 @@ def is_r_spread(fam, r, want_exact: bool = False) -> SpreadReport:
     minimizing (|F|/|F(X)|)^{1/|X|}, i.e. the worst offender, ranked
     exactly with ties going to the lexicographically least X.
 
-    A Family keeps the result of its exact walk, the one ``exact_spreadness``
-    runs, and this call reads it before it walks.  Its own walk is kept only
-    when r's floor did not raise the c-floor, since that walk is the exact
-    one; a walk r pruned keeps nothing (see ``_worst_offender``).
+    A Family keeps its exact walk's result, which this call reads; its own
+    walk is kept only when r's floor did not prune it (``_worst_offender``).
     """
-    return _spread_report(*_index(fam), frozenset(), r, want_exact, fam)
+    return _spread_report(*_index(fam), frozenset(), r, want_exact)
 
 
 def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
@@ -226,14 +223,13 @@ def exact_spreadness(fam) -> tuple[float, tuple[Cell, ...]]:
     The search runs over sub-sets of members only; every other X has empty
     trace and is vacuous for the definition.  The minimum is found exactly,
     ties going to the lexicographically least X, and the float value is the
-    witness's own (|F|/|F(X)|)^{1/|X|}.  A Family keeps the result of this
-    walk, so later calls of this, ``is_r_spread`` and ``is_rq_spread`` on
-    the same Family object read it instead of walking again.
+    witness's own (|F|/|F(X)|)^{1/|X|}.  A Family keeps this walk's result
+    for later calls on the same object (``_worst_offender``).
     """
     index, full = _index(fam)
     if not full:
         raise ValueError("spreadness is undefined for the empty family")
-    worst = _worst_offender(index, full, whole=fam)
+    worst = _worst_offender(index, full)
     if worst is None:
         raise ValueError("spreadness is undefined when every member is empty")
     sub, cnt = worst
@@ -254,13 +250,12 @@ def is_rq_spread(fam, r, q_cells: int) -> RestrictedSpreadReport:
     Restrictions A run over the sub-partial-permutations of members (others
     trace to nothing), plus the empty restriction; q = 0 is plain
     r-spreadness.  Each trace F(A) is walked as the members containing A in
-    the family's one index, with A's cells skipped.  The check of A = {}
-    reads a Family's kept exact walk as ``is_r_spread`` does; the traces
-    by a nonempty A keep nothing.
+    the family's one index, with A's cells skipped.  Only the check of
+    A = {} reads or keeps a Family's exact walk, as ``is_r_spread`` does.
     """
     index, full = _index(fam)
     q_cells = _integer(q_cells, 0, "q must be non-negative")
-    rep = _spread_report(index, full, frozenset(), r, whole=fam)  # refuses an empty family
+    rep = _spread_report(index, full, frozenset(), r)  # refuses an empty family
     if not rep.is_spread:
         return RestrictedSpreadReport(False, (), rep)
     # the walk is lexicographic and the sort stable, so A runs in (size, lexicographic) order
@@ -290,7 +285,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     if not carrier:
         raise ValueError("max_ratio_set is undefined for the empty family")
     rho = _rational(rho, "rho must be positive", 0)
-    (masks, top, perms), total = index, carrier.bit_count()
+    (masks, top, walked), total = index, carrier.bit_count()
     # an X of s cells qualifies iff |F(X)| num^s >= |F| den^s, iff |F(X)| >= need[s]
     need = [-(-total * rho.denominator**s // rho.numerator**s) for s in range(top + 2)]
     chosen: set = set()
@@ -306,7 +301,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         # has j <= top - |X| cells, and one of a size j that can qualify has at
         # least the least count any such size qualifies with
         s = len(chosen)
-        sizes = [j for j in range(2, top - s + 1) if not perms or need[s + j] <= math.factorial(top - s - j)]
+        sizes = [j for j in range(2, top - s + 1) if walked is None or need[s + j] <= math.factorial(top - s - j)]
         if not sizes:
             return frozenset(chosen)
         least = min(need[s + j] for j in sizes)
@@ -323,6 +318,13 @@ def max_ratio_set(fam, rho) -> PartialPerm:
         chosen.update(jump)
         for c in jump:
             carrier &= masks[c]
+
+
+def _greedy_q(q) -> int:
+    """The greedy decomposition's q: an integer from 1 to ``_Q_CAP``."""
+    if (q := _integer(q, 1, "q must be at least 1")) > _Q_CAP:
+        raise ValueError(f"q must be at most {_Q_CAP}")
+    return q
 
 
 class ApproximationResult(_Record):
@@ -363,7 +365,7 @@ def spread_approximate(fam: Family, ambient: Family, r, q: int) -> Approximation
     if not fam.issubset(ambient):
         raise ValueError("the family must be contained in the ambient family")
     r = _rational(r, "r must be positive", 0)
-    q = _integer(q, 1, "q must be at least 1")
+    q = _greedy_q(q)
     rho = r / 2
     branches: dict[PartialPerm, Family] = {}
     current = fam  # F^i and its branches are slices of F, walked over F's one index
@@ -409,7 +411,7 @@ def verify_approximation(res: ApproximationResult, fam: Family, ambient: Family,
     of being fed to the matching solver.
     """
     r = _rational(r, "r must be positive", 0)
-    q = _integer(q, 1, "q must be at least 1")
+    q = _greedy_q(q)
     removed = fam.difference(res.remainder)
     covering_ok = len(subfamily_containing_any(removed, res.supports)) == len(removed)
 

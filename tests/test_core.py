@@ -759,6 +759,7 @@ _S3_HEAD = ((1, 2, 3), (1, 3, 2), (2, 1, 3))
         (lambda: Family(3, [*_S3_HEAD, (1, 2, 255)]), ValueError, r"^not a permutation of \[3\]: \(1, 2, 255\)$"),
         (lambda: Family(3, [(1, 1, 2)]), ValueError, r"^not a permutation of \[3\]: \(1, 1, 2\)$"),
         (lambda: Family(3, [*_S3_HEAD, (1, 1, 2)]), ValueError, r"^not a permutation of \[3\]: \(1, 1, 2\)$"),
+        (lambda: Family(3, None), ValueError, r"^members must be a collection of permutations, not None$"),
         (lambda: inverse((1, 1)), ValueError, "^p must be a permutation$"),
         (lambda: inverse((0, 1)), ValueError, "^p must be a permutation$"),
         (lambda: inverse(None), ValueError, "^p must be a permutation$"),
@@ -831,6 +832,7 @@ _S3_HEAD = ((1, 2, 3), (1, 3, 2), (2, 1, 3))
         "family-image-255-rows-past-n",
         "family-repeated-image-one-member",
         "family-repeated-image-rows-past-n",
+        "family-none-members",
         "inverse-repeated-value",
         "inverse-value-0",
         "inverse-none",

@@ -276,6 +276,54 @@ def test_near_full_check_one_deficient_shape():
     assert chk.holds
 
 
+def _saturated(rows):
+    """The zero graph ``near_full_permanent_check`` classifies, with its row
+    and column degrees: zeros added in row-major order wherever both the
+    row and the column hold fewer than two."""
+    n = len(rows)
+    zeros = {(i, j) for i in range(n) for j in range(n) if not rows[i][j]}
+    row_deg = [sum((i, j) in zeros for j in range(n)) for i in range(n)]
+    col_deg = [sum((i, j) in zeros for i in range(n)) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if row_deg[i] < 2 and col_deg[j] < 2 and (i, j) not in zeros:
+                zeros.add((i, j))
+                row_deg[i] += 1
+                col_deg[j] += 1
+    return zeros, row_deg, col_deg
+
+
+def test_near_full_saturation_is_maximal():
+    # on random near-full boards the saturated zero graph admits no further
+    # zero, and so is 2-regular or leaves one row and one column short by
+    # exactly one zero, their cell a zero; the check reports that shape
+    rng = random.Random(35)
+    seen = {"two_regular": 0, "one_deficient": 0}
+    for _ in range(3000):
+        n = rng.randint(4, 9)
+        rows = [[1] * n for _ in range(n)]
+        room_r, room_c = [2] * n, [2] * n
+        for _ in range(rng.randint(0, 2 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if rows[i][j] and room_r[i] and room_c[j]:
+                rows[i][j] = 0
+                room_r[i] -= 1
+                room_c[j] -= 1
+        zeros, row_deg, col_deg = _saturated(rows)
+        assert all((i, j) in zeros or 2 in (row_deg[i], col_deg[j]) for i in range(n) for j in range(n))
+        short_rows = [i for i in range(n) if row_deg[i] < 2]
+        short_cols = [j for j in range(n) if col_deg[j] < 2]
+        if short_rows or short_cols:
+            (i,), (j,) = short_rows, short_cols
+            assert row_deg[i] == col_deg[j] == 1 and (i, j) in zeros
+            case = "one_deficient"
+        else:
+            case = "two_regular"
+        assert near_full_permanent_check(rows).case == case, rows
+        seen[case] += 1
+    assert min(seen.values()) >= 500, seen
+
+
 def test_near_full_check_rejects_sparse_rows():
     rows = [[0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]
     with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ is fixed for a given seed across CPython versions.  The greedy
 decomposition's kernels are also hashed as a library corpus, outside the
 CLI (``DECOMPOSITION_DIGEST``), and so are the entry points that read
 rationals, permutations and cells (``READER_DIGEST``), the matching and
-covering solvers (``SOLVER_DIGEST``) and the spreadness kernels
-(``SPREAD_DIGEST``).
+covering solvers (``SOLVER_DIGEST``), the spreadness kernels
+(``SPREAD_DIGEST``) and the counts and permanents (``COUNT_DIGEST``).
 """
 
 import hashlib
@@ -56,7 +56,15 @@ from permemc import (
 )
 from permemc.cli import main
 from permemc.core import _Record
-from permemc.counting import ZeroOneMatrix
+from permemc.counting import (
+    ZeroOneMatrix,
+    _rook_permanent,
+    derangement_containment_count,
+    double_derangement_count,
+    near_full_permanent_check,
+    permanent_brute,
+    permanent_ryser,
+)
 from permemc.io import cells_json, save_family, save_matrix
 from permemc.verify import approximation_corpus, random_subfamily
 
@@ -375,3 +383,56 @@ def _spread_outputs() -> list:
 def test_spreadness_kernels_match_golden_digest():
     text = json.dumps(_spread_outputs(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == SPREAD_DIGEST
+
+
+#: sha256 of ``_count_outputs()`` as canonical JSON.
+COUNT_DIGEST = "c7ac1f9da2df0bbc40d60ae16aa10312aca64f3e0e5b1e90f1e3ace2841e3dae"
+
+
+def _near_full_board(rng, n):
+    """An n x n 0/1 board with at most two zeros in each row and column:
+    up to 2n cells, drawn at random, turn to zero where both lines have room."""
+    rows, row_zeros, col_zeros = [[1] * n for _ in range(n)], [0] * n, [0] * n
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if rows[i][j] and row_zeros[i] < 2 and col_zeros[j] < 2:
+            rows[i][j] = 0
+            row_zeros[i] += 1
+            col_zeros[j] += 1
+    return rows
+
+
+def _count_outputs() -> list:
+    """The rook closed form, Glynn and the brute-force sum on the same seeded
+    boards (N <= 8, near-full or of any density, where the closed form
+    refuses); the near-full check for N = 4...9; and derangements disjoint
+    from a permutation or from the identity through seeded partial
+    permutations for n <= 9, diagonal and sigma cells included."""
+    rng = random.Random(35)
+    out = []
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        if rng.random() < 0.7:
+            rows = _near_full_board(rng, n)
+        else:
+            rows = [[int(rng.random() < 0.6) for _ in range(n)] for _ in range(n)]
+        zeros = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if not rows[i - 1][j - 1]]
+        try:
+            rook = _rook_permanent(n, zeros)
+        except ValueError as refusal:
+            rook = str(refusal)
+        out.append([rows, rook, permanent_ryser(rows), permanent_brute(rows)])
+    for _ in range(200):
+        out.append(_plain(near_full_permanent_check(_near_full_board(rng, rng.randint(4, 9)))))
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        sigma = tuple(rng.sample(range(1, n + 1), n))
+        through = rng.sample(range(1, n + 1), n)
+        cells = sorted(rng.sample([(i + 1, v) for i, v in enumerate(through)], rng.randint(0, min(n, 3))))
+        out.append([n, sigma, cells, double_derangement_count(n, sigma, cells), derangement_containment_count(n, cells)])
+    return out
+
+
+def test_counts_and_permanents_match_golden_digest():
+    text = json.dumps(_count_outputs(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNT_DIGEST

@@ -1,6 +1,8 @@
 """The frozen record contract of every result type (``core._Record``):
 construction, equality and hashing, freezing, and repr."""
 
+from functools import cached_property
+
 import pytest
 
 import permemc
@@ -51,11 +53,11 @@ def test_record_construction(cls):
     assert tuple(getattr(built, name) for name in cls._fields) == values
     assert cls(**dict(zip(cls._fields, values))) == built
     assert cls(*values[:1], **dict(zip(cls._fields[1:], values[1:]))) == built
-    required = [name for name in cls._fields if name not in vars(cls)]
+    required = [name for name in cls._fields if name not in cls._defaults]
     assert required and cls._fields[: len(required)] == tuple(required)
     defaulted = cls(*values[: len(required)])
     for name in cls._fields[len(required) :]:
-        assert getattr(defaulted, name) == vars(cls)[name], name
+        assert getattr(defaulted, name) == cls._defaults[name] == vars(cls)[name], name
     with pytest.raises(TypeError, match="missing"):
         cls(*values[: len(required) - 1])
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
@@ -82,6 +84,23 @@ def test_record_equality_hash_and_freezing(cls):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
+
+
+def test_no_record_hooks_attribute_lookup():
+    # a __getattr__ on a record would send every failed attribute lookup on
+    # it through Python code and cost each read the interpreter's specialisation
+    assert not any("__getattr__" in vars(cls) for cls in (_Record, *RECORDS))
+
+
+def test_a_descriptor_in_a_record_body_is_no_default():
+    # Family.members is a cached_property in the class body, for slices,
+    # yet stays a required field
+    assert isinstance(vars(Family)["members"], cached_property)
+    assert Family._fields == ("n", "members") and Family._defaults == {}
+    with pytest.raises(TypeError, match="missing required arguments: 'members'"):
+        Family(2)
+    with pytest.raises(TypeError, match="missing required arguments: 'members'"):
+        Family(n=2)
 
 
 def test_records_of_different_classes_never_compare():

@@ -169,10 +169,10 @@ def test_witness_ranking_matches_exact_oracle():
             assert (report.restriction, report.inner.witness, report.inner.witness_ratio) == failing
 
 
-def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None, whole=None):
+def _r_floor_worst_offender(index, carrier, skip=frozenset(), r=None):
     """The worst-offender walk with the r-floor alone: every X that could
     violate r-spreadness, ranked exactly, ties going to the least X; it keeps
-    nothing on ``whole``."""
+    nothing on the Family its index names."""
     masks, top = index[0], index[1] - len(skip)
     total = carrier.bit_count()
     floor = total * r.denominator**top // r.numerator**top + 1
@@ -451,9 +451,10 @@ _RS = (Fraction(1, 2), 1, Fraction(6, 5), 2, 3)
 
 def _uncapped(fam):
     """A Family's index with the size cut and the closed form off (the walk
-    a list of cell sets gets, with K = n), and the bitmask of its members."""
+    a list of cell sets gets, with K = n: the index names no Family), and
+    the bitmask of its members."""
     (masks, n, _), full = spread._index(fam)
-    return (masks, n, False), full
+    return (masks, n, None), full
 
 
 def _dense_families(rng):
@@ -1093,6 +1094,17 @@ def test_spread_lemma_bound_vacuous():
             ),
             "q must be at least 1",
         ),
+        (lambda: spread_approximate(symmetric_group(3), symmetric_group(3), 2, 4097), "q must be at most 4096"),
+        (
+            lambda: verify_approximation(
+                spread_approximate(symmetric_group(3), symmetric_group(3), 2, 1),
+                symmetric_group(3),
+                symmetric_group(3),
+                2,
+                10**400,
+            ),
+            "q must be at most 4096",
+        ),
     ],
     ids=[
         "spreadness-empty-family",
@@ -1110,6 +1122,8 @@ def test_spread_lemma_bound_vacuous():
         "approximate-float-q",
         "verify-approximation-float-q",
         "verify-approximation-q0",
+        "approximate-q-past-cap",
+        "verify-approximation-huge-q",
     ],
 )
 def test_bad_inputs_fail_cleanly(call, match):
