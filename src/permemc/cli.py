@@ -152,10 +152,10 @@ def cmd_approx(args) -> int:
 
 def _least_through(n: int, y: int):
     """The least permutation of [n] with p(1) = y, ``extremal``'s default sigma."""
-    sigma = next(construct._star(n, 1, y))  # checks n first
+    n = core._check_cap(n)  # checks n first
     if y > n:
         raise ValueError(f"no permutation of [{n}] maps 1 to {y}")
-    return sigma
+    return (y, *(v for v in range(1, n + 1) if v != y))
 
 
 def cmd_extremal(args) -> int:

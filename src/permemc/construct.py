@@ -3,10 +3,7 @@ Hilton-Milner style families, plus the two-sided isomorphism action."""
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from operator import eq
 
 from .core import (
     Cell,
@@ -14,21 +11,17 @@ from .core import (
     Family,
     Perm,
     _cell,
-    _check_cap,
+    _cut,
+    _flat_index,
     _integer,
+    _joined,
     _permutation,
     _Record,
-    is_derangement,
+    _split,
+    _star,
+    _through,
 )
 from .counting import pointed_derangement_count
-
-
-def _star(n: int, x: int, y: int):
-    """Σ_n[(x, y)] in lexicographic order: y sits at position x and the
-    other values are permuted lexicographically around it."""
-    _check_cap(n)
-    rest = itertools.permutations(v for v in range(1, n + 1) if v != y)
-    return (q[: x - 1] + (y,) + q[x - 1 :] for q in rest)
 
 
 def make_star(n: int, cell: Cell) -> Family:
@@ -50,10 +43,13 @@ class StarUnion(_Record):
 def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     """Union of full stars (or derangement stars) with the given centers.
 
-    The stars are generated sorted and merged.  Also reports whether they
-    are pairwise disjoint as families (the union is as large as the stars
-    together), which for full stars happens exactly when the centers share
-    a row with distinct columns or share a column with distinct rows.
+    Each star is generated sorted, less its members in an earlier star (or
+    off the derangements), and the parts are joined, then sorted unless
+    they already come in order, as when the centers share row 1.  Also
+    reports whether the stars are pairwise disjoint as families (the union
+    is as large as the stars together), which for full stars happens
+    exactly when the centers share a row with distinct columns or share a
+    column with distinct rows.
     """
     n = _integer(n)
     centers = tuple(sorted(_cell(cell, n) for cell in cells))
@@ -61,9 +57,19 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
         raise ValueError("duplicate star centers")
     if derangement and any(x == y for x, y in centers):
         raise ValueError("derangement stars need off-diagonal centers")
-    stars = [tuple(p for p in _star(n, x, y) if not derangement or is_derangement(p)) for x, y in centers]
-    members = tuple(p for p, _ in itertools.groupby(heapq.merge(*stars)))  # merged in order, repeats dropped
-    return StarUnion(Family._of(n, members), centers, len(members) == sum(map(len, stars)))
+    diagonal = [(i, i) for i in range(1, n + 1)] if derangement else []
+    parts, stars_size = [], 0
+    for k, (x, y) in enumerate(centers):
+        star = _star(n, x, y)
+        full = (1 << len(star) // n) - 1
+        kept = full & ~_through(star, n, diagonal)
+        stars_size += kept.bit_count()
+        parts.append(_cut(star, n, kept & ~_through(star, n, centers[:k])))
+    parts = [part for part in parts if part]
+    flat = b"".join(parts)
+    if any(a[-n:] > b[:n] for a, b in zip(parts, parts[1:])):
+        flat = b"".join(sorted(_split(flat, n)))
+    return StarUnion(Family._of(n, flat), centers, len(flat) // n == stars_size)
 
 
 def make_hm(n: int, sigma: Perm) -> Family:
@@ -80,8 +86,10 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
 
     The union of the stars Σ_n[(1, i)] for i = 2..s-1 with make_hm(n, sigma);
     requires 2 <= s, s - 1 <= n and sigma(1) outside [s-1].  For s = 2 this
-    is exactly make_hm.  Size (s-1)(n-1)! - d_{n,1} + 1.  The blocks (pinned,
-    stars, sigma) start with 1, 2..s-1 and sigma(1) >= s, so come out sorted.
+    is exactly make_hm.  Size (s-1)(n-1)! - d_{n,1} + 1.  The pinned part is
+    the members of Σ_n[(1, 1)] holding a cell (i, sigma(i)).  The blocks
+    (pinned, stars, sigma) start with 1, 2..s-1 and sigma(1) >= s, so come
+    out sorted.
     """
     n = _integer(n)
     s = _integer(s, 2, "s must be at least 2")
@@ -90,9 +98,9 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
     sigma = _permutation(sigma, n, f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
-    pinned = (p for p in _star(n, 1, 1) if any(map(eq, p, sigma)))
-    stars = itertools.chain.from_iterable(_star(n, 1, i) for i in range(2, s))
-    return Family._of(n, (*pinned, *stars, sigma))
+    star = _star(n, 1, 1)
+    pinned = _cut(star, n, _through(star, n, enumerate(sigma, 1)))
+    return Family._of(n, b"".join([pinned, *(_star(n, 1, i) for i in range(2, s)), bytes(sigma)]))
 
 
 def expected_hm_star_union_size(n: int, s: int) -> int:
@@ -112,12 +120,13 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     if len(rho) != n or len(pi) != n:
         raise DimensionMismatch("isomorphism dimensions do not match the family")
     if n > 255:
-        return Family._of(n, tuple(sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members)))
+        return Family._of(n, sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members))
     # row j of the image is row pi(j) of F (its members' images there, one
-    # byte each) with every value v sent to rho(v)
-    flat = bytes(itertools.chain.from_iterable(fam.members))
-    table = bytes((0, *rho, *range(n + 1, 256)))
-    return Family._of(n, tuple(sorted(zip(*(flat[j - 1 :: n].translate(table) for j in pi)))))
+    # byte each) with every value v sent to rho(v); the index is kept as a
+    # validated build keeps it
+    flat, table = fam.flat, bytes((0, *rho, *range(n + 1, 256)))
+    flat = b"".join(sorted(_split(_joined([flat[j - 1 :: n].translate(table) for j in pi]), n)))
+    return Family._of(n, flat, _flat_index(flat, n))
 
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:

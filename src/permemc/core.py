@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, partial, reduce
-from operator import attrgetter, index, or_
+from functools import cache, cached_property, partial, reduce
+from operator import attrgetter, index, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -32,6 +33,10 @@ ENUMERATION_CAP = 10
 _ROW_BITS = [b"0" * v + b"1" + b"0" * (255 - v) for v in range(256)]
 #: Translates ASCII ``0``/``1`` to the bytes 0/1, selectors for ``itertools.compress``.
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+_FIRST = itemgetter(0)
+#: ``_RAISED[y]`` translates the images of a permutation of the other values
+#: of [n] than y (images 1..n-1) to those values: w stays below y, else w + 1.
+_RAISED = [bytes(range(y)) + bytes(range(y + 1, 256)) + b"\0" for y in range(ENUMERATION_CAP + 1)]
 
 
 class DimensionMismatch(ValueError):
@@ -187,6 +192,59 @@ def _row_masks(rows: Iterable[bytes], n: int) -> dict[Cell, int]:
     return masks
 
 
+def _split(flat: bytes, n: int) -> Iterator[bytes]:
+    """The members of ``flat``, n bytes each, in order."""
+    return map(_FIRST, struct.iter_unpack(f"{n}s", flat))
+
+
+def _flat_index(flat: bytes, n: int) -> dict[Cell, int]:
+    """The cell index of the members of ``flat``, by ``_row_masks`` over its rows."""
+    return _row_masks((flat[r::n] for r in range(n)), n)
+
+
+def _through(flat: bytes, n: int, cells: Iterable[Cell]) -> int:
+    """The bitmask of the members of ``flat`` (at least one) holding any of ``cells``."""
+    hit = 0
+    for r, v in cells:
+        hit |= int(flat[r - 1 :: n][::-1].translate(_ROW_BITS[v]), 2)
+    return hit
+
+
+def _joined(rows: list[bytes]) -> bytes:
+    """The flat join of the members whose rows are ``rows`` (row r: every
+    member's image at position r + 1), each row put in place by one
+    strided slice assignment."""
+    n = len(rows)
+    out = bytearray(len(rows[0]) * n)
+    for r, row in enumerate(rows):
+        out[r::n] = row
+    return bytes(out)
+
+
+def _cut(flat: bytes, n: int, mask: int) -> bytes:
+    """The members of ``flat`` whose index bits are set in ``mask``, joined."""
+    keep, count = _selectors(mask), len(flat) // n
+    return flat if keep.count(1, 0, count) == count else b"".join(itertools.compress(_split(flat, n), keep))
+
+
+def _star(n: int, x: int, y: int) -> bytes:
+    """Σ_n[(x, y)] in lexicographic order, as a Family's ``flat``: Σ_(n-1)
+    over the other values than y (``_RAISED``), with y put in column x."""
+    _check_cap(n)
+    rows = [row.translate(_RAISED[y]) for row in _symmetric_rows(n - 1)]
+    rows.insert(x - 1, bytes((y,)) * math.factorial(n - 1))
+    return _joined(rows)
+
+
+@cache
+def _symmetric_rows(m: int) -> tuple[bytes, ...]:
+    """The rows of Σ_m, its members in lexicographic order: its stars
+    Σ_m[(1, y)] for y = 1..m in turn.  Kept, since the stars of Σ_(m+1) all
+    read them; only m < ``ENUMERATION_CAP`` is asked for."""
+    flat = b"".join(_star(m, 1, y) for y in range(1, m + 1))
+    return tuple(flat[r::m] for r in range(m))
+
+
 def _read_members(given: tuple) -> list:
     """Each member read once as a tuple, or None for one that is not iterable."""
     images, rest = [], iter(given)
@@ -198,15 +256,16 @@ def _read_members(given: tuple) -> list:
             images.append(None)
 
 
-def _indexed_permutations(images: list, n: int) -> tuple[tuple[Perm, ...], dict[Cell, int]] | None:
-    """(members, cell index) of ``Family(n, ...)`` over members read by
+def _indexed_permutations(images: list, n: int) -> tuple[bytes, dict[Cell, int]] | None:
+    """(``flat``, cell index) of ``Family(n, ...)`` over members read by
     ``_read_members``, for n <= 255, in one pass; None if they are not all
     permutations of [n], so that ``as_permutation`` can name the first.
 
     Each member becomes one byte string (``bytes`` reads each value by
     ``__index__``, as ``as_permutation`` does); the distinct strings,
-    sorted, are the members in lexicographic order, and their rows give
-    the index (``_row_masks``).  The members are all permutations of [n]
+    sorted, are the members in lexicographic order, their join is the
+    Family's ``flat``, and its rows give the index (``_row_masks``).  The
+    members are all permutations of [n]
     exactly when every string has n bytes and, for each v in [n], the
     cells of column v cover every member: a member holding all n images
     in its n positions holds no other.  So an image of 0 or above n is
@@ -216,17 +275,17 @@ def _indexed_permutations(images: list, n: int) -> tuple[tuple[Perm, ...], dict[
         keys = sorted(set(map(bytes, images)))
     except (TypeError, ValueError):  # a non-integer, or a value outside 0..255
         return None
-    if not keys or set(map(len, keys)) != {n}:
+    if set(map(len, keys)) - {n}:
         return None
     flat = b"".join(keys)
-    masks = _row_masks((flat[r::n] for r in range(n)), n)
+    masks = _flat_index(flat, n)
     columns: dict[int, int] = {}
     for (_, v), mask in masks.items():
         columns[v] = columns.get(v, 0) | mask
     full = (1 << len(keys)) - 1
-    if any(columns.get(v) != full for v in range(1, n + 1)):
+    if keys and any(columns.get(v) != full for v in range(1, n + 1)):
         return None
-    return tuple(map(tuple, keys)), masks
+    return flat, masks
 
 
 class _Record:
@@ -237,7 +296,8 @@ class _Record:
     ``Family.members``.  ``__init__`` takes the fields by position or
     keyword, then calls ``__post_init__``; after that the record is frozen.
     Records compare (same class only) and hash by their fields but those
-    named in ``_uncompared``, and print as ``Name(field=value, ...)``.
+    named in ``_uncompared`` (or by a ``_key`` of their own), and print as
+    ``Name(field=value, ...)``.
     """
 
     _uncompared: tuple[str, ...] = ()
@@ -246,7 +306,8 @@ class _Record:
         own = vars(cls)
         cls._fields = tuple(own.get("__annotations__", ()))
         cls._defaults = {k: v for k, v in own.items() if k in cls._fields and not hasattr(type(v), "__get__")}
-        cls._key = attrgetter(*(name for name in cls._fields if name not in cls._uncompared))
+        if "_key" not in own:
+            cls._key = attrgetter(*(name for name in cls._fields if name not in cls._uncompared))
 
     def __init__(self, *args, **kwargs):
         fields, values = self._fields, self.__dict__
@@ -296,9 +357,12 @@ class Family(_Record):
     """A finite set of permutations sharing one n.
 
     Members are kept deduplicated in lexicographic order of image sequences,
-    so equal families compare equal regardless of construction order.  A
-    slice of a parent family (see ``_slice``) is its view alone: its length
-    is a popcount, and its members are listed from the parent on first read.
+    so equal families compare equal regardless of construction order.  For
+    n <= 255 a Family keeps them as ``flat``, their images joined, one byte
+    each, and lists ``members`` as tuples only when something reads it; for
+    larger n it keeps the tuples.  A slice of a parent family (see
+    ``_slice``) is its view alone: its length is a popcount, and its
+    members are cut from the parent on first read.
     """
 
     n: int
@@ -314,42 +378,92 @@ class Family(_Record):
         images = _read_members(given)
         indexed = _indexed_permutations(images, n) if n <= 255 else None
         if indexed is not None:
-            self.__dict__.update(n=n, members=indexed[0], cell_masks=indexed[1])
+            del self.__dict__["members"]
+            self.__dict__.update(n=n, flat=indexed[0], cell_masks=indexed[1])
             return
         perms = [as_permutation(m, n) for m in images]
         if None in perms:
             bad = perms.index(None)  # named as read, or as given when it was not iterable
             raise ValueError(f"not a permutation of [{n}]: {given[bad] if images[bad] is None else images[bad]}")
+        # valid members reach here only for n > 255: below, they were indexed above
         self.__dict__.update(n=n, members=tuple(sorted(set(perms))))
 
     @classmethod
-    def _of(cls, n: int, members: tuple[Perm, ...]) -> "Family":
-        """A Family over members already valid, sorted and distinct, unchecked."""
+    def _of(cls, n: int, members, masks: dict[Cell, int] | None = None) -> "Family":
+        """A Family over members already valid, sorted and distinct, unchecked:
+        for n <= 255 their ``flat`` (or their image sequences, joined here),
+        with their cell index when the caller has it; else their tuples."""
         fam = object.__new__(cls)
-        fam.__dict__.update(n=n, members=members)
+        if n > 255:
+            fam.__dict__.update(n=n, members=tuple(members))
+            return fam
+        fam.__dict__.update(n=n, flat=members if type(members) is bytes else b"".join(map(bytes, members)))
+        if masks is not None:
+            fam.__dict__["cell_masks"] = masks
         return fam
 
     @cached_property
+    def flat(self) -> bytes:
+        """The members' images joined, n bytes a member (n <= 255 only).  A
+        built Family keeps it from the start; a slice cuts it from its parent's."""
+        if self._view is None or self.n > 255:
+            raise AttributeError(f"a Family over [{self.n}] that is no slice keeps no flat")
+        root, mask = self._view
+        return _cut(root.flat, self.n, mask)
+
+    @cached_property
     def members(self) -> tuple[Perm, ...]:
-        # read only on a slice, the one Family built without members: listed from its parent
+        """The members as image tuples, listed on first read: from ``flat``
+        for n <= 255, else (kept from the start but on a slice) from the parent's."""
+        n = self.n
+        if n <= 255:
+            return tuple(zip(*(self.flat[r::n] for r in range(n))))
+        if self._view is None:
+            raise AttributeError("a Family that was neither built nor cut has no members")
         root, mask = self._view
         return _selected(root.members, mask)
 
+    @staticmethod
+    def _key(fam: "Family") -> tuple:
+        """n and ``flat`` (the members above 255): a Family compares and hashes
+        without listing tuples."""
+        return fam.n, fam.flat if fam.n <= 255 else fam.members
+
+    def _images(self) -> Iterator[Sequence[int]]:
+        """Each member's image sequence, in order: n bytes of ``flat`` for
+        n <= 255, else the member's tuple."""
+        return _split(self.flat, self.n) if self.n <= 255 else iter(self.members)
+
+    def _reader(self) -> Callable[[int], Sequence[int]]:
+        """j -> member j's image sequence, as ``_images`` gives it."""
+        if self.n > 255:
+            return self.members.__getitem__
+        flat, n = self.flat, self.n
+        return lambda j: flat[j * n : j * n + n]
+
     def __len__(self) -> int:
-        return len(self.members) if self._view is None else self._view[1].bit_count()
+        if self._view is not None:
+            return self._view[1].bit_count()
+        return len(self.flat) // self.n if self.n <= 255 else len(self.members)
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.members)
 
     def __contains__(self, p) -> bool:
-        try:  # the one permutation rule, read on hits only: floats, strings, non-iterables are no members
+        """The one permutation rule: floats, strings and non-iterables are no
+        members.  For n <= 255 the probe is ``bytes(tuple(p))``, which reads
+        each value by ``__index__`` and refuses one outside 0..255; above,
+        the rule is read on hits only."""
+        try:
+            if self.n <= 255:
+                return bytes(tuple(p)) in self._member_set
             return (perm := tuple(p)) in self._member_set and all(map(index, perm))
-        except TypeError:
+        except (TypeError, ValueError):
             return False
 
     @cached_property
     def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return frozenset(self._images())
 
     @cached_property
     def cell_masks(self) -> dict[Cell, int]:
@@ -358,33 +472,33 @@ class Family(_Record):
         Built on first use and kept, since families are immutable; every
         caller shares the one dict, so it must not be modified.  Each member
         has one cell per row, so for n <= 255 the index is built row by row
-        (``_row_masks``), and a validated ``Family(...)`` stores it as it
-        checks the members.  Larger n, whose images do not fit in a byte,
-        takes the general ``cell_masks`` build.  Either way the keys come in
-        row-major order.
+        from ``flat`` (``_row_masks``), and a validated ``Family(...)`` stores
+        it as it checks the members.  Larger n, whose images do not fit in a
+        byte, takes the general ``cell_masks`` build.  Either way the keys
+        come in row-major order.
         """
         if self.n > 255:
             return cell_masks(enumerate(p, 1) for p in self.members)
-        return _row_masks(map(bytes, zip(*self.members)), self.n)
+        return _flat_index(self.flat, self.n)
 
     def graphs(self) -> list[PartialPerm]:
-        return [graph(p) for p in self.members]
+        return [graph(p) for p in self._images()]
 
     def restrict(self, keep: Iterable[Perm]) -> "Family":
         keep = set(tuple(p) for p in keep)
-        return Family._of(self.n, tuple(p for p in self.members if p in keep))
+        return Family._of(self.n, [p for p in self._images() if tuple(p) in keep])
 
     def difference(self, other: "Family") -> "Family":
         (root, mask), (other_root, other_mask) = _root(self), _root(other)
         if other_root is root:
             return _slice(root, mask & ~other_mask)
         drop = other._member_set
-        return Family._of(self.n, tuple(p for p in self.members if p not in drop))
+        return Family._of(self.n, [p for p in self._images() if p not in drop])
 
     def union(self, other: "Family") -> "Family":
         if self.n != other.n:
             raise DimensionMismatch("families over different [n]")
-        return Family._of(self.n, tuple(sorted(set(self.members).union(other.members))))
+        return Family._of(self.n, sorted(self._member_set.union(other._member_set)))
 
     def issubset(self, other: "Family") -> bool:
         if self.n != other.n:
@@ -401,16 +515,21 @@ def family(n: int, members: Iterable[Sequence[int]]) -> Family:
 
 def _containing(fam: Family, cells: Iterable[Cell]) -> int:
     """Bitmask of the members whose graphs contain every cell of X."""
-    hit = (1 << len(fam)) - 1
+    masks, hit = fam.cell_masks, (1 << len(fam)) - 1
     for c in cells:
-        hit &= fam.cell_masks.get(c, 0)
+        hit &= masks.get(c, 0)
     return hit
 
 
+def _selectors(mask: int) -> bytes:
+    """``mask``'s bits from the lowest, as the bytes 0/1 ``itertools.compress``
+    selects by.  Masks here are never negative, so ``bin`` gives only the bits."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)
+
+
 def _selected(items: Iterable, mask: int) -> tuple:
-    """The items whose index bits are set in ``mask``, in order.
-    Masks here are never negative, so ``bin`` gives only the bits."""
-    return tuple(itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)))
+    """The items whose index bits are set in ``mask``, in order."""
+    return tuple(itertools.compress(items, _selectors(mask)))
 
 
 def _root(fam: Family) -> tuple[Family, int]:
@@ -436,7 +555,7 @@ def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
     contains X (in particular whenever X is not a partial permutation).
     """
     cs = frozenset(cells)
-    out = [graph(p) - cs for p in _selected(fam.members, _containing(fam, cs))]
+    out = [graph(p) - cs for p in _selected(fam._images(), _containing(fam, cs))]
     return tuple(sorted(out, key=sorted))
 
 
@@ -513,18 +632,16 @@ def enumerate_family(n: int, kind: str = "all", sigma: Perm | None = None) -> Fa
     the last requires ``sigma``.  n is capped at ``ENUMERATION_CAP``.
     """
     n = _check_cap(n)
-    perms = itertools.permutations(range(1, n + 1))  # lexicographic, so no re-sort
-    if kind == "all":
-        return Family._of(n, tuple(perms))
-    if kind == "derangements":
-        return Family._of(n, tuple(p for p in perms if is_derangement(p)))
+    avoided = [(i, i) for i in range(1, n + 1)]  # the cells a derangement holds none of
     if kind == "double_derangements":
         sigma = _permutation(sigma, n, f"sigma is not a permutation of [{n}]")
-        members = tuple(
-            p for p in perms if is_derangement(p) and not any(x == y for x, y in zip(p, sigma))
-        )
-        return Family._of(n, members)
-    raise ValueError(f"unknown enumeration kind: {kind!r}")
+        avoided += enumerate(sigma, 1)
+    elif kind not in ("all", "derangements"):
+        raise ValueError(f"unknown enumeration kind: {kind!r}")
+    flat = b"".join(_star(n, 1, y) for y in range(1, n + 1))  # Σ_n, lexicographic as its stars
+    if kind != "all":
+        flat = _cut(flat, n, ~_through(flat, n, avoided) & ((1 << math.factorial(n)) - 1))
+    return Family._of(n, flat)
 
 
 def symmetric_group(n: int) -> Family:
@@ -652,8 +769,8 @@ def _indexed(sets) -> tuple[int, dict[Cell, int], Callable[[int], Iterable[Cell]
     ``cell_masks`` and image sequences, or of a list of cell sets already read
     by ``_cell_sets``: the one place the disjoint-pick searches tell them apart."""
     if isinstance(sets, Family):
-        members = sets.members
-        return len(members), sets.cell_masks, lambda j: enumerate(members[j], 1)
+        image = sets._reader()
+        return len(sets), sets.cell_masks, lambda j: enumerate(image(j), 1)
     return len(sets), cell_masks(sets), sets.__getitem__
 
 

@@ -14,6 +14,7 @@ import bisect
 import heapq
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,6 +31,7 @@ from .core import (
     _greedy_packing,
     _indexed,
     _integer,
+    _joined,
     _max_disjoint,
     _Meets,
     _rational,
@@ -53,7 +55,7 @@ def matching_number(fam: Family) -> tuple[int, tuple[Perm, ...]]:
     is built: a member's cells are read off its image sequence when its meet
     mask is first needed."""
     picks = _max_disjoint(*_indexed(fam))
-    return len(picks), tuple(fam.members[j] for j in picks)
+    return len(picks), tuple(map(tuple, map(fam._reader(), picks)))
 
 
 def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> tuple[int, int, tuple[Cell, ...]]:
@@ -76,9 +78,9 @@ def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> t
     against ``spread._SUBSET_BUDGET``, and past it the search raises
     ``ValueError``.  The explicit stack keeps it clear of the recursion limit.
     """
-    index, members, n = fam.cell_masks, fam.members, fam.n
+    index, image, n = fam.cell_masks, fam._reader(), fam.n
     cells, masks = list(index), list(index.values())  # row-major, as the index is built
-    count, full = len(members), (1 << len(members)) - 1
+    count, full = len(fam), (1 << len(fam)) - 1
 
     def last_start(held: int, start: int, need: int) -> int:
         """The last position from ``start`` at which the next of ``need`` picks
@@ -86,7 +88,7 @@ def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> t
         unheld, limit = full & ~held, len(cells) - need
         cover_only = unheld and best >= count - 1
         if cover_only:
-            limit = min(limit, bisect.bisect_left(cells, (n, members[(unheld & -unheld).bit_length() - 1][-1])))
+            limit = min(limit, bisect.bisect_left(cells, (n, image((unheld & -unheld).bit_length() - 1)[-1])))
         want = best + 1 - held.bit_count()
         if limit < start or want <= 0:
             return limit
@@ -197,7 +199,12 @@ def coset_certificate(fam: Family, s: int) -> CosetCertificate:
     s = _integer(s, 1, "s must be at least 1")
     n = fam.n
     class_count = math.factorial(n - 1)
-    loads = Counter(coset_representative(p) for p in fam.members)
+    if n > 255:
+        loads = Counter(map(coset_representative, fam.members))
+    else:  # each member written twice and ended by a 0 byte: its representative is the n images from its first 1
+        rows = [fam.flat[r::n] for r in range(n)]
+        twice = _joined([*rows, *rows, bytes(len(rows[0]))])
+        loads = Counter(re.findall(rb"(\x01.{%d})[^\x00]*\x00" % (n - 1), twice, re.S))
     max_load = max(loads.values(), default=0)
     histogram = Counter(loads.values())
     if class_count > len(loads):
@@ -247,7 +254,7 @@ def cross_matching(families: Sequence[Family]):
     if any(f.n != n for f in families):
         raise DimensionMismatch("families over different [n]")
     picks = _disjoint_representatives(families)
-    return None if picks is None else tuple(f.members[k] for f, k in zip(families, picks))
+    return None if picks is None else tuple(tuple(f._reader()(k)) for f, k in zip(families, picks))
 
 
 class CrossFreeClassification(_Record):

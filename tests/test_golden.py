@@ -12,7 +12,8 @@ decomposition's kernels are also hashed as a library corpus, outside the
 CLI (``DECOMPOSITION_DIGEST``), and so are the entry points that read
 rationals, permutations and cells (``READER_DIGEST``), the matching and
 covering solvers (``SOLVER_DIGEST``), the spreadness kernels
-(``SPREAD_DIGEST``) and the counts and permanents (``COUNT_DIGEST``).
+(``SPREAD_DIGEST``), the counts and permanents (``COUNT_DIGEST``) and the
+constructions and enumerators (``CONSTRUCT_DIGEST``).
 """
 
 import hashlib
@@ -36,12 +37,14 @@ from permemc import (
     cross_matching,
     derangement_star,
     derangements,
+    enumerate_family,
     exact_spreadness,
     family,
     is_r_spread,
     is_rq_spread,
     make_hm,
     make_hm_star_union,
+    make_star,
     make_star_union,
     matching_number,
     max_ratio_set,
@@ -436,3 +439,65 @@ def _count_outputs() -> list:
 def test_counts_and_permanents_match_golden_digest():
     text = json.dumps(_count_outputs(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == COUNT_DIGEST
+
+
+#: sha256 of ``_construct_outputs()`` as canonical JSON.
+CONSTRUCT_DIGEST = "8ee3a6f32359fa8094b104d8c14a018884fc4282332e3660c8fbaf6d8811ac52"
+
+
+def _family_plain(fam) -> list:
+    """A Family as its n, its members and its cell index, masks in hex."""
+    return [fam.n, _plain(fam.members), [[r, c, format(m, "x")] for (r, c), m in fam.cell_masks.items()]]
+
+
+def _construct_outputs() -> list:
+    """The constructions and enumerators for n <= 7 on seeded inputs, each
+    family with its cell index and relabelled by seeded rho and pi: Σ_n, D_n
+    and the derangements disjoint from a seeded sigma; stars and derangement
+    stars; star unions with and without ``derangement``; pinned intersecting
+    families and their star unions.  Seeded inputs that a constructor
+    refuses (a diagonal derangement centre, repeated centres, sigma(1)
+    inside [s-1], s - 1 above n) enter as the refusal's message."""
+    rng = random.Random(36)
+
+    def relabelled(fam):
+        rho, pi = rng.sample(range(1, fam.n + 1), fam.n), tuple(rng.sample(range(1, fam.n + 1), fam.n))
+        return [rho, pi, _family_plain(apply_isomorphism(rho, fam, pi))]
+
+    def called(build, *args):
+        try:
+            fam = build(*args)
+        except ValueError as refusal:
+            return [*args, str(refusal)]
+        star_union = not isinstance(fam, Family)
+        extra = [fam.centers, fam.pairwise_disjoint] if star_union else []
+        fam = fam.family if star_union else fam
+        return [*args, *_plain(extra), _family_plain(fam), relabelled(fam)]
+
+    out = []
+    for n in range(1, 8):
+        out.append(called(enumerate_family, n, "all"))
+        out.append(called(enumerate_family, n, "derangements"))
+        out.append(called(enumerate_family, n, "double_derangements", tuple(rng.sample(range(1, n + 1), n))))
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        cell = (rng.randint(1, n), rng.randint(1, n))
+        out.append(called(make_star, n, cell) if rng.random() < 0.5 else called(derangement_star, n, cell))
+    for _ in range(60):
+        n, derangement = rng.randint(1, 7), rng.random() < 0.5
+        grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if not derangement or x != y or rng.random() < 0.1]
+        centers = rng.sample(grid, rng.randint(0, min(4, len(grid))))
+        centers += centers[:1] * (rng.random() < 0.1)
+        out.append(called(make_star_union, n, centers, derangement))
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        s = rng.randint(2, n + 1 + (rng.random() < 0.1))
+        sigma = [rng.randint(min(s, n), n)]
+        sigma += rng.sample([v for v in range(1, n + 1) if v != sigma[0]], n - 1)
+        out.append(called(make_hm, n, tuple(sigma)) if s == 2 else called(make_hm_star_union, n, s, tuple(sigma)))
+    return out
+
+
+def test_constructions_match_golden_digest():
+    text = json.dumps(_construct_outputs(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_DIGEST
