@@ -5,22 +5,8 @@ from __future__ import annotations
 
 import math
 
-from .core import (
-    Cell,
-    DimensionMismatch,
-    Family,
-    Perm,
-    _cell,
-    _cut,
-    _flat_index,
-    _integer,
-    _joined,
-    _permutation,
-    _Record,
-    _split,
-    _star,
-    _through,
-)
+from ._flat import _cut, _split, _star, _through
+from .core import Cell, DimensionMismatch, Family, Perm, _cell, _check_cap, _integer, _permutation, _Record, _relabelled
 from .counting import pointed_derangement_count
 
 
@@ -60,7 +46,7 @@ def make_star_union(n: int, cells, derangement: bool = False) -> StarUnion:
     diagonal = [(i, i) for i in range(1, n + 1)] if derangement else []
     parts, stars_size = [], 0
     for k, (x, y) in enumerate(centers):
-        star = _star(n, x, y)
+        star = _star(_check_cap(n), x, y)
         full = (1 << len(star) // n) - 1
         kept = full & ~_through(star, n, diagonal)
         stars_size += kept.bit_count()
@@ -98,7 +84,7 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
     sigma = _permutation(sigma, n, f"sigma is not a permutation of [{n}]")
     if sigma[0] <= s - 1:
         raise ValueError(f"sigma(1) must lie outside [{s - 1}]")
-    star = _star(n, 1, 1)
+    star = _star(_check_cap(n), 1, 1)
     pinned = _cut(star, n, _through(star, n, enumerate(sigma, 1)))
     return Family._of(n, b"".join([pinned, *(_star(n, 1, i) for i in range(2, s)), bytes(sigma)]))
 
@@ -119,14 +105,7 @@ def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:
     rho, pi = _permutation(rho, None, message), _permutation(pi, None, message)
     if len(rho) != n or len(pi) != n:
         raise DimensionMismatch("isomorphism dimensions do not match the family")
-    if n > 255:
-        return Family._of(n, sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members))
-    # row j of the image is row pi(j) of F (its members' images there, one
-    # byte each) with every value v sent to rho(v); the index is kept as a
-    # validated build keeps it
-    flat, table = fam.flat, bytes((0, *rho, *range(n + 1, 256)))
-    flat = b"".join(sorted(_split(_joined([flat[j - 1 :: n].translate(table) for j in pi]), n)))
-    return Family._of(n, flat, _flat_index(flat, n))
+    return _relabelled(fam, rho, pi)
 
 
 def star_center_image(rho: Perm, cell: Cell, pi: Perm) -> Cell:

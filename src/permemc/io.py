@@ -20,10 +20,6 @@ from .core import Cell, Family, PartialPerm, _Record, as_permutation, partial_pe
 from .counting import ZeroOneMatrix
 
 
-#: For each place (hundreds, tens, ones), a translate table from an image
-#: value to its ASCII digit there, or to the byte 0 for a leading zero.
-_PLACES = [bytes(48 + v // place % 10 if v >= place else 0 for v in range(256)) for place in (100, 10, 1)]
-
 _INTEGERS = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*)?")
 
 
@@ -73,16 +69,15 @@ def _read_rows(text: str, path, key: str):
 def parse_family(text: str, path: str = "<string>") -> Family:
     rows = _read_rows(text, path, "n")
     n = next(rows)
-    members = set()  # each as the Family keeps it: n bytes for n <= 255, else its tuple
+    members = set()
     for line_no, line, image in rows:
         if len(image) != n:
             raise ParseError(path, line_no, f"expected {n} images, got {len(image)}")
         if as_permutation(image, n) is None:
             raise ParseError(path, line_no, f"not a permutation of [{n}]: {line!r}")
-        key = bytes(image) if n <= 255 else image
-        if key in members:
+        if image in members:
             warnings.warn(f"{path}:{line_no}: duplicate permutation ignored", stacklevel=2)
-        members.add(key)
+        members.add(image)
     return Family._of(n, sorted(members))  # every line was checked above
 
 
@@ -106,24 +101,7 @@ def _format_rows(key: str, n: int, rows) -> str:
 
 
 def format_family(fam: Family) -> str:
-    """The family's file text.  For n <= 255 it is written from ``flat`` in
-    C-level passes over blocks of up to 2^16 members: image r of each member
-    takes four bytes, its digits (``_PLACES``) and a space (a newline after
-    the last image), and the bytes 0 of leading zeros are deleted."""
-    n = fam.n
-    if n > 255:
-        return _format_rows("n", n, fam.members)
-    flat, width, parts = fam.flat, 4 * n, [f"n={n}\n"]
-    for start in range(0, len(flat), n << 16):
-        block = flat[start : start + (n << 16)]
-        text = bytearray(4 * len(block))
-        for r in range(n):
-            row = block[r::n]
-            for k, place in enumerate(_PLACES):
-                text[4 * r + k :: width] = row.translate(place)
-            text[4 * r + 3 :: width] = (b" " if r < n - 1 else b"\n") * len(row)
-        parts.append(text.translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+    return _format_rows("n", fam.n, fam._images())
 
 
 def save_family(fam: Family, path) -> None:

@@ -14,7 +14,6 @@ import bisect
 import heapq
 import itertools
 import math
-import re
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,7 +30,6 @@ from .core import (
     _greedy_packing,
     _indexed,
     _integer,
-    _joined,
     _max_disjoint,
     _Meets,
     _rational,
@@ -199,12 +197,7 @@ def coset_certificate(fam: Family, s: int) -> CosetCertificate:
     s = _integer(s, 1, "s must be at least 1")
     n = fam.n
     class_count = math.factorial(n - 1)
-    if n > 255:
-        loads = Counter(map(coset_representative, fam.members))
-    else:  # each member written twice and ended by a 0 byte: its representative is the n images from its first 1
-        rows = [fam.flat[r::n] for r in range(n)]
-        twice = _joined([*rows, *rows, bytes(len(rows[0]))])
-        loads = Counter(re.findall(rb"(\x01.{%d})[^\x00]*\x00" % (n - 1), twice, re.S))
+    loads = Counter(map(coset_representative, fam._images()))
     max_load = max(loads.values(), default=0)
     histogram = Counter(loads.values())
     if class_count > len(loads):
