@@ -38,7 +38,7 @@ for n in range(2, 9):
     print(f"n={n}: d_n1 = {pointed_derangement_count(n)} (enumeration through (1,2): {through_cell})")
 
 print()
-print("=== permanents: Gray-code Ryser vs the N!-sum oracle ===")
+print("=== permanents: the rook count (Glynn past its budget) vs the N!-sum oracle ===")
 for n in (4, 5, 6):
     m = complement_of_identity(n)
     print(f"perm(J - I), N={n}: ryser={permanent_ryser(m)} brute={permanent_brute(m)} d_n={derangement_count(n)}")

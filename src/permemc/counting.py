@@ -14,10 +14,13 @@ from typing import Sequence
 
 from .core import Cell, Perm, _integer, _permutation, _Record, identity, partial_permutation
 
-#: Largest N the general exact permanents accept.  Glynn (``RYSER_CAP``) takes
-#: 3 s at N = 22 and about x2.2 more per N, so N = 30 runs for about half an hour.
+#: Largest N the general exact permanents accept.  A board past the rook count's
+#: budget runs Glynn's formula: 3 s at N = 22 and about x2.2 more per N, so such
+#: a board at N = 30 runs for about half an hour.
 BRUTE_CAP = 9
 RYSER_CAP = 30
+#: Rook-count steps allowed per Glynn term: a step costs a quarter of a term or less.
+_ROOK_STEPS_PER_TERM = 4
 
 _PERM_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
@@ -86,9 +89,13 @@ class ZeroOneMatrix(_Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise ValueError("matrix must be a sequence of rows") from None
+        n = len(rows)
         norm = []
-        for row in self.rows:
+        for row in rows:
             try:
                 row = tuple(map(operator.index, row))
             except TypeError:
@@ -108,7 +115,7 @@ class ZeroOneMatrix(_Record):
 def _rows_of(matrix) -> list[tuple[int, ...]]:
     if isinstance(matrix, ZeroOneMatrix):
         return list(matrix.rows)
-    return list(ZeroOneMatrix(tuple(tuple(r) for r in matrix)).rows)
+    return list(ZeroOneMatrix(matrix).rows)
 
 
 def permanent_brute(matrix) -> int:
@@ -137,16 +144,20 @@ def permanent_brute(matrix) -> int:
 
 
 def permanent_ryser(matrix) -> int:
-    """Permanent by Glynn's formula on row bitmasks (the ``ryser`` method).
+    """Permanent by the rook numbers of the zero cells, else Glynn's formula.
 
-    perm(A) = 2^-(N-1) * sum over d in {+1,-1}^N with d_1 = +1 of
-    (prod_k d_k) * prod_i (sum_j d_j a_ij), which has 2^(N-1) terms where
-    Ryser's formula has 2^N - 1 (Glynn, Eur. J. Combin. 31, 2010).  With row
-    i as a column bitmask m_i and P the columns signed +1, row i's sum is
-    2 popcount(m_i & P) - popcount(m_i).  The N-1 free columns split into a
-    low and a high half: the low half's doubled popcounts are tabulated once
-    and added to one base vector per high-half value.  The sum is an exact
-    big integer divisible by 2^(N-1).
+    This is the ``ryser`` method, and the one place where its path is chosen.
+    ``_rook_numbers`` counts the zero board's rook numbers r_k, and then
+    perm = sum_k (-1)^k r_k (N-k)! (Kaplansky-Riordan).  It refuses a board
+    whose step bound exceeds ``_ROOK_STEPS_PER_TERM`` * 2^(N-1), and Glynn's
+    formula then sums its 2^(N-1) terms: perm(A) = 2^-(N-1) * sum over
+    d in {+1,-1}^N with d_1 = +1 of (prod_k d_k) * prod_i (sum_j d_j a_ij)
+    (Glynn, Eur. J. Combin. 31, 2010).  With row i as a column bitmask m_i
+    and P the columns signed +1, row i's sum is 2 popcount(m_i & P) -
+    popcount(m_i).  The N-1 free columns split into a low and a high half:
+    the low half's doubled popcounts are tabulated once and added to one
+    base vector per high-half value.  The sum is an exact big integer
+    divisible by 2^(N-1).
     """
     rows = _rows_of(matrix)
     n = len(rows)
@@ -154,6 +165,9 @@ def permanent_ryser(matrix) -> int:
         raise ValueError(f"ryser permanent capped at N={RYSER_CAP}")
     if n == 0:
         return 1
+    rooks = _rook_numbers(rows, _ROOK_STEPS_PER_TERM << (n - 1))
+    if rooks is not None:
+        return _rook_sum(n, rooks)
     masks = [sum(v << j for j, v in enumerate(row)) for row in rows]
     free = n - 1
     low_bits = free // 2
@@ -176,8 +190,9 @@ def permanent_ryser(matrix) -> int:
 def permanent(matrix, method: str = "ryser") -> int:
     """Exact permanent of a 0/1 matrix; ``method`` is ``ryser`` or ``brute``.
 
-    ``ryser`` runs Glynn's formula (``permanent_ryser``, N <= 30); ``brute``
-    is the literal N!-sum oracle (N <= 9).
+    ``ryser`` (``permanent_ryser``, N <= 30) counts the zero cells' rook
+    numbers, or runs Glynn's formula when that count is over its budget;
+    ``brute`` is the literal N!-sum oracle (N <= 9).
     """
     if method == "ryser":
         return permanent_ryser(matrix)
@@ -186,15 +201,81 @@ def permanent(matrix, method: str = "ryser") -> int:
     raise ValueError(f"unknown permanent method: {method!r}")
 
 
-def _rook_permanent(size: int, zeros) -> int:
-    """Permanent of the size x size 0/1 matrix whose zero cells are ``zeros``.
+def _rook_numbers(rows, budget) -> list[int] | None:
+    """Rook numbers r_0..r_N of the zero cells of ``rows``, or None over ``budget``.
 
-    Rows and columns may carry any labels, but each may hold at most two
-    zeros.  Read as edges between row and column vertices, the zero cells
-    then split into disjoint paths and cycles; a path with e cells has
-    r_k = C(e-k+1, k) placements of k non-attacking rooks, a cycle with e
-    cells has r_k = e/(e-k) C(e-k, k), the board's rook polynomial is their
-    product, and perm = sum_k (-1)^k r_k (size-k)! (Kaplansky-Riordan).
+    Rows are taken greedily, each time the one whose zeros open the fewest
+    new columns net of those they close; a column closes after its last
+    zero row.  A state is the set of open columns holding a rook, and it
+    keeps the rook polynomial of its placements so far packed in one
+    integer, W bits a coefficient: no count exceeds C(z, z // 2) < 2^W for
+    z zero cells.  A closed column leaves every state, since no later row
+    can use it.  The step bound, the sum over rows of (1 + zeros in the
+    row) * 2^(columns open as it is taken), is fixed by the order, so an
+    over-budget board is refused before any step runs.
+    """
+    n = len(rows)
+    cols = [[j for j, v in enumerate(row) if not v] for row in rows]  # each row's zero columns
+    masks = [sum(1 << j for j in c) for c in cols]
+    left = [sum(m >> j & 1 for m in masks) for j in range(n)]  # zero rows not yet taken
+    last = sum(1 << j for j in range(n) if left[j] == 1)  # columns one row from closing
+    seen = held = steps = 0  # columns opened, columns open, step bound
+    order = []
+    rest = list(range(n))
+    while rest:
+        i = min(rest, key=lambda i: (masks[i] & ~seen).bit_count() - (masks[i] & last).bit_count())
+        rest.remove(i)
+        m = masks[i]
+        steps += (1 + len(cols[i])) << held.bit_count()
+        if steps > budget:
+            return None
+        closed = m & last
+        for j in cols[i]:
+            left[j] -= 1
+            if left[j] == 1:
+                last |= 1 << j
+        seen |= m
+        held = (held | m) & ~closed
+        order.append(([1 << j for j in cols[i]], ~closed))
+    z = sum(map(len, cols))
+    w = math.comb(z, z // 2).bit_length()
+    states = {0: 1}
+    for bits, keep in order:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for used, poly in states.items():
+            key = used & keep
+            nxt[key] = get(key, 0) + poly
+            poly <<= w
+            for bit in bits:
+                if not used & bit:
+                    key = (used | bit) & keep
+                    nxt[key] = get(key, 0) + poly
+        states = nxt
+    (poly,) = states.values()  # every column has closed
+    mask = (1 << w) - 1
+    return [poly >> (k * w) & mask for k in range(n + 1)]
+
+
+def _rook_sum(size: int, rooks) -> int:
+    """perm = sum_k (-1)^k r_k (size-k)! for a board with zero-cell rook numbers r_k."""
+    return sum((-1) ** k * r * math.factorial(size - k) for k, r in enumerate(rooks))
+
+
+def _rook_permanent(size: int, zeros) -> int:
+    """Permanent of the size x size 0/1 matrix whose zero cells are ``zeros``,
+    at most two in each row and column (``_path_cycle_rooks``)."""
+    return _rook_sum(size, _path_cycle_rooks(zeros))
+
+
+def _path_cycle_rooks(zeros) -> list[int]:
+    """Rook numbers r_0, r_1, ... of zero cells with at most two in each line.
+
+    Rows and columns may carry any labels.  Read as edges between row and
+    column vertices, the zero cells split into disjoint paths and cycles; a
+    path with e cells has r_k = C(e-k+1, k) placements of k non-attacking
+    rooks, a cycle with e cells has r_k = e/(e-k) C(e-k, k), and the board's
+    rook polynomial is their product (Kaplansky-Riordan).
     """
     adj: dict[tuple, list[tuple]] = {}
     for r, c in set(zeros):
@@ -227,7 +308,7 @@ def _rook_permanent(size: int, zeros) -> int:
             for j, b in enumerate(comp):
                 product[i + j] += a * b
         rooks = product
-    return sum((-1) ** k * r * math.factorial(size - k) for k, r in enumerate(rooks))
+    return rooks
 
 
 def _reduced_forbidden_matrix(n: int, cells, sigma: Perm) -> set[Cell]:
@@ -344,6 +425,7 @@ def all_ones_matrix(n: int) -> list[list[int]]:
 
 def complement_of_identity(n: int) -> list[list[int]]:
     """J - I: ones everywhere off the diagonal (permanent = d_n)."""
+    n = _integer(n, 0, "n must be non-negative")
     return [[0 if i == j else 1 for j in range(n)] for i in range(n)]
 
 
@@ -353,8 +435,10 @@ def cycle_cover_zero_matrix(parts: Sequence[int]) -> list[list[int]]:
     Each part k >= 2 contributes a k x k diagonal block with zeros on its
     identity and on its forward cyclic shift.
     """
-    if any(k < 2 for k in parts):
-        raise ValueError("cycle parts must be >= 2")
+    try:
+        parts = [_integer(k, 2, "cycle parts must be >= 2") for k in parts]
+    except TypeError:
+        raise ValueError("cycle parts must be >= 2") from None
     n = sum(parts)
     rows = [[1] * n for _ in range(n)]
     offset = 0

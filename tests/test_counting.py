@@ -26,7 +26,16 @@ from permemc import (
     pointed_derangement_count,
     round_factorial_over_e,
 )
-from permemc.counting import BRUTE_CAP, RYSER_CAP, _rook_permanent, all_ones_matrix
+from permemc import counting
+from permemc.counting import (
+    BRUTE_CAP,
+    RYSER_CAP,
+    _path_cycle_rooks,
+    _rook_numbers,
+    _rook_permanent,
+    _rook_sum,
+    all_ones_matrix,
+)
 from permemc.verify import _cycle_partitions
 
 # Derangement numbers d_0..d_8, frozen from brute-force enumeration.
@@ -420,6 +429,52 @@ def test_rook_permanent_agrees_with_brute():
         assert _rook_permanent(n, zeros) == permanent_brute(_board(n, zeros)), (n, sorted(zeros))
 
 
+def test_rook_count_matches_the_path_cycle_product():
+    rng = random.Random(53)
+    for n, zeros in _degree_two_patterns(rng, 200, 10):
+        closed = _path_cycle_rooks(zeros)
+        assert _rook_numbers(_board(n, zeros), math.inf) == closed + [0] * (n + 1 - len(closed)), (n, sorted(zeros))
+
+
+def test_rook_count_matches_brute_at_every_density():
+    # 0 % ones is the all-zero board, 100 % the all-ones board
+    rng = random.Random(59)
+    for n in range(0, 9):
+        for tenths in range(11):
+            for _ in range(3 if n < 8 else 1):
+                rows = [[int(rng.random() < tenths / 10) for _ in range(n)] for _ in range(n)]
+                assert _rook_sum(n, _rook_numbers(rows, math.inf)) == permanent_brute(rows), rows
+
+
+def test_permanent_ryser_chooses_the_rook_count_on_sparse_zeros_only(monkeypatch):
+    answers = []
+
+    def spy(rows, budget):
+        answers.append(_rook_numbers(rows, budget))
+        return answers[-1]
+
+    monkeypatch.setattr(counting, "_rook_numbers", spy)
+    rng = random.Random(61)
+    for n, ones, takes_rooks in ((13, 0.8, True), (12, 0.5, False)):
+        rows = [[int(rng.random() < ones) for _ in range(n)] for _ in range(n)]
+        assert permanent_ryser(rows) == _dp_permanent(rows)
+        assert (answers[-1] is not None) == takes_rooks
+
+
+def test_glynn_agrees_with_the_oracles_when_the_rook_count_refuses(monkeypatch):
+    monkeypatch.setattr(counting, "_rook_numbers", lambda rows, budget: None)
+    rng = random.Random(67)
+    for n in range(1, 8):
+        for ones in (0.0, 0.3, 0.5, 0.8, 1.0):
+            rows = [[int(rng.random() < ones) for _ in range(n)] for _ in range(n)]
+            assert permanent_ryser(rows) == permanent_brute(rows)
+    for n in range(0, 15):
+        assert permanent_ryser(complement_of_identity(n)) == derangement_count(n)
+    for n in (10, 12):
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        assert permanent_ryser(rows) == _dp_permanent(rows)
+
+
 def test_rook_permanent_rejects_three_zeros_in_a_line():
     with pytest.raises(ValueError):
         _rook_permanent(4, {(0, 0), (0, 1), (0, 2)})
@@ -462,6 +517,10 @@ def test_counts_reject_cells_outside_the_grid():
         double_derangement_count(4, (2, 1, 4, 3), [(1, 5)])
 
 
+_MATRIX_READERS = (permanent_ryser, permanent_brute, permanent, near_full_permanent_check)
+_BAD_MATRICES = {"none": None, "int": 5, "int-rows": [1, 2], "int-row": [[1, 0], 7]}
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -481,6 +540,14 @@ def test_counts_reject_cells_outside_the_grid():
         (lambda: derangement_containment_count(4.0, [(1, 2)]), "n must be non-negative"),
         (lambda: double_derangement_count(4.0, (2, 1, 4, 3)), "n must be non-negative"),
         (lambda: derangement_containment_count(-1, []), "n must be non-negative"),
+        (lambda: cycle_cover_zero_matrix(None), "parts must be >= 2"),
+        (lambda: cycle_cover_zero_matrix([2.5]), "parts must be >= 2"),
+        (lambda: complement_of_identity(2.5), "n must be non-negative"),
+    ]
+    + [
+        (lambda read=read, matrix=matrix: read(matrix), "matrix must be a sequence of rows")
+        for read in _MATRIX_READERS
+        for matrix in _BAD_MATRICES.values()
     ],
     ids=[
         "double-derangement-count-bad-sigma",
@@ -495,7 +562,9 @@ def test_counts_reject_cells_outside_the_grid():
         "containment-count-float-n",
         "double-derangement-count-float-n",
         "containment-count-negative-n",
-    ],
+        "cycle-parts-none", "cycle-part-float", "complement-float-n",
+    ]
+    + [f"{read.__name__}-{name}" for read in _MATRIX_READERS for name in _BAD_MATRICES],
 )
 def test_bad_inputs_fail_cleanly(call, match):
     with pytest.raises(ValueError, match=match):
