@@ -275,17 +275,15 @@ class Family(_Record):
         self.__dict__.update(n=n, members=tuple(sorted(set(perms))))
 
     @classmethod
-    def _of(cls, n: int, members, masks: dict[Cell, int] | None = None) -> "Family":
+    def _of(cls, n: int, members) -> "Family":
         """A Family over members already valid, sorted and distinct, unchecked:
         for n <= 255 their ``flat`` (or their image sequences, joined here),
-        with their cell index when the caller has it; else their tuples."""
+        else their tuples.  Its cell index is built on first read."""
         fam = object.__new__(cls)
         if n > 255:
             fam.__dict__.update(n=n, members=tuple(members))
-            return fam
-        fam.__dict__.update(n=n, flat=members if type(members) is bytes else b"".join(map(bytes, members)))
-        if masks is not None:
-            fam.__dict__["cell_masks"] = masks
+        else:
+            fam.__dict__.update(n=n, flat=members if type(members) is bytes else b"".join(map(bytes, members)))
         return fam
 
     @cached_property
@@ -336,14 +334,12 @@ class Family(_Record):
         return iter(self.members)
 
     def __contains__(self, p) -> bool:
-        """The one permutation rule: floats, strings and non-iterables are no
-        members.  For n <= 255 the probe is ``bytes(tuple(p))``, which reads
-        each value by ``__index__`` and refuses one outside 0..255; above,
-        the rule is read on hits only."""
+        """The one permutation rule at every n: each value is read by
+        ``__index__``, so floats, strings and non-iterables are no members.
+        The probe is ``bytes(tuple(p))`` for n <= 255, which also refuses a
+        value outside 0..255, and ``tuple(map(index, p))`` above."""
         try:
-            if self.n <= 255:
-                return bytes(tuple(p)) in self._member_set
-            return (perm := tuple(p)) in self._member_set and all(map(index, perm))
+            return (bytes(tuple(p)) if self.n <= 255 else tuple(map(index, p))) in self._member_set
         except (TypeError, ValueError):
             return False
 
@@ -371,8 +367,9 @@ class Family(_Record):
         return [graph(p) for p in self._images()]
 
     def restrict(self, keep: Iterable[Perm]) -> "Family":
-        keep = set(tuple(p) for p in keep)
-        return Family._of(self.n, [p for p in self._images() if tuple(p) in keep])
+        """The members that ``in`` accepts from ``keep``; each is read once
+        (``_read_members``), so a generator counts, and a non-iterable is skipped."""
+        return Family(self.n, [p for p in _read_members(tuple(keep)) if p in self])
 
     def difference(self, other: "Family") -> "Family":
         (root, mask), (other_root, other_mask) = _root(self), _root(other)
@@ -430,14 +427,13 @@ def _slice(root: Family, mask: int) -> Family:
 def _relabelled(fam: Family, rho: Perm, pi: Perm) -> Family:
     """{rho ∘ p ∘ pi : p in F} for permutations rho, pi of F's [n], unchecked.
     For n <= 255, row j of the image is row pi(j) of F (its members' images
-    there, one byte each) with every value v sent to rho(v), and the index
-    is kept as a validated build keeps it."""
+    there, one byte each) with every value v sent to rho(v).  Like every
+    unchecked build, it leaves its cell index to the first read."""
     n = fam.n
     if n > 255:
         return Family._of(n, sorted(tuple(rho[p[j - 1] - 1] for j in pi) for p in fam.members))
     flat, table = fam.flat, bytes((0, *rho, *range(n + 1, 256)))
-    flat = b"".join(sorted(_split(_joined([flat[j - 1 :: n].translate(table) for j in pi]), n)))
-    return Family._of(n, flat, _flat_index(flat, n))
+    return Family._of(n, b"".join(sorted(_split(_joined([flat[j - 1 :: n].translate(table) for j in pi]), n))))
 
 
 def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:

@@ -61,7 +61,8 @@ def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> t
     ``fam``'s row-major index have stars holding more than ``best`` members,
     and the first k-combination, in ``itertools.combinations`` order, that
     holds the most.  τ asks for all |F| members (``best`` = |F| − 1), the
-    best star union for any (``best`` = −1).
+    best star union for any (``best`` = −1); once a union holds |F| − 1,
+    only a full cover beats it, so both searches reach ``meets``.
 
     The search is depth first.  Each prefix's frame keeps the last position
     its next pick may take, found by one scan from the last cell down: the

@@ -132,6 +132,16 @@ def test_the_largest_flat_n_and_the_first_tuple_n_agree_with_the_oracle(n):
             _assert_matches_oracle(fam, expected, tau=size <= 2)
 
 
+class _Index:
+    """An image that is read only by ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 HOSTILE = {
     "int": lambda n: 5,
     "huge int": lambda n: 10**12,
@@ -145,18 +155,30 @@ HOSTILE = {
     "too short": lambda n: tuple(range(1, n)),
     "too long": lambda n: tuple(range(1, n + 2)),
     "None": lambda n: None,
+    "__index__ images": lambda n: tuple(map(_Index, range(1, n + 1))),
 }
 
-#: ``p in F`` as the tuple-backed Family answered each hostile probe, for
-#: Σ_3 and a Family over [256] holding the identity.
-HOSTILE_ANSWERS = {"bool image": True, "generator": True, "list": True}
+#: ``p in F`` for each hostile probe, by the one permutation rule (each
+#: value read by ``__index__``), for Σ_3 and for Families over [256], [255]
+#: and [300] holding the identity and its reverse.
+HOSTILE_ANSWERS = {"bool image": True, "generator": True, "list": True, "__index__ images": True}
+
+HOSTILE_FAMILIES = [
+    symmetric_group(3),
+    *(family(n, [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]) for n in (256, 255, 300)),
+]
 
 
-@pytest.mark.parametrize("fam", [symmetric_group(3), family(256, [tuple(range(1, 257)), tuple(range(256, 0, -1))])])
+@pytest.mark.parametrize("fam", HOSTILE_FAMILIES)
 def test_membership_answers_hostile_probes_as_the_tuple_family(fam):
     for name, probe in HOSTILE.items():
         assert (probe(fam.n) in fam) == HOSTILE_ANSWERS.get(name, False), name
+        assert fam.restrict([probe(fam.n)]) == Family(fam.n, [probe(fam.n)] if name in HOSTILE_ANSWERS else []), name
     assert (b"\x01\x02\x03" in fam) == (fam.n == 3)
+    # restrict keeps exactly the members that ``in`` accepts, each probe read once
+    accepted = [probe(fam.n) for probe in HOSTILE.values() if probe(fam.n) in fam]
+    assert fam.restrict(probe(fam.n) for probe in HOSTILE.values()) == Family(fam.n, accepted)
+    assert fam.restrict([*fam, 5, None]) == fam
 
 
 def test_a_family_neither_built_nor_cut_has_no_members():

@@ -82,7 +82,7 @@ GOLDEN = {
     "extremal": "b94550b1a674414280228f6faadcd92e1bc245617b0f60b81cb96709ef0f3ab0",
     "crossmatch": "548286c1b581492eae699656e9b20270885e1b77a1bb3b03335c76b207581eda",
     "mc-spread": "7a96262ddadf420e4482cdb9434ea2de931854653cfaf23fd064608002efaa51",
-    "verify": "de28b907480c3c4d2ac97da66ea4302952ea232ab940482a65e87de5ead1e3ef",
+    "verify": "18396a221a943327a27accfba9fb7db2066f8106d763a478112bb177323565bf",
 }
 
 

@@ -38,7 +38,7 @@ from permemc import (
     support_union_bound_sides,
     symmetric_group,
 )
-from permemc import spread
+from permemc import solvers, spread, verify
 from permemc.core import max_disjoint
 from permemc.solvers import StarSlackSides, _disjoint_representatives, coset_representative
 from permemc.verify import brute_nu, brute_tau, random_subfamily
@@ -595,6 +595,27 @@ def test_upclosed_check_random_instances():
         report = containment_implies_matching_check([b1, b2], 2, p)
         if report.hypothesis_met:
             assert report.implication_held
+
+
+def test_verify_upclosed_random_meets_its_hypothesis(monkeypatch):
+    # seven distinct singletons per basis give 1 - (1 - p)^7 >= 6p for p <= 1/20,
+    # so the check's instances meet the hypothesis and the implication is tested
+    reports = []
+    check = solvers.containment_implies_matching_check
+
+    def spy(bases, s, p):
+        reports.append(check(bases, s, p))
+        return reports[-1]
+
+    monkeypatch.setattr(solvers, "containment_implies_matching_check", spy)
+    records = {c["id"]: c for c in verify.suite_solvers(0)["checks"]}
+    drawn = reports[-10:]  # the pinned upclosed checks come first
+    assert len(reports) == 12 and any(r.hypothesis_met and r.implication_held for r in drawn)
+    assert all(r.implication_held for r in drawn if r.hypothesis_met)
+    assert records["upclosed-random"]["status"] == "pass"
+    assert records["upclosed-random"]["description"] == (
+        "the implication held on every randomized instance with a true hypothesis"
+    )
 
 
 def test_upclosed_check_ground_cap():
