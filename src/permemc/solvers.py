@@ -39,7 +39,6 @@ from .core import (
 )
 from .counting import pointed_derangement_count
 from .io import _result_json
-from .spread import EXACT_CELL_CAP, containment_probability
 
 #: Rational upper bound on e; using an upper bound keeps "hypothesis met"
 #: verdicts sound for inequalities of the form eps*r >= 8e(s-1)q.
@@ -343,10 +342,10 @@ def containment_implies_matching_check(
         raise ValueError("exactly s upward-closed families are expected")
     frozen = [_cell_sets(basis) for basis in bases]
     ground = set().union(*(a for basis in frozen for a in basis))
-    if len(ground) > EXACT_CELL_CAP:
-        raise ValueError(f"ground set capped at {EXACT_CELL_CAP} cells for exact probabilities")
+    if len(ground) > spread.EXACT_CELL_CAP:
+        raise ValueError(f"ground set capped at {spread.EXACT_CELL_CAP} cells for exact probabilities")
     pf = _rational(p, "p must lie strictly between 0 and 1", 0, 1)
-    probs = tuple(containment_probability(basis, pf, "exact").value for basis in frozen)
+    probs = tuple(spread.containment_probability(basis, pf, "exact").value for basis in frozen)
     threshold = 3 * s * pf
     hypothesis = all(q >= threshold for q in probs)
     picks = _disjoint_representatives(frozen)

@@ -19,6 +19,8 @@ from permemc import (
 from permemc.core import _Record
 from permemc.spread import RestrictedSpreadReport
 
+#: Every public name; reading them loads each module that defines a record.
+EXPORTED = [getattr(permemc, name) for name in permemc.__all__]
 RECORDS = sorted(_Record.__subclasses__(), key=lambda cls: cls.__name__)
 
 #: Valid field values for the records whose ``__post_init__`` checks them;
@@ -35,7 +37,7 @@ def _values(cls, shift=0):
 
 
 def test_every_result_type_is_a_record():
-    exported = {cls for cls in vars(permemc).values() if isinstance(cls, type) and issubclass(cls, _Record)}
+    exported = {cls for cls in EXPORTED if isinstance(cls, type) and issubclass(cls, _Record)}
     assert {cls.__name__ for cls in exported} == {
         "ApproximationResult",
         "Family",
