@@ -7,17 +7,16 @@ and covering solvers with certificates, and the extremal star-union and
 pinned-family constructions.
 
 ``import permemc`` compiles none of its modules.  Each of ``construct``,
-``core``, ``counting``, ``io``, ``solvers`` and ``spread`` is registered
-through ``importlib.util.LazyLoader`` and executes when one of its names is
-first read, so a command or caller compiles only the modules it runs, and a
-fault in a module surfaces at that first use.  ``LazyLoader`` takes a lock
-only from CPython 3.12.3 and 3.13; before that, a module's first use must
-not come from two threads at once, so import the modules the threads need
-(``import permemc.solvers``) before starting them.
+``core``, ``counting``, ``io``, ``solvers`` and ``spread`` is registered as
+a ``_LazyModule`` and executes when one of its attributes is first read, so
+a command or caller compiles only the modules it runs, and a fault in a
+module surfaces at that first use.  That first use is safe from any thread.
 """
 
 import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
+import threading
+from importlib.util import find_spec, module_from_spec
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -25,11 +24,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "construct": "StarUnion apply_isomorphism derangement_star make_hm make_hm_star_union make_star "
     "make_star_union star_center_image",
-    "core": "ENUMERATION_CAP Cell DimensionMismatch Family Perm cell_masks compose contains_cells derangements "
-    "double_derangements enumerate_family family graph identity intersects inverse is_derangement "
+    "core": "ENUMERATION_CAP Cell DimensionMismatch Family Perm ZeroOneMatrix cell_masks compose contains_cells "
+    "derangements double_derangements enumerate_family family graph identity intersects inverse is_derangement "
     "is_partial_permutation is_permutation partial_permutation set_matching_number subfamily_containing "
     "subfamily_containing_any symmetric_group trace",
-    "counting": "ZeroOneMatrix complement_of_identity cycle_cover_zero_matrix derangement_containment_count "
+    "counting": "complement_of_identity cycle_cover_zero_matrix derangement_containment_count "
     "derangement_count derangement_count_inclusion_exclusion double_derangement_count "
     "near_full_permanent_bound near_full_permanent_check permanent permanent_brute permanent_ryser "
     "pointed_derangement_count round_factorial_over_e",
@@ -42,14 +41,37 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [*_EXPORTS, *_HOME]
 
+_EXECUTING = threading.RLock()
+
+
+class _LazyModule(_ModuleType):
+    """A module of the package that nothing has read yet.  Its first
+    attribute read executes it while holding the package's lock, so a read
+    from another thread waits until it is done; the loader's own reads of
+    the module, in the thread that holds the lock, see it as it stands."""
+
+    def __getattribute__(self, name):
+        with _EXECUTING:
+            if type(self) is _LazyModule:
+                self.__class__ = _Executing
+                try:
+                    self.__spec__.loader.exec_module(self)
+                finally:
+                    self.__class__ = _ModuleType
+        return _ModuleType.__getattribute__(self, name)
+
+
+class _Executing(_LazyModule):
+    """A module whose first use is executing it."""
+
+
 # Each module goes in sys.modules, so that an import of it finds the lazy one,
 # and on the package, so that ``from . import spread`` binds it unexecuted.
 for _module in _EXPORTS:
     _spec = find_spec(f"{__name__}.{_module}")
-    _spec.loader = LazyLoader(_spec.loader)
     sys.modules[_spec.name] = globals()[_module] = module_from_spec(_spec)
-    _spec.loader.exec_module(globals()[_module])
-del sys, LazyLoader, find_spec, module_from_spec, _module, _spec
+    globals()[_module].__class__ = _LazyModule
+del sys, threading, find_spec, module_from_spec, _module, _spec
 
 
 def __getattr__(name):

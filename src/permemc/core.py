@@ -28,6 +28,10 @@ PartialPerm = frozenset  # frozenset[Cell]
 
 #: Full enumeration of all n! permutations is refused above this n.
 ENUMERATION_CAP = 10
+#: The one search budget: sets one spreadness walk visits, or prefixes one
+#: cell-combination search extends (``solvers._most_held``, for τ over all its
+#: sizes and for the best star union), before it refuses.
+_SUBSET_BUDGET = 6_000_000
 
 
 class DimensionMismatch(ValueError):
@@ -396,6 +400,35 @@ def family(n: int, members: Iterable[Sequence[int]]) -> Family:
     return Family(n, members)
 
 
+class ZeroOneMatrix(_Record):
+    """A square matrix with entries in {0, 1}."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise ValueError("matrix must be a sequence of rows") from None
+        n = len(rows)
+        norm = []
+        for row in rows:
+            try:
+                row = tuple(map(index, row))
+            except TypeError:
+                raise ValueError("entries must be 0 or 1") from None
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            if any(v not in (0, 1) for v in row):
+                raise ValueError("entries must be 0 or 1")
+            norm.append(row)
+        object.__setattr__(self, "rows", tuple(norm))
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+
 def _containing(fam: Family, cells: Iterable[Cell]) -> int:
     """Bitmask of the members whose graphs contain every cell of X."""
     masks, hit = fam.cell_masks, (1 << len(fam)) - 1
@@ -656,10 +689,14 @@ def _greedy_packing(cand: int, meets: _Meets) -> int:
 def _indexed(sets) -> tuple[int, dict[Cell, int], Callable[[int], Iterable[Cell]]]:
     """(count, cell index, reader of set j's cells) of a Family, by its cached
     ``cell_masks`` and image sequences, or of a list of cell sets already read
-    by ``_cell_sets``: the one place the disjoint-pick searches tell them apart."""
+    by ``_cell_sets``: the one place the disjoint-pick searches tell them apart.
+    A member's cells are its images enumerated from 1, read in one call."""
     if isinstance(sets, Family):
-        image = sets._reader()
-        return len(sets), sets.cell_masks, lambda j: enumerate(image(j), 1)
+        if sets.n > 255:
+            members = sets.members
+            return len(sets), sets.cell_masks, lambda j: enumerate(members[j], 1)
+        flat, n = sets.flat, sets.n
+        return len(sets), sets.cell_masks, lambda j: enumerate(flat[j * n : j * n + n], 1)
     return len(sets), cell_masks(sets), sets.__getitem__
 
 

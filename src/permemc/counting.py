@@ -12,7 +12,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Cell, Perm, _integer, _permutation, _Record, identity, partial_permutation
+from .core import Cell, Perm, ZeroOneMatrix, _integer, _permutation, _Record, identity, partial_permutation
 
 #: Largest N the general exact permanents accept.  A board past the rook count's
 #: budget runs Glynn's formula: 3 s at N = 22 and about x2.2 more per N, so such
@@ -81,35 +81,6 @@ def pointed_derangement_count(n: int) -> int:
     """d_{n,1} = d_{n-1} + d_{n-2}: derangements through one off-diagonal cell."""
     n = _integer(n, 2, "defined for n >= 2")
     return derangement_count(n - 1) + derangement_count(n - 2)
-
-
-class ZeroOneMatrix(_Record):
-    """A square matrix with entries in {0, 1}."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        try:
-            rows = tuple(map(tuple, self.rows))
-        except TypeError:
-            raise ValueError("matrix must be a sequence of rows") from None
-        n = len(rows)
-        norm = []
-        for row in rows:
-            try:
-                row = tuple(map(operator.index, row))
-            except TypeError:
-                raise ValueError("entries must be 0 or 1") from None
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            if any(v not in (0, 1) for v in row):
-                raise ValueError("entries must be 0 or 1")
-            norm.append(row)
-        object.__setattr__(self, "rows", tuple(norm))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
 
 def _rows_of(matrix) -> list[tuple[int, ...]]:

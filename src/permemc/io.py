@@ -16,8 +16,7 @@ import warnings
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Cell, Family, PartialPerm, _Record, as_permutation, partial_permutation
-from .counting import ZeroOneMatrix
+from .core import Cell, Family, PartialPerm, ZeroOneMatrix, _Record, as_permutation, partial_permutation
 
 
 _INTEGERS = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*)?")

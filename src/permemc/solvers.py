@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import spread
+from . import core, spread
 from .core import (
     Cell,
     DimensionMismatch,
@@ -73,7 +73,7 @@ def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> t
     frame ends when a greedy packing of the members not held (each needs a
     cell of its own) outnumbers the picks left.  The search stops once all
     members are held.  Each prefix extended, over all sizes, is charged
-    against ``spread._SUBSET_BUDGET``, and past it the search raises
+    against ``core._SUBSET_BUDGET``, and past it the search raises
     ``ValueError``.  The explicit stack keeps it clear of the recursion limit.
     """
     index, image, n = fam.cell_masks, fam._reader(), fam.n
@@ -121,7 +121,7 @@ def _most_held(fam: Family, meets: _Meets, sizes: Iterable[int], best: int) -> t
             if not stack:
                 break
             extended += 1
-            if extended > spread._SUBSET_BUDGET:
+            if extended > core._SUBSET_BUDGET:
                 raise ValueError("cell-combination search too large")
             frame = stack[-1]
             frame[0] += 1
@@ -456,7 +456,7 @@ def star_union_slack_sides(fam: Family, ambient: Family, s: int) -> StarSlackSid
     ``itertools.combinations`` order over the row-major cells, as
     ``_most_held`` finds it with no members to beat, so ties keep the first
     combination.  Each prefix extended is charged against
-    ``spread._SUBSET_BUDGET``, and a search past it raises ``ValueError``.
+    ``core._SUBSET_BUDGET``, and a search past it raises ``ValueError``.
 
     >>> from permemc import symmetric_group
     >>> sides = star_union_slack_sides(symmetric_group(3), symmetric_group(3), 3)

@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
+from . import core
 from .core import (
     Cell,
     Family,
@@ -37,10 +38,6 @@ from .io import _result_json, cells_json, family_json
 
 #: Exact containment probabilities refuse ground sets beyond this many cells.
 EXACT_CELL_CAP = 24
-#: The one search budget: sets one spreadness walk visits, or prefixes one
-#: cell-combination search extends (``solvers._most_held``, for τ over all its
-#: sizes and for the best star union), before it refuses.
-_SUBSET_BUDGET = 6_000_000
 _TOO_LARGE = "family too large for exhaustive subset enumeration"
 _SAMPLE_BLOCK = 1 << 16  # Monte Carlo rows drawn at once, so memory stays bounded
 #: The greedy's largest q: its exact remainder bound |A| / 2^(q+1) then prints
@@ -73,14 +70,14 @@ def _walk(masks: dict, carrier: int, max_size: int | None = None, floor: int = 1
     carriers, a branch below the floor ends.  Nothing runs until the walk is
     iterated.  A level's branch list holds exactly the X the level yields,
     and an X gets one only while it has fewer than max_size cells; its
-    length is charged as the level starts: past ``_SUBSET_BUDGET`` sets in
-    one walk, the walk raises ``ValueError``."""
+    length is charged as the level starts: past ``core._SUBSET_BUDGET``
+    sets in one walk, the walk raises ``ValueError``."""
     charged = 0
 
     def walk(prefix: tuple, branches: list):
         nonlocal charged
         charged += len(branches)
-        if charged > _SUBSET_BUDGET:
+        if charged > core._SUBSET_BUDGET:
             raise ValueError(_TOO_LARGE)
         while branches:
             cell, carriers = branches.pop(0)
@@ -165,12 +162,12 @@ def _worst_offender(index, carrier: int, skip=frozenset(), r: Fraction | None = 
         if r is not None:
             floor = max(floor, total * r.denominator**top // r.numerator**top + 1)
         kept = {cell: m for cell, m in singles.items() if m.bit_count() >= floor}
-        if floor == 1 and 2**top - 1 > _SUBSET_BUDGET:
+        if floor == 1 and 2**top - 1 > core._SUBSET_BUDGET:
             # at floor 1 (where the cut leaves K as it was) the walk visits every nonempty
             # subset of every carrier's kept cells, 2^k - 1 sets for a carrier with k of them
             members = range(carrier.bit_length())
             held = Counter(itertools.chain.from_iterable(_selected(members, m) for m in kept.values()))
-            if 2 ** max(held.values(), default=0) - 1 > _SUBSET_BUDGET:
+            if 2 ** max(held.values(), default=0) - 1 > core._SUBSET_BUDGET:
                 raise ValueError(_TOO_LARGE)
         # every X of one pair (|X|, |F(X)|) has the same value, and the walk meets
         # X in lexicographic order, so only a pair's first X can take the lead
@@ -276,7 +273,7 @@ def max_ratio_set(fam, rho) -> PartialPerm:
     lexicographic) is taken instead, so the result is maximal against
     *every* superset and its trace is therefore rho-spread.  The extensions
     are read off ``_walk`` of the members containing X, so a jump whose walk
-    visits more than ``_SUBSET_BUDGET`` sets raises ``ValueError``.  In a
+    visits more than ``core._SUBSET_BUDGET`` sets raises ``ValueError``.  In a
     Family at most (n-|X|-j)! members hold X and j more cells, so the walk
     stops at the largest jump size j whose least count is within that bound,
     and when no size is, X is returned without a walk.

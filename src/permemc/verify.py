@@ -340,6 +340,8 @@ def approximation_corpus(rng: random.Random) -> list[tuple[core.Family, core.Fam
         cases.append((random_subfamily(rng, sigma4, rng.randint(2, 20)), sigma4, Fraction(5, 2), 3))
     for _ in range(3):
         cases.append((random_subfamily(rng, sigma5, rng.randint(4, 40)), sigma5, 3, 3))
+    # two branches, Σ_6[(1,1)] and the rest of Σ_6[(2,2)], so that their overlap is checked
+    cases.append((construct.make_star_union(6, [(1, 1), (2, 2)]).family, core.symmetric_group(6), Fraction(19, 5), 4))
     return cases
 
 

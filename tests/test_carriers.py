@@ -37,7 +37,7 @@ from permemc import (
     symmetric_group,
     verify_approximation,
 )
-from permemc import spread
+from permemc import core
 from permemc.core import _root, _slice
 from permemc.io import ParseError, format_family, parse_family
 from permemc.spread import ApproximationResult, _compare_spreadness, _distinct_trace_counts
@@ -219,15 +219,15 @@ def test_subset_budget_is_charged_on_the_carrier_at_the_boundary(monkeypatch):
     # six cells of ``wide``, where the whole family has 2^7 - 1 + 4.
     wide = frozenset({(1, 1)} | {(2, c) for c in range(1, 7)})
     members = [wide] + [frozenset({(1, 1)})] * 3 + [frozenset({(3, c)}) for c in range(1, 5)]
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 1)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**6 - 1)
     assert max_ratio_set(members, 2) == _list_max_ratio_set(members, 2)[0] == wide
     with pytest.raises(ValueError, match="too large"):
         exact_spreadness(members)
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**6 - 2)
     for kernel in (max_ratio_set, _list_max_ratio_set):
         with pytest.raises(ValueError, match="too large"):
             kernel(members, 2)
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**7 + 3)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**7 + 3)
     assert len(_distinct_trace_counts(members)) == 2**7 + 3
     assert exact_spreadness(members)[1] == tuple(sorted(wide))
 

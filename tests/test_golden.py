@@ -133,7 +133,7 @@ def test_cli_stdout_matches_golden_digest(name, files, capsys):
 
 
 #: sha256 of ``_decomposition_outputs()`` as canonical JSON.
-DECOMPOSITION_DIGEST = "c857566638416e2bbe96efa730bfba9f703d11d9bad4dd56eb43e6f6041e8982"
+DECOMPOSITION_DIGEST = "cffcbcef0b091c0091162acba77c0d8ec42bd00b89a39a50ca809f161497eee0"
 
 
 def _max_ratio_set_input(rng, sigmas):

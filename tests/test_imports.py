@@ -18,11 +18,11 @@ from permemc.io import save_family
 PUBLIC = {
     "construct": "StarUnion apply_isomorphism derangement_star make_hm make_hm_star_union make_star "
     "make_star_union star_center_image",
-    "core": "ENUMERATION_CAP Cell DimensionMismatch Family Perm cell_masks compose contains_cells derangements "
-    "double_derangements enumerate_family family graph identity intersects inverse is_derangement "
+    "core": "ENUMERATION_CAP Cell DimensionMismatch Family Perm ZeroOneMatrix cell_masks compose contains_cells "
+    "derangements double_derangements enumerate_family family graph identity intersects inverse is_derangement "
     "is_partial_permutation is_permutation partial_permutation set_matching_number subfamily_containing "
     "subfamily_containing_any symmetric_group trace",
-    "counting": "ZeroOneMatrix complement_of_identity cycle_cover_zero_matrix derangement_containment_count "
+    "counting": "complement_of_identity cycle_cover_zero_matrix derangement_containment_count "
     "derangement_count derangement_count_inclusion_exclusion double_derangement_count "
     "near_full_permanent_bound near_full_permanent_check permanent permanent_brute permanent_ryser "
     "pointed_derangement_count round_factorial_over_e",
@@ -58,20 +58,51 @@ def test_import_permemc_executes_no_submodule():
 
 
 def test_import_cli_executes_only_what_parsing_needs():
-    modules = ["permemc", "permemc._flat", "permemc.cli", "permemc.core", "permemc.counting", "permemc.io"]
+    modules = ["permemc", "permemc._flat", "permemc.cli", "permemc.core", "permemc.io"]
     assert _child("import permemc.cli; print(json.dumps(executed()))") == modules
 
 
-@pytest.mark.parametrize("command, runs", [("counts", "permemc.counting"), ("nu", "permemc.solvers")])
-def test_a_command_leaves_spread_construct_and_verify_unexecuted(tmp_path, command, runs):
+def _command_modules(tmp_path, command, *args):
+    """The modules executed by ``cli.main`` on ``command``, where ``{family}``
+    in ``args`` names a saved Σ_3; the command must exit 0."""
     path = tmp_path / "sigma3.family.txt"
     save_family(symmetric_group(3), path)
-    args = {"counts": ["--n", "7"], "nu": ["--family", str(path)]}[command]
+    args = [arg.format(family=path) for arg in args]
     code, modules = _child(
         "from permemc.cli import main; code = main(sys.argv[1:]); print(json.dumps([code, executed()]))", command, *args
     )
-    assert code == 0 and runs in modules
-    assert not {"permemc.spread", "permemc.construct", "permemc.verify"} & set(modules)
+    assert code == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize(
+    "command, runs", [("counts", "permemc.counting"), ("nu", "permemc.solvers"), ("tau", "permemc.solvers")]
+)
+def test_a_command_leaves_spread_construct_and_verify_unexecuted(tmp_path, command, runs):
+    args = {"counts": ["--n", "7"]}.get(command, ["--family", "{family}"])
+    modules = _command_modules(tmp_path, command, *args)
+    assert runs in modules
+    assert not {"permemc.spread", "permemc.construct", "permemc.verify"} & modules
+
+
+@pytest.mark.parametrize(
+    "command, args, runs, unexecuted",
+    [
+        ("extremal", ["--kind", "stars", "--n", "4", "--s", "3"], "permemc.construct", {"permemc.spread", "permemc.verify"}),
+        ("spread", ["--family", "{family}", "--r", "2", "--exact"], "permemc.spread", {"permemc.counting"}),
+        ("approx", ["--family", "{family}", "--r", "2", "--q", "2"], "permemc.spread", {"permemc.counting"}),
+        (
+            "mc-spread",
+            ["--family", "{family}", "--p", "1/3", "--samples", "10", "--seed", "1"],
+            "permemc.spread",
+            {"permemc.counting"},
+        ),
+    ],
+    ids=["extremal", "spread", "approx", "mc-spread"],
+)
+def test_a_command_executes_no_module_it_does_not_run(tmp_path, command, args, runs, unexecuted):
+    modules = _command_modules(tmp_path, command, *args)
+    assert runs in modules and not unexecuted & modules
 
 
 def test_star_import_and_dir_give_the_public_names():
@@ -92,3 +123,32 @@ def test_every_public_name_is_its_home_modules_object():
         json.dumps(homes),
     )
     assert wrong == []
+
+
+def test_first_use_from_several_threads_at_once_waits_for_the_module():
+    """Four threads held at a barrier first-read one name of a fresh package
+    at once, 20 times: each read waits until the module has executed."""
+    errors = _child(
+        """\
+import threading
+errors = []
+for _ in range(20):
+    for name in [name for name in sys.modules if name.split(".")[0] == "permemc"]:
+        del sys.modules[name]
+    import permemc
+    barrier = threading.Barrier(4)
+    def read():
+        barrier.wait()
+        try:
+            permemc.spread.is_r_spread
+        except Exception as exc:
+            errors.append(repr(exc))
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+print(json.dumps(errors))
+"""
+    )
+    assert errors == []

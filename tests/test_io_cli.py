@@ -350,7 +350,7 @@ def test_cli_spread_over_budget_exits_two(tmp_path, capsys, monkeypatch):
     path, whole = tmp_path / "fam.txt", tmp_path / "sigma4.txt"
     save_family(family(4, symmetric_group(4).members[1:]), path)
     save_family(symmetric_group(4), whole)
-    monkeypatch.setattr(permemc.spread, "_SUBSET_BUDGET", 10)
+    monkeypatch.setattr(permemc.core, "_SUBSET_BUDGET", 10)
     for extra in (["--exact"], ["--q", "1"]):
         code, out, err = _run(["spread", "--family", str(path), "--r", "2", *extra], capsys)
         assert code == 2 and out == ""

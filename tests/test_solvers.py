@@ -38,7 +38,7 @@ from permemc import (
     support_union_bound_sides,
     symmetric_group,
 )
-from permemc import solvers, spread, verify
+from permemc import core, solvers, verify
 from permemc.core import max_disjoint
 from permemc.solvers import StarSlackSides, _disjoint_representatives, coset_representative
 from permemc.verify import brute_nu, brute_tau, random_subfamily
@@ -170,9 +170,9 @@ def test_tau_budget_charges_each_prefix_extended(monkeypatch):
     # budget is charged over all sizes, 4,768 prefixes.
     pinned = Family(7, random.Random(3).sample(symmetric_group(7).members, 40))
     for fam, extended, tau in ((symmetric_group(3), 3, 3), (pinned, 4768, 6)):
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", extended)
         assert covering_number(fam)[0] == tau
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended - 1)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", extended - 1)
         with pytest.raises(ValueError, match="^cell-combination search too large$"):
             covering_number(fam)
 
@@ -792,9 +792,9 @@ def test_star_union_budget_charges_each_prefix_extended(monkeypatch):
     three = family(3, [(1, 2, 3), (2, 1, 3), (3, 1, 2)])
     cases = ((s3, 3, 2, 4), (s3, 4, 3, 6), (symmetric_group(6), 9, 8, 720), (three, 2, 4, 2))
     for ambient, s, extended, best in cases:
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", extended)
         assert star_union_slack_sides(ambient, ambient, s).best_union_size == best
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", extended - 1)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", extended - 1)
         with pytest.raises(ValueError, match="cell-combination search too large"):
             star_union_slack_sides(ambient, ambient, s)
 

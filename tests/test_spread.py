@@ -33,7 +33,7 @@ from permemc import (
     trace,
     verify_approximation,
 )
-from permemc import spread
+from permemc import core, spread
 from permemc.spread import _distinct_trace_counts
 from permemc.verify import random_subfamily
 
@@ -291,7 +291,7 @@ def test_an_r_pruned_walk_keeps_nothing(monkeypatch):
         pytest.fail("no family found")
     expected, pruned, exact = is_r_spread(fam, r), _charged(fam, r_floor, top), _charged(fam, c_floor, top)
     fam = Family(fam.n, fam.members)
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", pruned)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", pruned)
     with pytest.raises(ValueError, match="too large"):
         exact_spreadness(fam)
     assert is_r_spread(fam, r) == expected
@@ -300,9 +300,9 @@ def test_an_r_pruned_walk_keeps_nothing(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
         is_r_spread(fam, r, True)
     # the exact walk, once it answers, is kept and answers under any budget
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", exact)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", exact)
     value = exact_spreadness(fam)
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 0)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 0)
     assert exact_spreadness(fam) == value and is_r_spread(fam, r) == expected
 
 
@@ -384,17 +384,17 @@ def test_subset_budget_charges_each_set_walked(monkeypatch):
     for k in (1, 6, 12):
         wide = [[(1, c) for c in range(1, k + 1)]]
         cut = k + k * (k - 1) // 2
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", cut)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", cut)
         assert len(_distinct_trace_counts(wide, 2)) == cut
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", cut - 1)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", cut - 1)
         with pytest.raises(ValueError, match="too large"):
             _distinct_trace_counts(wide, 2)
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**k - 1)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**k - 1)
         assert len(_distinct_trace_counts(wide)) == 2**k - 1
         report = is_r_spread(wide, 2)
         assert (report.is_spread, report.witness, report.witness_ratio) == (False, ((1, 1),), 1)
         assert exact_spreadness(wide) == (1.0, ((1, 1),))
-        monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**k - 2)
+        monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**k - 2)
         for call in (lambda: _distinct_trace_counts(wide), lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide)):
             with pytest.raises(ValueError, match="too large"):
                 call()
@@ -412,7 +412,7 @@ def test_certain_refusal_comes_before_the_walk(monkeypatch):
     monkeypatch.setattr(spread, "_walk", lambda *args: walks.append(args) or walk(*args))
     wide = [[(1, c) for c in range(1, 7)]]
     sigma6 = symmetric_group(6)
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**6 - 2)
     short = Family(6, sigma6.members[1:])  # c-floor 1, so 6-cell members walk all 63 subsets
     for call in (lambda: is_r_spread(wide, 2), lambda: exact_spreadness(wide), lambda: exact_spreadness(short)):
         with pytest.raises(ValueError, match="too large"):
@@ -420,20 +420,20 @@ def test_certain_refusal_comes_before_the_walk(monkeypatch):
     assert walks == []
     # Σ_6 itself is answered in closed form, without a walk
     assert exact_spreadness(sigma6) == (720 ** (1 / 6), tuple((i, i) for i in range(1, 7))) and walks == []
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 1)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**6 - 1)
     assert exact_spreadness(wide) == (1.0, ((1, 1),)) and len(walks) == 1
     # two copies of the set: the c-floor is 2, so the walk starts and refuses as it runs
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**6 - 2)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**6 - 2)
     with pytest.raises(ValueError, match="too large"):
         exact_spreadness(wide * 2)
     assert len(walks) == 2
     # carriers with fewer cells than the index's bound: the refusal counts the carriers' own
     index, _ = spread._index([[(1, c) for c in range(1, 9)], [(2, 1), (2, 2), (2, 3)]])
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**3 - 2)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**3 - 2)
     with pytest.raises(ValueError, match="too large"):
         spread._worst_offender(index, 0b10)
     assert len(walks) == 2
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 2**3 - 1)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 2**3 - 1)
     assert spread._worst_offender(index, 0b10) == (((2, 1),), 1) and len(walks) == 3
 
 
@@ -560,7 +560,7 @@ def test_sigma_trace_closed_form_agrees_with_the_walk(monkeypatch):
 def test_rq_spread_reports_input_errors_before_refusing(monkeypatch):
     # both the whole walk (255 sets) and the restriction walk (8 + 28) are over 10
     wide = [[(1, c) for c in range(1, 9)]]
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 10)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 10)
     with pytest.raises(ValueError, match="too large"):
         is_rq_spread(wide, 2, 2)
     with pytest.raises(ValueError, match="r must be positive"):
@@ -947,7 +947,7 @@ def test_max_ratio_set_jump_respects_subset_budget(monkeypatch):
     # the jump's walk ends at its first level: none of the 2^23 subsets is
     # charged, even against a budget of 0
     wide = [[(1, c) for c in range(1, 24)]]
-    monkeypatch.setattr(spread, "_SUBSET_BUDGET", 0)
+    monkeypatch.setattr(core, "_SUBSET_BUDGET", 0)
     assert max_ratio_set(wide, Fraction(1, 2)) == frozenset()
 
 

@@ -32,6 +32,12 @@ def _overlapping(real):
     return faulty
 
 
+def _cut_from_the_root(real):
+    """``subfamily_containing`` that cuts from the family's root, so a branch
+    also takes members that an earlier branch already holds."""
+    return lambda fam, cells: real(core._root(fam)[0], cells)
+
+
 def _trace_dropping_one(real):
     """``core.trace`` that loses its last residue on families of more than 24 members."""
     return lambda fam, cells: real(fam, cells)[: -1 if len(fam) > 24 else None]
@@ -42,6 +48,7 @@ def _trace_dropping_one(real):
     [
         ("counts", "derangement-trace-lower-bound", counting, "derangement_containment_count", lambda real: lambda n, cells: 1),
         ("approx", "corpus-covering", spread, "spread_approximate", _overlapping),
+        ("approx", "corpus-covering", spread, "subfamily_containing", _cut_from_the_root),
         ("extremal", "trace-formula", core, "trace", _trace_dropping_one),
     ],
 )
