@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 
+from . import counting
 from ._flat import _cut, _split, _star, _through
 from .core import Cell, DimensionMismatch, Family, Perm, _cell, _check_cap, _integer, _permutation, _Record, _relabelled
-from .counting import pointed_derangement_count
 
 
 def make_star(n: int, cell: Cell) -> Family:
@@ -90,7 +90,7 @@ def make_hm_star_union(n: int, s: int, sigma: Perm) -> Family:
 
 
 def expected_hm_star_union_size(n: int, s: int) -> int:
-    return (s - 1) * math.factorial(n - 1) - pointed_derangement_count(n) + 1
+    return (s - 1) * math.factorial(n - 1) - counting.pointed_derangement_count(n) + 1
 
 
 def apply_isomorphism(rho: Perm, fam: Family, pi: Perm) -> Family:

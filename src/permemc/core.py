@@ -472,12 +472,12 @@ def _relabelled(fam: Family, rho: Perm, pi: Perm) -> Family:
 def trace(fam: Family, cells: Iterable[Cell]) -> tuple[PartialPerm, ...]:
     """Residues {graph(p) \\ X : p in F, X ⊆ graph(p)} for X = ``cells``.
 
-    Distinct members through X leave distinct residues, so the result size
-    equals the number of members containing X.  Empty when no member
-    contains X (in particular whenever X is not a partial permutation).
+    The members through X, cut from the root's index by ``subfamily_containing``,
+    leave distinct residues, so the result size is their number.  Empty when
+    no member contains X (in particular whenever X is not a partial permutation).
     """
     cs = frozenset(cells)
-    out = [graph(p) - cs for p in _selected(fam._images(), _containing(fam, cs))]
+    out = [graph(p) - cs for p in subfamily_containing(fam, cs)._images()]
     return tuple(sorted(out, key=sorted))
 
 
@@ -688,15 +688,12 @@ def _greedy_packing(cand: int, meets: _Meets) -> int:
 
 def _indexed(sets) -> tuple[int, dict[Cell, int], Callable[[int], Iterable[Cell]]]:
     """(count, cell index, reader of set j's cells) of a Family, by its cached
-    ``cell_masks`` and image sequences, or of a list of cell sets already read
+    ``cell_masks`` and ``_reader()``, or of a list of cell sets already read
     by ``_cell_sets``: the one place the disjoint-pick searches tell them apart.
-    A member's cells are its images enumerated from 1, read in one call."""
+    A member's cells are its images enumerated from 1."""
     if isinstance(sets, Family):
-        if sets.n > 255:
-            members = sets.members
-            return len(sets), sets.cell_masks, lambda j: enumerate(members[j], 1)
-        flat, n = sets.flat, sets.n
-        return len(sets), sets.cell_masks, lambda j: enumerate(flat[j * n : j * n + n], 1)
+        image = sets._reader()
+        return len(sets), sets.cell_masks, lambda j: enumerate(image(j), 1)
     return len(sets), cell_masks(sets), sets.__getitem__
 
 

@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import core, spread
+from . import core, counting, spread
 from .core import (
     Cell,
     DimensionMismatch,
@@ -37,7 +37,6 @@ from .core import (
     is_derangement,
     subfamily_containing_any,
 )
-from .counting import pointed_derangement_count
 from .io import _result_json
 
 #: Rational upper bound on e; using an upper bound keeps "hypothesis met"
@@ -305,7 +304,7 @@ def classify_cross_free_families(
         others = [[cells[i]] for i in range(t) if i != j]
         if len(subfamily_containing_any(union, others)) == len(union):
             witnesses.append(j + 1)
-    bound = (Fraction(100 * t - 101, 100)) * pointed_derangement_count(n)
+    bound = (Fraction(100 * t - 101, 100)) * counting.pointed_derangement_count(n)
     size_holds = Fraction(len(union)) <= bound
     if witnesses and size_holds:
         alternative = "both"

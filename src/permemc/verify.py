@@ -307,7 +307,7 @@ def suite_spread(seed: int = 0) -> dict:
 
     value = spread.spread_lemma_bound(8, 16, math.log2(16), 1)
     exact = 1 - Fraction(2, (16).bit_length() - 1) ** 4 * 8  # log2(16) = beta = 4, so the bound is rational
-    s.add("spread-lemma-half", "r*delta = 16 with beta = log2(2k) yields exactly 1/2", exact == Fraction(1, 2), lhs=value, rhs=0.5)
+    s.add("spread-lemma-half", "r*delta = 16 with beta = log2(2k) yields exactly 1/2", exact == Fraction(1, 2) and value == 0.5, lhs=value, rhs=0.5)
     s.add("spread-lemma-vacuous-edge", "r*delta = 2 is vacuous", spread.spread_lemma_bound(4, 2, 2.0, 1) is None)
     ok = True
     for n in range(3, 11):
@@ -424,12 +424,14 @@ def suite_approx(seed: int = 0) -> dict:
         witness=chk.remainder_status,
     )
 
-    res = spread.spread_approximate(construct.make_star_union(5, [(1, 1), (1, 2)]).family, sigma5, Fraction(5, 2), 4)
-    chk = spread.verify_approximation(res, construct.make_star_union(5, [(1, 1), (1, 2)]).family, sigma5, Fraction(5, 2), 4)
+    union = construct.make_star_union(5, [(1, 1), (1, 2)]).family
+    res = spread.spread_approximate(union, sigma5, Fraction(5, 2), 4)
+    chk = spread.verify_approximation(res, union, sigma5, Fraction(5, 2), 4)
+    degenerate = frozenset() in res.supports
     s.add(
         "measured-support-matching",
         "the support matching number is measured (or flagged degenerate), never asserted",
-        chk.degenerate_empty_support or chk.nu_supports is not None,
+        chk.degenerate_empty_support == degenerate and chk.nu_supports == (None if degenerate else brute_nu(res.supports)),
         witness={"nu": chk.nu_supports, "degenerate": chk.degenerate_empty_support},
     )
     return s.report()
@@ -454,15 +456,19 @@ def brute_nu(sets) -> int:
     return best
 
 
-def brute_tau(fam: core.Family) -> int:
-    """Covering number by trying every cell combination, smallest first."""
-    cells = sorted({c for p in fam.members for c in core.graph(p)})
-    for t in range(1, fam.n + 1):
+def brute_tau(fam: core.Family) -> tuple[int, tuple]:
+    """(τ, the first minimum cover in ``itertools.combinations`` order over the members'
+    row-major cells), trying every combination of each size from a greedy floor: the
+    members a pairwise scan in order finds disjoint each need a cell of their own."""
+    graphs = fam.graphs()
+    cells, floor, rest = sorted(set().union(*graphs)), 0, graphs
+    while rest:
+        floor += 1
+        rest = [g for g in rest[1:] if rest[0].isdisjoint(g)]
+    for t in range(floor, fam.n + 1):
         for combo in itertools.combinations(cells, t):
-            cs = set(combo)
-            if all(core.graph(p) & cs for p in fam.members):
-                return t
-    return fam.n
+            if not any(g.isdisjoint(combo) for g in graphs):
+                return t, combo
 
 
 def suite_solvers(seed: int = 0) -> dict:
@@ -478,9 +484,7 @@ def suite_solvers(seed: int = 0) -> dict:
         ok_nu = ok_nu and nu == brute_nu(fam.graphs()) and len(wit) == nu
         ok_nu = ok_nu and all(not core.intersects(a, b) for a, b in itertools.combinations(wit, 2))
         tau, cover = solvers.covering_number(fam)
-        ok_tau = ok_tau and tau == brute_tau(fam) and len(cover) == tau
-        ok_tau = ok_tau and all(core.graph(p) & set(cover) for p in fam.members)
-        ok_tau = ok_tau and tau >= nu
+        ok_tau = ok_tau and (tau, cover) == brute_tau(fam) and tau >= nu
     s.add("nu-vs-brute", "matching solver equals exhaustive search on random subfamilies", ok_nu)
     s.add("tau-vs-brute", "covering solver equals exhaustive search; tau >= nu throughout", ok_tau)
 

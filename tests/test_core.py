@@ -167,6 +167,11 @@ def test_trace_residue_sizes():
     assert all((2, 3) not in r for r in residues)
 
 
+def test_trace_of_a_slice_cuts_through_its_roots_index():
+    sub = subfamily_containing(symmetric_group(4), [(1, 1)])
+    assert trace(sub, [(2, 3)]) == trace(Family(4, sub.members), [(2, 3)]) and "cell_masks" not in vars(sub)
+
+
 def test_subfamily_pinned():
     sub = subfamily_containing(symmetric_group(3), [(1, 1)])
     assert sub.members == ((1, 2, 3), (1, 3, 2))
@@ -229,14 +234,10 @@ def test_cell_index_agrees_with_direct_scan():
                 assert subfamily_containing_any(f, sets).members == through
 
 
-def _general_index(f):
-    return cell_masks(enumerate(p, 1) for p in f.members)
-
-
 def _assert_same_index(f):
     """The family's index, as its build left it and as built again from its
     members, equals the general build's, keys in one row-major order."""
-    masks, again, general = f.cell_masks, Family._of(f.n, f.members).cell_masks, _general_index(f)
+    masks, again, general = f.cell_masks, Family._of(f.n, f.members).cell_masks, cell_masks(enumerate(p, 1) for p in f.members)
     assert masks == again == general
     assert list(masks) == list(again) == list(general) == sorted(masks)
 

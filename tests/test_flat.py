@@ -36,16 +36,7 @@ from permemc.core import max_disjoint
 from permemc.io import _format_rows, family_json, format_family, parse_family
 from permemc.solvers import coset_representative
 from permemc.spread import exact_spreadness, is_r_spread, is_rq_spread, spread_approximate, verify_approximation
-
-
-def _brute_tau(members):
-    """The first cell combination, in ``itertools.combinations`` order over
-    the row-major cells of the members, that meets every member."""
-    cells = sorted({(i, v) for p in members for i, v in enumerate(p, 1)})
-    for t in range(1, len(members) + 1):
-        for combo in itertools.combinations(cells, t):
-            if all(any(p[r - 1] == c for r, c in combo) for p in members):
-                return t, combo
+from permemc.verify import brute_tau
 
 
 def _assert_matches_oracle(fam, members, tau=True):
@@ -63,7 +54,7 @@ def _assert_matches_oracle(fam, members, tau=True):
     picks = max_disjoint([graph(p) for p in expected])
     assert matching_number(fam) == (len(picks), tuple(expected[j] for j in picks))
     if expected and tau:
-        assert covering_number(fam) == _brute_tau(expected)
+        assert covering_number(fam) == brute_tau(fam)
     loads = Counter(map(coset_representative, expected))
     certificate = coset_certificate(fam, 2)
     assert certificate.max_load == max(loads.values(), default=0) and certificate.family_size == len(expected)

@@ -75,34 +75,23 @@ def _command_modules(tmp_path, command, *args):
     return set(modules)
 
 
-@pytest.mark.parametrize(
-    "command, runs", [("counts", "permemc.counting"), ("nu", "permemc.solvers"), ("tau", "permemc.solvers")]
-)
-def test_a_command_leaves_spread_construct_and_verify_unexecuted(tmp_path, command, runs):
-    args = {"counts": ["--n", "7"]}.get(command, ["--family", "{family}"])
-    modules = _command_modules(tmp_path, command, *args)
-    assert runs in modules
-    assert not {"permemc.spread", "permemc.construct", "permemc.verify"} & modules
+#: (command, its arguments, a module it runs, the modules it leaves unexecuted)
+COMMANDS = [
+    ("counts", "--n 7", "counting", "spread construct verify"),
+    ("nu", "--family {family}", "solvers", "counting spread construct verify"),
+    ("tau", "--family {family}", "solvers", "counting spread construct verify"),
+    ("crossmatch", "--families {family} {family}", "solvers", "counting spread construct verify"),
+    ("extremal", "--kind stars --n 4 --s 3", "construct", "counting spread verify"),
+    ("spread", "--family {family} --r 2 --exact", "spread", "counting"),
+    ("approx", "--family {family} --r 2 --q 2", "spread", "counting"),
+    ("mc-spread", "--family {family} --p 1/3 --samples 10 --seed 1", "spread", "counting"),
+]
 
 
-@pytest.mark.parametrize(
-    "command, args, runs, unexecuted",
-    [
-        ("extremal", ["--kind", "stars", "--n", "4", "--s", "3"], "permemc.construct", {"permemc.spread", "permemc.verify"}),
-        ("spread", ["--family", "{family}", "--r", "2", "--exact"], "permemc.spread", {"permemc.counting"}),
-        ("approx", ["--family", "{family}", "--r", "2", "--q", "2"], "permemc.spread", {"permemc.counting"}),
-        (
-            "mc-spread",
-            ["--family", "{family}", "--p", "1/3", "--samples", "10", "--seed", "1"],
-            "permemc.spread",
-            {"permemc.counting"},
-        ),
-    ],
-    ids=["extremal", "spread", "approx", "mc-spread"],
-)
+@pytest.mark.parametrize("command, args, runs, unexecuted", COMMANDS, ids=[row[0] for row in COMMANDS])
 def test_a_command_executes_no_module_it_does_not_run(tmp_path, command, args, runs, unexecuted):
-    modules = _command_modules(tmp_path, command, *args)
-    assert runs in modules and not unexecuted & modules
+    modules = _command_modules(tmp_path, command, *args.split())
+    assert f"permemc.{runs}" in modules and not {f"permemc.{name}" for name in unexecuted.split()} & modules
 
 
 def test_star_import_and_dir_give_the_public_names():

@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from operator import and_
 
 import pytest
 
@@ -23,7 +24,6 @@ from permemc import (
     derangement_star,
     derangements,
     family,
-    graph,
     identity,
     intersects,
     inverse,
@@ -125,26 +125,8 @@ def test_tau_vs_exhaustive_500_and_tau_ge_nu():
     for _ in range(500):
         fam = random_subfamily(rng, ambient, rng.randint(1, 24))
         tau, cover = covering_number(fam)
-        assert tau == brute_tau(fam)
-        assert all(graph(p) & set(cover) for p in fam.members)
+        assert (tau, cover) == brute_tau(fam)
         assert tau >= matching_number(fam)[0]
-
-
-def _combinations_tau(fam):
-    """The unpruned covering search: every t-combination of member cells in
-    row-major lexicographic order, for t from a greedy disjoint-member floor
-    found by a pairwise scan."""
-    cell_mask = fam.cell_masks
-    full = (1 << len(fam)) - 1
-    graphs = fam.graphs()
-    lower, cand = 0, list(range(len(fam)))
-    while cand:
-        lower += 1
-        cand = [k for k in cand[1:] if not graphs[cand[0]] & graphs[k]]
-    for t in range(lower, fam.n + 1):
-        for combo in itertools.combinations(sorted(cell_mask), t):
-            if functools.reduce(int.__or__, (cell_mask[c] for c in combo)) == full:
-                return t, combo
 
 
 def test_tau_pruned_search_matches_combinations_oracle():
@@ -154,7 +136,7 @@ def test_tau_pruned_search_matches_combinations_oracle():
         sizes = [1, len(ambient)] + [rng.randint(2, min(len(ambient), 30)) for _ in range(12)]
         for size in sizes:
             fam = random_subfamily(rng, ambient, size)
-            assert covering_number(fam) == _combinations_tau(fam)
+            assert covering_number(fam) == brute_tau(fam)
 
 
 def test_tau_pinned_sigma7_instance():
@@ -324,6 +306,18 @@ def test_cross_matching_single_family():
     assert cross_matching([f1]) == ((2, 1, 4, 3),)
 
 
+def _first_disjoint_picks(collections, meet):
+    """The positions, within each collection, of the first tuple of
+    ``itertools.product`` over the collections in (size, index) order whose
+    picks pairwise do not ``meet``; None if there is none."""
+    order = sorted(range(len(collections)), key=lambda i: (len(collections[i]), i))
+    for combo in itertools.product(*[range(len(collections[i])) for i in order]):
+        chosen = [collections[i][k] for i, k in zip(order, combo)]
+        if not any(meet(a, b) for a, b in itertools.combinations(chosen, 2)):
+            return [k for _, k in sorted(zip(order, combo))]
+    return None
+
+
 def _drawn_family(rng, ambient):
     """A validated random subfamily, an empty family, or a slice (through
     one or two cells, one at a time, so some are slices of slices) of the
@@ -345,15 +339,8 @@ def test_cross_matching_vs_brute():
     found = 0
     for _ in range(300):
         fams = [_drawn_family(rng, ambient) for _ in range(rng.randint(2, 4))]
-        got = cross_matching(fams)
-        # the first pairwise disjoint tuple of the product in (size, index) order
-        order = sorted(range(len(fams)), key=lambda i: (len(fams[i]), i))
-        brute = None
-        for combo in itertools.product(*[fams[i].members for i in order]):
-            if all(not intersects(a, b) for a, b in itertools.combinations(combo, 2)):
-                brute = tuple(dict(sorted(zip(order, combo))).values())
-                break
-        assert got == brute
+        got, picks = cross_matching(fams), _first_disjoint_picks([f.members for f in fams], intersects)
+        assert got == (None if picks is None else tuple(f.members[k] for f, k in zip(fams, picks)))
         found += got is not None
     assert 50 <= found <= 250, found
 
@@ -384,16 +371,8 @@ def test_disjoint_representatives_match_product_scan():
     shapes = {"none": 0, "empty_collection": 0, "empty_set": 0, "shared": 0, "clash": 0, "found": 0, "missing": 0}
     for _ in range(1500):
         colls = _random_collections(rng)
-        # the first pairwise disjoint tuple of the product in (size, index) order
-        order = sorted(range(len(colls)), key=lambda i: (len(colls[i]), i))
-        brute = None
-        for combo in itertools.product(*[range(len(colls[i])) for i in order]):
-            chosen = [colls[i][k] for i, k in zip(order, combo)]
-            if all(not (a & b) for a, b in itertools.combinations(chosen, 2)):
-                brute = [k for _, k in sorted(zip(order, combo))]
-                break
         got = _disjoint_representatives(colls)
-        assert got == brute
+        assert got == _first_disjoint_picks(colls, and_)
         sets = [cells for coll in colls for cells in coll]
         shapes["none"] += not colls
         shapes["empty_collection"] += any(not coll for coll in colls)

@@ -43,6 +43,17 @@ def _trace_dropping_one(real):
     return lambda fam, cells: real(fam, cells)[: -1 if len(fam) > 24 else None]
 
 
+def _measuring_the_empty_support(real):
+    """``verify_approximation`` that reports supports holding the empty set
+    as measured: their ν, and no degenerate flag."""
+
+    def faulty(res, *args):
+        measured = {"nu_supports": core.set_matching_number(res.supports), "degenerate_empty_support": False}
+        return spread.ApproximationCheck(**{**vars(real(res, *args)), **measured})
+
+    return faulty
+
+
 @pytest.mark.parametrize(
     "suite, check_id, module, name, fault",
     [
@@ -50,6 +61,8 @@ def _trace_dropping_one(real):
         ("approx", "corpus-covering", spread, "spread_approximate", _overlapping),
         ("approx", "corpus-covering", spread, "subfamily_containing", _cut_from_the_root),
         ("extremal", "trace-formula", core, "trace", _trace_dropping_one),
+        ("spread", "spread-lemma-half", spread, "spread_lemma_bound", lambda real: lambda *a: real(*a) and real(*a) / 2),
+        ("approx", "measured-support-matching", spread, "verify_approximation", _measuring_the_empty_support),
     ],
 )
 def test_check_fails_on_a_faulty_kernel(monkeypatch, suite, check_id, module, name, fault):
